@@ -373,6 +373,9 @@ def exit_code_for(summary: RunSummary) -> int:
 
 # ---------------------------------------------------------------------------
 # verification battery
+#
+# Each check returns (passed, detail); passed is None when the check does not
+# apply to the problem, and the report lists it as skipped.
 
 
 def _check_geometry(prep: _Prepared, rng: np.random.Generator) -> tuple[bool, str]:
@@ -456,10 +459,12 @@ def _check_usc(prep: _Prepared, rng: np.random.Generator) -> tuple[bool, str]:
     return report.passed, f"tail gap {report.gap:.3e} (bound {report.tolerance})"
 
 
-def _check_prox_vs_grid(prep: _Prepared, rng: np.random.Generator) -> tuple[bool, str]:
+def _check_prox_vs_grid(
+    prep: _Prepared, rng: np.random.Generator
+) -> tuple[Optional[bool], str]:
     obj = prep.problem.objective
     if obj.manifold.dim != 1:
-        return True, "skipped: grid cross-check runs on one-dimensional problems"
+        return None, "grid cross-check runs on one-dimensional problems only"
     lam, lip = prep.lam, prep.lipschitz
     if lam <= lip:
         return False, f"lambda {lam} does not exceed the Lipschitz estimate {lip}"
@@ -504,10 +509,12 @@ def _check_dist_convexity(prep: _Prepared, rng: np.random.Generator) -> tuple[bo
     )
 
 
-def _check_subgrad_floor(prep: _Prepared, rng: np.random.Generator) -> tuple[bool, str]:
+def _check_subgrad_floor(
+    prep: _Prepared, rng: np.random.Generator
+) -> tuple[Optional[bool], str]:
     meta = prep.problem.metadata
     if not {"q", "c", "delta"} <= set(meta):
-        return True, "skipped: no level-band metadata on this problem"
+        return None, "no level-band metadata on this problem"
     obj = prep.problem.objective
     m = obj.manifold
     f_q, _ = eval_f(obj, Point(m, [meta["q"]]))
@@ -543,6 +550,9 @@ _CHECKS = [
 ]
 
 
+_STATUS_TAGS = {"pass": "pass", "fail": "FAIL", "skipped": "skip"}
+
+
 def verify(cfg: RunConfig, out_dir=None) -> int:
     """Run the verification battery for a config; returns 0 or 3."""
     prep = _prepare(cfg, validate_schedule=False)
@@ -556,10 +566,12 @@ def verify(cfg: RunConfig, out_dir=None) -> int:
             passed, detail = fn(prep, rng)
         except Exception as exc:  # a crashing check is a failing check
             passed, detail = False, f"{type(exc).__name__}: {exc}"
-        results.append({"name": name, "passed": passed, "detail": detail})
+        status = "skipped" if passed is None else "pass" if passed else "fail"
+        passed = status != "fail"
+        results.append({"name": name, "passed": passed, "status": status, "detail": detail})
         if not passed:
             failed.append(name)
-        print(f"[{'pass' if passed else 'FAIL'}] {name}: {detail}")
+        print(f"[{_STATUS_TAGS[status]}] {name}: {detail}")
     payload = {
         "problem": prep.problem.name,
         "seed": cfg.seed,

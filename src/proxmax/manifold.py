@@ -40,6 +40,7 @@ __all__ = [
     "exp_map",
     "log_map",
     "transport",
+    "pair_transport_gaps",
     "differential_exp",
     "grad_half_sq_dist",
     "geodesic",
@@ -244,6 +245,27 @@ def transport(p: Point, q: Point, v: Tangent) -> Tangent:
     if _is_log(p.manifold):
         return Tangent(q, v.coords * q.coords / p.coords)
     return Tangent(q, v.coords.copy())
+
+
+def pair_transport_gaps(
+    manifold: ManifoldKind, coords: np.ndarray, vecs: np.ndarray, i: np.ndarray, j: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batched dist(p_i, p_j) and norm(p_j, v_j - transport(p_i, p_j, v_i)).
+
+    coords (S, n) stacks points of the manifold and vecs (S, n) one tangent
+    at each; i and j index the pairs.  Each pair gets the closed forms of
+    dist, transport, inner and norm above, evaluated in the same order.
+    """
+    p_i, p_j = coords[i], coords[j]
+    if _is_log(manifold):
+        chord = np.log(p_i / p_j)
+        diff = vecs[j] - vecs[i] * p_j / p_i
+        sq = np.sum(diff * diff / p_j**2, axis=1)
+    else:
+        chord = p_i - p_j
+        diff = vecs[j] - vecs[i]
+        sq = np.sum(diff * diff, axis=1)
+    return np.sqrt(np.sum(chord * chord, axis=1)), np.sqrt(sq)
 
 
 def differential_exp(p: Point, w: Tangent, u: Tangent) -> Tangent:

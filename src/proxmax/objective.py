@@ -28,8 +28,8 @@ from .manifold import (
     inner,
     log_map,
     norm,
+    pair_transport_gaps,
     random_unit_tangent,
-    transport,
     zero_tangent,
 )
 
@@ -352,6 +352,11 @@ def estimate_sup_lipschitz(
     Returns the declared bound when the objective carries one.  Otherwise
     takes the largest transported difference quotient of each branch
     gradient over all sample pairs and inflates it by the safety factor.
+    The quotient is norm(p_j, g_j - transport(p_i, p_j, g_i)) / dist(p_i, p_j),
+    the same closed forms as those functions, evaluated for every pair at
+    once; pairs closer than 1e-14 are skipped.  It makes one grad_phi call
+    per sample per branch, and its memory grows as O(S^2 n) for S samples
+    in dimension n (64 samples give 2016 pairs).
     """
     declared = obj.declared_sup_lipschitz()
     if declared is not None:
@@ -361,16 +366,19 @@ def estimate_sup_lipschitz(
         raise ValueError("need at least two region samples to estimate a Lipschitz bound")
     for s in samples:
         obj.check_domain(s)
+    coords = np.stack([s.coords for s in samples])
+    i, j = np.triu_indices(len(samples), k=1)
     best = 0.0
     for t in obj.params:
         grads = [obj.grad_phi(s, float(t)) for s in samples]
-        for i in range(len(samples)):
-            for j in range(i + 1, len(samples)):
-                d = dist(samples[i], samples[j])
-                if d <= 1e-14:
-                    continue
-                moved = transport(samples[i], samples[j], grads[i])
-                best = max(best, norm(samples[j], grads[j] - moved) / d)
+        if not np.array_equal(np.stack([g.base.coords for g in grads]), coords):
+            raise MismatchError("grad_phi returned a tangent at the wrong base point")
+        d, gap = pair_transport_gaps(
+            obj.manifold, coords, np.stack([g.coords for g in grads]), i, j
+        )
+        keep = d > 1e-14
+        # fmax ignores a NaN quotient (p_j**2 can underflow) instead of returning it
+        best = float(np.fmax.reduce(gap[keep] / d[keep], initial=best))
     return safety_factor * best
 
 

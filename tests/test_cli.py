@@ -199,6 +199,18 @@ def test_verify_passes_and_writes_report(tmp_path):
         "subgrad_floor",
     } <= names
     assert all(c["passed"] for c in report["checks"])
+    assert all(c["status"] == "pass" for c in report["checks"])
+
+
+def test_verify_reports_skipped_check_as_skipped(tmp_path, capsys):
+    cfg = parse_config({"problem": {"name": "paper_example_product", "n": 2}})
+    verify(cfg, out_dir=tmp_path / "v")
+    with open(tmp_path / "v" / "verify.json") as fh:
+        report = json.load(fh)
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name["prox_vs_grid"]["status"] == "skipped"
+    assert by_name["subgrad_floor"]["status"] == "skipped"
+    assert "[skip] prox_vs_grid:" in capsys.readouterr().out
 
 
 def test_verify_flags_weight_below_curvature(tmp_path):

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from proxmax import (
     DomainError,
     MaxObjective,
+    MismatchError,
     ParamSet,
     Point,
     SubdiffHull,
@@ -25,6 +26,7 @@ from proxmax import (
     make_problem,
     min_norm_subgradient,
     norm,
+    transport,
     with_prox_term,
 )
 from proxmax.objective import gd_sampling_estimate
@@ -292,6 +294,29 @@ def _single_branch(manifold, value, grad):
     )
 
 
+def _reference_sup_lipschitz(obj, region_samples, safety_factor=1.1):
+    """The scalar pair loop the library estimate must reproduce."""
+    declared = obj.declared_sup_lipschitz()
+    if declared is not None:
+        return declared
+    samples = list(region_samples)
+    if len(samples) < 2:
+        raise ValueError("need at least two region samples to estimate a Lipschitz bound")
+    for s in samples:
+        obj.check_domain(s)
+    best = 0.0
+    for t in obj.params:
+        grads = [obj.grad_phi(s, float(t)) for s in samples]
+        for i in range(len(samples)):
+            for j in range(i + 1, len(samples)):
+                d = dist(samples[i], samples[j])
+                if d <= 1e-14:
+                    continue
+                moved = transport(samples[i], samples[j], grads[i])
+                best = max(best, norm(samples[j], grads[j] - moved) / d)
+    return safety_factor * best
+
+
 def test_estimate_zero_for_affine():
     m = euclidean(1)
     obj = _single_branch(m, lambda p: 3.0 * p.coords[0], lambda p: Tangent(p, [3.0]))
@@ -336,6 +361,96 @@ def test_estimate_on_log_example_tracks_analytic_slope(log_example):
     dense = [_pt(float(x)) for x in np.exp(np.linspace(np.log(0.13), np.log(3.99), 600))]
     est_dense = estimate_sup_lipschitz(log_example.objective, dense)
     assert est_dense == pytest.approx(1.1 * SUP_CHART_SLOPE, rel=1e-4)
+
+
+@pytest.mark.parametrize("epsilon", [0.1000001, 0.11, 0.125, 0.2, 0.31])
+def test_estimate_matches_reference_loop_on_paper_example(epsilon):
+    prob = make_problem({"name": "paper_example", "epsilon": epsilon})
+    pts = region_samples(prob, 64)
+    got = estimate_sup_lipschitz(prob.objective, pts)
+    assert got == _reference_sup_lipschitz(prob.objective, pts)
+
+
+def _wavy(manifold):
+    """Single branch with a nonlinear gradient, in metric form on log_positive."""
+
+    def grad(p):
+        x = p.coords
+        flat = np.sin(3.0 * x) + x**2
+        return Tangent(p, flat * x**2 if manifold.geometry.value == "log_positive" else flat)
+
+    return _single_branch(manifold, lambda p: 0.0, grad)
+
+
+@pytest.mark.parametrize("manifold", [euclidean(1), LP1], ids=["euclidean", "log_positive"])
+def test_estimate_matches_reference_loop_in_one_dimension(manifold, rng):
+    obj = _wavy(manifold)
+    z = rng.uniform(-1.5, 1.5, 40)
+    pts = [Point(manifold, [np.exp(v) if manifold is LP1 else v]) for v in z]
+    got = estimate_sup_lipschitz(obj, pts)
+    assert got > 0.0
+    assert got == _reference_sup_lipschitz(obj, pts)
+
+
+def test_estimate_within_ulps_of_reference_loop_in_higher_dimensions():
+    eps = np.finfo(float).eps
+    for n in (2, 3):
+        prob = make_problem({"name": "paper_example_product", "n": n})
+        pts = region_samples(prob, 24, np.random.default_rng(7 + n))
+        got = estimate_sup_lipschitz(prob.objective, pts)
+        ref = _reference_sup_lipschitz(prob.objective, pts)
+        assert abs(got - ref) <= 4 * eps * abs(ref)
+    m = euclidean(3)
+    obj = _wavy(m)
+    pts = [Point(m, row) for row in np.random.default_rng(3).uniform(-1.5, 1.5, (40, 3))]
+    got = estimate_sup_lipschitz(obj, pts)
+    ref = _reference_sup_lipschitz(obj, pts)
+    assert ref > 0.0
+    assert abs(got - ref) <= 4 * eps * abs(ref)
+
+
+def test_estimate_skips_repeated_samples():
+    obj = _wavy(LP1)
+    distinct = [_pt(x) for x in (0.5, 0.9, 1.7)]
+    # every pair here has zero distance or repeats a pair of distinct, in order
+    repeated = [_pt(x) for x in (0.5, 0.5, 0.9, 0.9, 0.9, 1.7)]
+    want = estimate_sup_lipschitz(obj, distinct)
+    assert want > 0.0
+    assert estimate_sup_lipschitz(obj, repeated) == want
+    assert _reference_sup_lipschitz(obj, repeated) == want
+    same = [_pt(0.9)] * 5
+    assert estimate_sup_lipschitz(obj, same) == 0.0
+    assert _reference_sup_lipschitz(obj, same) == 0.0
+    # a gradient jump between points 1e-15 apart would give a 1e15 quotient
+    m = euclidean(1)
+    step = _single_branch(m, lambda p: 0.0, lambda p: Tangent(p, [float(p.coords[0] > 0.0)]))
+    near = [Point(m, [x]) for x in (0.0, 1e-15, 1.0)]
+    assert estimate_sup_lipschitz(step, near) == pytest.approx(1.1, rel=1e-12)
+    assert estimate_sup_lipschitz(step, near) == _reference_sup_lipschitz(step, near)
+
+
+def test_estimate_ignores_nan_quotient_from_underflow():
+    # p_j**2 underflows to 0 at p_j = 1e-200, so the zero difference gives 0/0
+    obj = _single_branch(LP1, lambda p: 0.0, lambda p: Tangent(p, [0.0]))
+    pts = [_pt(1.0), _pt(1e-200)]
+    with np.errstate(invalid="ignore"):
+        assert estimate_sup_lipschitz(obj, pts) == 0.0
+        assert _reference_sup_lipschitz(obj, pts) == 0.0
+
+
+def test_estimate_rejects_out_of_domain_sample(log_example):
+    pts = [_pt(0.5), _pt(1.0), _pt(0.1)]
+    with pytest.raises(DomainError):
+        estimate_sup_lipschitz(log_example.objective, pts)
+
+
+def test_estimate_rejects_gradient_at_wrong_base():
+    obj = _single_branch(LP1, lambda p: 0.0, lambda p: Tangent(_pt(1.0), [0.0]))
+    pts = [_pt(0.5), _pt(2.0)]
+    with pytest.raises(MismatchError):
+        estimate_sup_lipschitz(obj, pts)
+    with pytest.raises(MismatchError):
+        _reference_sup_lipschitz(obj, pts)
 
 
 # sampling estimate of the directional derivative
