@@ -34,6 +34,7 @@ from .objective import (
     clarke_subdiff,
     estimate_sup_lipschitz,
     eval_f,
+    eval_f_many,
     gen_dir_derivative,
     grad_half_sq_dist,
     inner,
@@ -415,11 +416,19 @@ def _check_fd_gradient(prep: _Prepared, rng: np.random.Generator) -> tuple[bool,
     return worst <= 1e-6, f"worst relative error {worst:.3e} (bound 1e-6)"
 
 
+def _weight_too_small(prep: _Prepared) -> Optional[str]:
+    """Why the weight cannot make the subproblem strongly convex, or None."""
+    if prep.lam <= prep.lipschitz:
+        return f"lambda {prep.lam} does not exceed the Lipschitz estimate {prep.lipschitz}"
+    return None
+
+
 def _check_strong_convexity(prep: _Prepared, rng: np.random.Generator) -> tuple[bool, str]:
     obj = prep.problem.objective
     lam, lip = prep.lam, prep.lipschitz
-    if lam <= lip:
-        return False, f"lambda {lam} does not exceed the Lipschitz estimate {lip}"
+    reason = _weight_too_small(prep)
+    if reason:
+        return False, reason
     h_obj = with_prox_term(obj, prep.start, lam)
     report = oracle.geodesic_convexity_test(
         lambda p: eval_f(h_obj, p)[0],
@@ -466,8 +475,9 @@ def _check_prox_vs_grid(
     if obj.manifold.dim != 1:
         return None, "grid cross-check runs on one-dimensional problems only"
     lam, lip = prep.lam, prep.lipschitz
-    if lam <= lip:
-        return False, f"lambda {lam} does not exceed the Lipschitz estimate {lip}"
+    reason = _weight_too_small(prep)
+    if reason:
+        return False, reason
     lo = float(prep.problem.region_lower[0])
     hi = float(prep.problem.region_upper[0])
     worst_pt, worst_val = 0.0, 0.0
@@ -483,7 +493,7 @@ def _check_prox_vs_grid(
             lower=np.array([lo + 1e-9]), upper=np.array([hi]), points_per_dim=5001
         )
         g_pt, g_val = oracle.grid_minimize(
-            lambda x: eval_f(h_obj, x)[0], grid, obj.manifold
+            lambda X: eval_f_many(h_obj, X), grid, obj.manifold
         )
         worst_pt = max(worst_pt, dist(p_next, g_pt))
         worst_val = max(worst_val, abs(eval_f(h_obj, p_next)[0] - g_val))
@@ -538,6 +548,19 @@ def _check_subgrad_floor(
     )
 
 
+def _check_solve_stationary(prep: _Prepared, rng: np.random.Generator) -> tuple[bool, str]:
+    # the run the config describes: verify passes only configs that run passes
+    if prep.sched is None:
+        # the schedule rejected lambda: at or below the estimate, or above lambda_bar
+        return False, _weight_too_small(prep) or f"lambda {prep.lam} exceeds lambda_bar"
+    trace = solve(prep.problem.objective, prep.start, prep.sched, prep.pcfg, prep.level_ref)
+    term = trace.termination
+    detail = f"{term.kind} after {trace.iterations} iterations"
+    if term.message:
+        detail += f": {term.message}"
+    return term.kind == "stationary", detail
+
+
 _CHECKS = [
     ("geometry_roundtrip", _check_geometry),
     ("fd_gradient", _check_fd_gradient),
@@ -547,6 +570,7 @@ _CHECKS = [
     ("prox_vs_grid", _check_prox_vs_grid),
     ("dist_convexity", _check_dist_convexity),
     ("subgrad_floor", _check_subgrad_floor),
+    ("solve_stationary", _check_solve_stationary),
 ]
 
 

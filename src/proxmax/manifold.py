@@ -28,6 +28,7 @@ __all__ = [
     "ManifoldKind",
     "Point",
     "Tangent",
+    "point_coords",
     "euclidean",
     "log_positive",
     "zero_tangent",
@@ -37,6 +38,7 @@ __all__ = [
     "inner",
     "norm",
     "dist",
+    "dist_rows",
     "exp_map",
     "log_map",
     "transport",
@@ -105,6 +107,31 @@ def _freeze(values, dim: int, what: str) -> np.ndarray:
     return arr
 
 
+def point_coords(manifold: ManifoldKind, coords, rows: bool = False) -> np.ndarray:
+    """Validated float coordinates of one point (dim,), or of points stacked as rows (N, dim).
+
+    Raises InvalidPointError on a wrong shape, a non-finite entry or, on the
+    log-positive orthant, an entry at or below MIN_POSITIVE_COORD.  Point
+    runs these checks on its own coordinates.
+    """
+    arr = np.asarray(coords, dtype=float)
+    dim = manifold.dim
+    if rows:
+        if arr.ndim != 2 or arr.shape[1] != dim:
+            raise InvalidPointError(f"point rows must have shape (N, {dim}), got {arr.shape}")
+    else:
+        arr = np.atleast_1d(arr)
+        if arr.shape != (dim,):
+            raise InvalidPointError(f"point coordinates must have shape ({dim},), got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidPointError(f"point coordinates has non-finite entries: {arr}")
+    if manifold.geometry is Geometry.LOG_POSITIVE and np.any(arr <= MIN_POSITIVE_COORD):
+        raise InvalidPointError(
+            f"log-positive coordinates must exceed {MIN_POSITIVE_COORD}: {arr}"
+        )
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class Point:
     """A point of a manifold; coordinates are copied and frozen."""
@@ -113,13 +140,8 @@ class Point:
     coords: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _freeze(self.coords, self.manifold.dim, "point coordinates")
-        if self.manifold.geometry is Geometry.LOG_POSITIVE and np.any(
-            arr <= MIN_POSITIVE_COORD
-        ):
-            raise InvalidPointError(
-                f"log-positive coordinates must exceed {MIN_POSITIVE_COORD}: {arr}"
-            )
+        arr = point_coords(self.manifold, self.coords).copy()
+        arr.flags.writeable = False
         object.__setattr__(self, "coords", arr)
 
     def __repr__(self) -> str:
@@ -215,6 +237,16 @@ def dist(p: Point, q: Point) -> float:
     if _is_log(p.manifold):
         return float(np.linalg.norm(np.log(p.coords / q.coords)))
     return float(np.linalg.norm(p.coords - q.coords))
+
+
+def dist_rows(coords: np.ndarray, q: Point) -> np.ndarray:
+    """dist(p, q) for every row p of coords (N, dim), by dist's closed form.
+
+    Bit-identical to dist in one dimension; in more, dist's BLAS dot may
+    round its sum differently by a few ulp.
+    """
+    chord = np.log(coords / q.coords) if _is_log(q.manifold) else coords - q.coords
+    return np.sqrt(np.sum(chord * chord, axis=1))
 
 
 def exp_map(p: Point, v: Tangent) -> Point:

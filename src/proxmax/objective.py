@@ -23,12 +23,14 @@ from .manifold import (
     Tangent,
     differential_exp,
     dist,
+    dist_rows,
     exp_map,
     grad_half_sq_dist,
     inner,
     log_map,
     norm,
     pair_transport_gaps,
+    point_coords,
     random_unit_tangent,
     zero_tangent,
 )
@@ -40,6 +42,7 @@ __all__ = [
     "SubdiffHull",
     "default_active_tol",
     "eval_f",
+    "eval_f_many",
     "active_set",
     "clarke_subdiff",
     "gen_dir_derivative",
@@ -83,6 +86,8 @@ class ParamSet:
 
 
 LipschitzBound = Union[float, Callable[[float], float], None]
+# coordinates (..., n) -> admissibility (...,), or branch values (N, m) for rows (N, n)
+CoordsMap = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -93,8 +98,16 @@ class MaxObjective:
     Tangent based at p; converting flat derivatives through the metric is
     the problem definition's job, not this module's.  lipschitz_bound, when
     given, is either a single bound on all branch-gradient Lipschitz
-    constants or a callable tau -> bound.  domain_guard is a predicate for
-    the open admissible region; None means the whole manifold.
+    constants or a callable tau -> bound.
+
+    domain_guard marks the open admissible region; None means the whole
+    manifold.  It maps point coordinates of shape (..., n) to a bool array
+    of shape (...,), so one call checks a single point or many rows.
+
+    branch_values, when given, maps point coordinates X of shape (N, n) to
+    every branch value at every row, shape (N, m), columns in params order.
+    It must agree with phi; eval_f_many uses it to evaluate many points in
+    one array pass, and falls back to calling phi when it is None.
     """
 
     manifold: ManifoldKind
@@ -102,18 +115,19 @@ class MaxObjective:
     phi: Callable[[Point, float], float]
     grad_phi: Callable[[Point, float], Tangent]
     lipschitz_bound: LipschitzBound = None
-    domain_guard: Optional[Callable[[Point], bool]] = None
+    domain_guard: Optional[CoordsMap] = None
+    branch_values: Optional[CoordsMap] = None
 
     def check_domain(self, p: Point) -> None:
         if p.manifold != self.manifold:
             raise MismatchError("point does not live on the objective's manifold")
-        if self.domain_guard is not None and not self.domain_guard(p):
+        if self.domain_guard is not None and not self.domain_guard(p.coords):
             raise DomainError(f"point {p.coords.tolist()} is outside the admissible region")
 
     def in_domain(self, p: Point) -> bool:
         if p.manifold != self.manifold:
             return False
-        return self.domain_guard is None or bool(self.domain_guard(p))
+        return self.domain_guard is None or bool(self.domain_guard(p.coords))
 
     def declared_sup_lipschitz(self) -> Optional[float]:
         if self.lipschitz_bound is None:
@@ -153,6 +167,33 @@ def eval_f(obj: MaxObjective, p: Point) -> tuple[float, np.ndarray]:
         raise DomainError(f"branch value is non-finite at {p.coords.tolist()}")
     fmax = float(np.max(vals))
     return fmax, obj.params.values[vals == fmax].copy()
+
+
+def eval_f_many(obj: MaxObjective, X) -> np.ndarray:
+    """Objective values (N,) at the points stored as rows of X (N, n).
+
+    Runs eval_f's checks on every row: each must be a valid point of the
+    manifold (InvalidPointError), lie in the domain and give finite branch
+    values (DomainError).  Evaluates all rows in one branch_values call, or
+    row by row through phi when the objective has none.
+    """
+    X = point_coords(obj.manifold, X, rows=True)
+    if obj.domain_guard is not None:
+        inside = np.asarray(obj.domain_guard(X), dtype=bool)
+        if not np.all(inside):
+            bad = X[int(np.argmin(inside))]
+            raise DomainError(f"point {bad.tolist()} is outside the admissible region")
+    if obj.branch_values is not None:
+        vals = np.asarray(obj.branch_values(X), dtype=float)
+    else:
+        vals = np.array(
+            [[obj.phi(Point(obj.manifold, x), t) for t in obj.params] for x in X], dtype=float
+        ).reshape(len(X), len(obj.params))
+    finite = np.all(np.isfinite(vals), axis=1)
+    if not np.all(finite):
+        bad = X[int(np.argmin(finite))]
+        raise DomainError(f"branch value is non-finite at {bad.tolist()}")
+    return np.max(vals, axis=1)
 
 
 def active_set(obj: MaxObjective, p: Point, eta: Optional[float] = None) -> np.ndarray:
@@ -386,7 +427,8 @@ def with_prox_term(obj: MaxObjective, pbar: Point, lam: float) -> MaxObjective:
     """The objective with (lam/2) d(., pbar)^2 added to every branch.
 
     Branch order and active sets are preserved because the added term does
-    not depend on the branch parameter.
+    not depend on the branch parameter.  branch_values, when obj has it,
+    adds the same term through dist_rows, in the same order as phi.
     """
     if pbar.manifold != obj.manifold:
         raise MismatchError("prox center lives on a different manifold")
@@ -398,6 +440,15 @@ def with_prox_term(obj: MaxObjective, pbar: Point, lam: float) -> MaxObjective:
     def grad_phi(p: Point, tau: float) -> Tangent:
         return obj.grad_phi(p, tau) + lam * grad_half_sq_dist(p, pbar)
 
+    branch_values = None
+    if obj.branch_values is not None:
+
+        def branch_values(X: np.ndarray) -> np.ndarray:
+            # float_power calls the C pow that phi's float ** 2 calls; np.power
+            # squares instead, and the two can differ in the last bit
+            sq = np.float_power(dist_rows(X, pbar), 2.0)
+            return obj.branch_values(X) + (0.5 * lam * sq)[:, None]
+
     return MaxObjective(
         manifold=obj.manifold,
         params=obj.params,
@@ -405,4 +456,5 @@ def with_prox_term(obj: MaxObjective, pbar: Point, lam: float) -> MaxObjective:
         grad_phi=grad_phi,
         lipschitz_bound=None,
         domain_guard=obj.domain_guard,
+        branch_values=branch_values,
     )

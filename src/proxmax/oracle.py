@@ -6,6 +6,11 @@ exponential map, minimizers from dense grids with a golden-section polish,
 convexity from random chord checks, and semicontinuity from seeded
 sampling.  Agreement between these and the fast paths is the evidence the
 test suite leans on.
+
+The grid search takes an array field, mapping node coordinates (N, n) to
+values (N,), and evaluates the grid in chunks of GRID_CHUNK nodes, so a
+5001-node grid costs one field call rather than 5001.  The other oracles
+take a scalar field on Points.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .manifold import (
     exp_map,
     geodesic,
     log_map,
+    point_coords,
     random_unit_tangent,
     transport,
 )
@@ -41,10 +47,13 @@ __all__ = [
 ]
 
 MAX_GRID_POINTS = 10_000_000
+# grid nodes per field call; bounds the search's memory for any grid size
+GRID_CHUNK = 65_536
 GOLDEN_WIDTH = 1e-10
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 ScalarField = Callable[[Point], float]
+ArrayField = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -125,15 +134,18 @@ def _golden_refine(f: Callable[[float], float], lo: float, hi: float) -> tuple[f
 
 
 def grid_minimize(
-    field: ScalarField, grid: GridSpec, manifold: ManifoldKind
+    field: ArrayField, grid: GridSpec, manifold: ManifoldKind
 ) -> tuple[Point, float]:
-    """Brute-force minimizer of a scalar field over a coordinate box.
+    """Brute-force minimizer of an array field over a coordinate box.
 
-    Enumerates the full grid (guarded against combinatorial blowups by
-    GridSpec) and, in one dimension, polishes the best node by
-    golden-section search between its neighbors.  Deterministic for a
-    given grid; enumeration order never affects the result beyond
-    first-wins tie-breaking.
+    field maps node coordinates (N, n) to values (N,).  The full grid
+    (guarded against combinatorial blowups by GridSpec) is enumerated in
+    np.ndindex order, GRID_CHUNK nodes per field call, and every node must
+    be a valid point of the manifold.  The first minimal node wins, also
+    across chunks; NaN and +inf nodes never win, and RuntimeError is raised
+    when no node does.  In one dimension the best node is polished by
+    golden-section search between its neighbors, with field called on
+    (1, 1) arrays.
     """
     if grid.dim != manifold.dim:
         raise ValueError(f"grid dim {grid.dim} does not match manifold dim {manifold.dim}")
@@ -141,24 +153,32 @@ def grid_minimize(
         np.linspace(grid.lower[i], grid.upper[i], grid.points_per_dim)
         for i in range(grid.dim)
     ]
-    best_coords = None
+    shape = (grid.points_per_dim,) * grid.dim
+    total = grid.points_per_dim**grid.dim
+    best_node = -1
     best_val = np.inf
-    for idx in np.ndindex(*(grid.points_per_dim,) * grid.dim):
-        coords = np.array([axes[i][idx[i]] for i in range(grid.dim)])
-        val = field(Point(manifold, coords))
-        if val < best_val:
-            best_val = val
-            best_coords = coords
-    if best_coords is None:
-        raise RuntimeError("empty grid")
+    for start in range(0, total, GRID_CHUNK):
+        idx = np.unravel_index(np.arange(start, min(start + GRID_CHUNK, total)), shape)
+        coords = np.stack([a[i] for a, i in zip(axes, idx)], axis=1)
+        nodes = point_coords(manifold, coords, rows=True)
+        vals = np.asarray(field(nodes), dtype=float)
+        if vals.shape != (len(nodes),):
+            raise ValueError(f"field returned shape {vals.shape} for {len(nodes)} nodes")
+        k = int(np.argmin(np.where(np.isnan(vals), np.inf, vals)))
+        if vals[k] < best_val:
+            best_node, best_val, best_coords = start + k, float(vals[k]), nodes[k].copy()
+    if best_node < 0:
+        raise RuntimeError("no grid node has a value below +inf")
 
     if grid.dim == 1:
-        nodes = axes[0]
-        i = int(np.searchsorted(nodes, best_coords[0]))
-        i = min(max(i, 0), nodes.size - 1)
-        lo = nodes[max(i - 1, 0)]
-        hi = nodes[min(i + 1, nodes.size - 1)]
-        x, val = _golden_refine(lambda c: field(Point(manifold, [c])), float(lo), float(hi))
+        axis = axes[0]
+        lo = axis[max(best_node - 1, 0)]
+        hi = axis[min(best_node + 1, axis.size - 1)]
+        x, val = _golden_refine(
+            lambda c: float(field(point_coords(manifold, [[c]], rows=True))[0]),
+            float(lo),
+            float(hi),
+        )
         if val < best_val:
             best_val = val
             best_coords = np.array([x])

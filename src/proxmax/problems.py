@@ -57,26 +57,34 @@ def paper_example(epsilon: float = 0.125) -> BuiltinProblem:
     if not 0.0 < epsilon < 0.3125:
         raise ValueError(f"epsilon must lie in (0, 0.3125), got {epsilon}")
     m = log_positive(1)
+    params = ParamSet(np.array([0.0, 1.0]))
 
     def phi(p: Point, tau: float) -> float:
         f1, f2 = _log_example_branches(p.coords)
         return float((1.0 - tau) * f1[0] + tau * f2[0])
+
+    def branch_values(X: np.ndarray) -> np.ndarray:
+        f1, f2 = _log_example_branches(X)
+        tau = params.values
+        return (1.0 - tau) * f1 + tau * f2
 
     def grad_phi(p: Point, tau: float) -> Tangent:
         d1, d2 = _log_example_branch_derivs(p.coords)
         flat = (1.0 - tau) * d1 + tau * d2
         return Tangent(p, p.coords**2 * flat)
 
-    def guard(p: Point) -> bool:
-        return bool(np.all(p.coords > epsilon))
+    def guard(x: np.ndarray) -> np.ndarray:
+        # ndarray.all skips np.all's wrapper, which dominates a one-point check
+        return (x > epsilon).all(axis=-1)
 
     obj = MaxObjective(
         manifold=m,
-        params=ParamSet(np.array([0.0, 1.0])),
+        params=params,
         phi=phi,
         grad_phi=grad_phi,
         lipschitz_bound=None,
         domain_guard=guard,
+        branch_values=branch_values,
     )
     q = 0.3125
     c = float(-np.log(0.75) + np.exp(-1.5) - np.exp(-2.0))
@@ -110,15 +118,20 @@ def paper_example_product(n: int = 2, epsilon: float = 0.125) -> BuiltinProblem:
     if not 0.0 < epsilon < 0.3125:
         raise ValueError(f"epsilon must lie in (0, 0.3125), got {epsilon}")
     m = log_positive(n)
-    bit_weights = 2 ** np.arange(n)
+    # row t holds the bits of parameter t
+    all_bits = (np.arange(2**n)[:, None] // 2 ** np.arange(n)) % 2
 
     def bits_of(tau: float) -> np.ndarray:
-        return (int(tau) // bit_weights) % 2
+        return all_bits[int(tau)]
 
     def phi(p: Point, tau: float) -> float:
         b = bits_of(tau)
         f1, f2 = _log_example_branches(p.coords)
         return float(np.sum(np.where(b == 1, f2, f1)))
+
+    def branch_values(X: np.ndarray) -> np.ndarray:
+        f1, f2 = _log_example_branches(X)
+        return np.sum(np.where(all_bits == 1, f2[:, None, :], f1[:, None, :]), axis=2)
 
     def grad_phi(p: Point, tau: float) -> Tangent:
         b = bits_of(tau)
@@ -126,8 +139,9 @@ def paper_example_product(n: int = 2, epsilon: float = 0.125) -> BuiltinProblem:
         flat = np.where(b == 1, d2, d1)
         return Tangent(p, p.coords**2 * flat)
 
-    def guard(p: Point) -> bool:
-        return bool(np.all(p.coords > epsilon))
+    def guard(x: np.ndarray) -> np.ndarray:
+        # ndarray.all skips np.all's wrapper, which dominates a one-point check
+        return (x > epsilon).all(axis=-1)
 
     obj = MaxObjective(
         manifold=m,
@@ -136,6 +150,7 @@ def paper_example_product(n: int = 2, epsilon: float = 0.125) -> BuiltinProblem:
         grad_phi=grad_phi,
         lipschitz_bound=None,
         domain_guard=guard,
+        branch_values=branch_values,
     )
     return BuiltinProblem(
         name="paper_example_product",
@@ -154,20 +169,25 @@ def abs_value() -> BuiltinProblem:
     zero and any positive weight keeps the subproblem strongly convex.
     """
     m = euclidean(1)
+    params = ParamSet(np.array([0.0, 1.0]))
 
     def phi(p: Point, tau: float) -> float:
         return float((1.0 - 2.0 * tau) * p.coords[0])
+
+    def branch_values(X: np.ndarray) -> np.ndarray:
+        return (1.0 - 2.0 * params.values) * X
 
     def grad_phi(p: Point, tau: float) -> Tangent:
         return Tangent(p, np.array([1.0 - 2.0 * tau]))
 
     obj = MaxObjective(
         manifold=m,
-        params=ParamSet(np.array([0.0, 1.0])),
+        params=params,
         phi=phi,
         grad_phi=grad_phi,
         lipschitz_bound=0.0,
         domain_guard=None,
+        branch_values=branch_values,
     )
     return BuiltinProblem(
         name="abs",
@@ -191,6 +211,10 @@ def quadratic() -> BuiltinProblem:
     def phi(p: Point, tau: float) -> float:
         return float(0.5 * p.coords[0] ** 2)
 
+    def branch_values(X: np.ndarray) -> np.ndarray:
+        # the C pow of phi's ** 2, which np.power would replace by a square
+        return 0.5 * np.float_power(X, 2.0)
+
     def grad_phi(p: Point, tau: float) -> Tangent:
         return Tangent(p, p.coords.copy())
 
@@ -201,6 +225,7 @@ def quadratic() -> BuiltinProblem:
         grad_phi=grad_phi,
         lipschitz_bound=0.0,
         domain_guard=None,
+        branch_values=branch_values,
     )
     return BuiltinProblem(
         name="quadratic",

@@ -15,6 +15,7 @@ from proxmax import (
     estimate_sup_lipschitz,
     euclidean,
     eval_f,
+    eval_f_many,
     exp_map,
     gen_dir_derivative,
     grad_half_sq_dist,
@@ -78,7 +79,7 @@ def test_criterion_01_example_reproduction(report, reference_run):
     )
     # independent confirmation: exhaustive search over the admissible interval
     grid = GridSpec(lower=np.array([0.1251]), upper=np.array([4.0]), points_per_dim=4001)
-    g_pt, g_val = grid_minimize(lambda p: eval_f(prob.objective, p)[0], grid, m)
+    g_pt, g_val = grid_minimize(lambda X: eval_f_many(prob.objective, X), grid, m)
     ok = ok and abs(g_pt.coords[0] - 1.0) <= 1e-6 and g_val <= 1e-8
     report(
         1,
@@ -264,7 +265,7 @@ def test_criterion_08_prox_grid_equivalence(report, reference_run):
         lam = float(rng.uniform(0.45, 3.0))
         p_next, _ = prox_step(obj, p_k, lam, ProxConfig(), lipschitz=lip)
         shifted = with_prox_term(obj, p_k, lam)
-        g_pt, g_val = grid_minimize(lambda q: eval_f(shifted, q)[0], grid, m)
+        g_pt, g_val = grid_minimize(lambda X: eval_f_many(shifted, X), grid, m)
         worst_pt = max(worst_pt, dist(p_next, g_pt))
         worst_val = max(worst_val, abs(eval_f(shifted, p_next)[0] - g_val))
     ok = worst_pt <= 1e-4 and worst_val <= 1e-8

@@ -197,6 +197,7 @@ def test_verify_passes_and_writes_report(tmp_path):
         "prox_vs_grid",
         "dist_convexity",
         "subgrad_floor",
+        "solve_stationary",
     } <= names
     assert all(c["passed"] for c in report["checks"])
     assert all(c["status"] == "pass" for c in report["checks"])
@@ -213,6 +214,24 @@ def test_verify_reports_skipped_check_as_skipped(tmp_path, capsys):
     assert "[skip] prox_vs_grid:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "problem",
+    ["paper_example", {"name": "paper_example_product", "n": 2}],
+    ids=["paper_example", "product_n2"],
+)
+def test_verify_solve_check_agrees_with_run(tmp_path, problem):
+    cfg_path = _write(tmp_path, "c.json", {"problem": problem})
+    run_ok = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 0
+    verify(load_config(cfg_path), out_dir=tmp_path / "v")
+    with open(tmp_path / "v" / "verify.json") as fh:
+        report = json.load(fh)
+    check = report["checks"][-1]
+    assert check["name"] == "solve_stationary"
+    assert (check["status"] == "pass") == run_ok
+    if not run_ok:  # a config that cannot run does not pass verify
+        assert report["passed"] is False
+
+
 def test_verify_flags_weight_below_curvature(tmp_path):
     cfg = parse_config({"problem": "paper_example", "lambda": 0.17})
     code = verify(cfg, out_dir=tmp_path / "v")
@@ -221,6 +240,8 @@ def test_verify_flags_weight_below_curvature(tmp_path):
         report = json.load(fh)
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
     assert "strong_convexity" in failed
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name["solve_stationary"]["detail"] == by_name["strong_convexity"]["detail"]
 
 
 def test_sweep_runs_each_config(tmp_path):

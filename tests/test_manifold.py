@@ -24,7 +24,7 @@ from proxmax import (
     transport,
     zero_tangent,
 )
-from proxmax.manifold import differential_exp, random_unit_tangent
+from proxmax.manifold import differential_exp, dist_rows, point_coords, random_unit_tangent
 
 LP1 = log_positive(1)
 E1 = euclidean(1)
@@ -121,6 +121,33 @@ def test_nonfinite_coordinates_rejected():
         Point(E1, [np.nan])
     with pytest.raises(InvalidPointError):
         Point(LP1, [np.inf])
+
+
+def test_point_rows_get_the_point_checks():
+    rows = point_coords(LP1, [[0.5], [2.0]], rows=True)
+    assert rows.shape == (2, 1)
+    for bad in ([[1.0], [0.0]], [[1e-301]], [[np.nan]], [[1.0, 2.0]], [1.0]):
+        with pytest.raises(InvalidPointError):
+            point_coords(LP1, bad, rows=True)
+    for bad in ([np.inf], [-1.0]):
+        with pytest.raises(InvalidPointError) as one:
+            Point(LP1, bad)
+        with pytest.raises(InvalidPointError) as many:
+            point_coords(LP1, [bad], rows=True)
+        assert str(one.value).split(":")[0] == str(many.value).split(":")[0]
+
+
+def test_dist_rows_matches_dist(rng):
+    for m in (LP1, E1):
+        q = from_chart(m, [0.3])
+        X = np.array([[x] for x in np.exp(rng.uniform(-3.0, 3.0, 200))])
+        want = [dist(Point(m, x), q) for x in X]
+        assert np.array_equal(dist_rows(X, q), want)
+    m3 = log_positive(3)
+    q = Point(m3, [0.5, 1.0, 2.0])
+    X = np.exp(rng.uniform(-3.0, 3.0, (200, 3)))
+    want = np.array([dist(Point(m3, x), q) for x in X])
+    assert np.all(np.abs(dist_rows(X, q) - want) <= 4 * np.finfo(float).eps * want)
 
 
 def test_mixed_manifolds_rejected():

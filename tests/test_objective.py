@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from proxmax import (
     DomainError,
+    InvalidPointError,
     MaxObjective,
     MismatchError,
     ParamSet,
@@ -18,6 +19,7 @@ from proxmax import (
     estimate_sup_lipschitz,
     euclidean,
     eval_f,
+    eval_f_many,
     gen_dir_derivative,
     grad_half_sq_dist,
     hull_distance,
@@ -76,6 +78,88 @@ def test_eval_outside_domain_raises(log_example):
         eval_f(log_example.objective, _pt(0.1))
     assert not log_example.objective.in_domain(_pt(0.1))
     assert log_example.objective.in_domain(_pt(0.2))
+
+
+def _eval_f_rows(obj, X):
+    return np.array([eval_f(obj, Point(obj.manifold, x))[0] for x in X])
+
+
+def _with_and_without_prox(obj, centers, lams):
+    return [obj] + [with_prox_term(obj, Point(obj.manifold, c), lam) for c, lam in zip(centers, lams)]
+
+
+@pytest.mark.parametrize(
+    "request_",
+    [
+        {"name": "paper_example", "epsilon": 0.1000001},
+        {"name": "paper_example", "epsilon": 0.11},
+        {"name": "paper_example", "epsilon": 0.125},
+        {"name": "paper_example", "epsilon": 0.31},
+        "abs",
+        "quadratic",
+    ],
+    ids=["paper_0.1", "paper_0.11", "paper_0.125", "paper_0.31", "abs", "quadratic"],
+)
+def test_eval_f_many_matches_eval_f_bit_for_bit(request_):
+    prob = make_problem(request_)
+    obj = prob.objective
+    lo, hi = float(prob.region_lower[0]), float(prob.region_upper[0])
+    X = np.linspace(lo + 1e-9, hi, 1001)[:, None]
+    rng = np.random.default_rng(5)
+    centers = rng.uniform(lo + 0.1, hi, (3, 1))
+    for o in _with_and_without_prox(obj, centers, rng.uniform(0.4, 3.0, 3)):
+        assert np.array_equal(eval_f_many(o, X), _eval_f_rows(o, X))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_eval_f_many_within_ulps_on_product(n):
+    # dist's BLAS dot may round its sum differently from the row sums
+    prob = make_problem({"name": "paper_example_product", "n": n})
+    rng = np.random.default_rng(n)
+    X = np.exp(rng.uniform(np.log(0.13), np.log(4.0), (300, n)))
+    centers = np.exp(rng.uniform(np.log(0.2), np.log(3.0), (2, n)))
+    for o in _with_and_without_prox(prob.objective, centers, [0.6, 2.5]):
+        got, want = eval_f_many(o, X), _eval_f_rows(o, X)
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * np.abs(want))
+
+
+def test_eval_f_many_falls_back_to_phi():
+    m = euclidean(2)
+    obj = MaxObjective(
+        manifold=m,
+        params=ParamSet([0.0, 0.5, 1.0]),
+        phi=lambda p, tau: float(np.sin(tau + p.coords[0]) * p.coords[1]),
+        grad_phi=lambda p, tau: Tangent(p, [0.0, 0.0]),
+    )
+    assert obj.branch_values is None
+    X = np.random.default_rng(1).uniform(-2.0, 2.0, (50, 2))
+    for o in _with_and_without_prox(obj, [[0.3, -0.2]], [1.5]):
+        assert np.array_equal(eval_f_many(o, X), _eval_f_rows(o, X))
+    assert eval_f_many(obj, np.empty((0, 2))).shape == (0,)
+
+
+def test_eval_f_many_rejects_bad_rows(log_example):
+    obj = log_example.objective
+    with pytest.raises(DomainError, match="0.1"):
+        eval_f_many(obj, [[1.0], [0.1], [2.0]])
+    for bad in ([[1.0], [np.nan]], [[1.0], [np.inf]], [[0.0]], [[-1.0]], [[1.0, 2.0]], [1.0]):
+        with pytest.raises(InvalidPointError):
+            eval_f_many(obj, bad)
+    blowup = MaxObjective(
+        manifold=euclidean(1),
+        params=ParamSet([0.0]),
+        phi=lambda p, tau: 0.0,
+        grad_phi=lambda p, tau: Tangent(p, [0.0]),
+        branch_values=lambda X: np.where(X > 0.0, X, np.inf),
+    )
+    with pytest.raises(DomainError, match="non-finite"):
+        eval_f_many(blowup, [[1.0], [-1.0]])
+
+
+def test_domain_guard_maps_rows_to_flags(log_example):
+    guard = log_example.objective.domain_guard
+    assert guard(np.array([[0.1], [0.2], [0.125]])).tolist() == [False, True, False]
+    assert guard(np.array([0.2])) == np.True_
 
 
 def test_param_set_must_increase():

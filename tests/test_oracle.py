@@ -2,7 +2,18 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from proxmax import DomainError, Point, Tangent, dist, euclidean, eval_f, log_positive
+from proxmax import (
+    DomainError,
+    InvalidPointError,
+    Point,
+    Tangent,
+    dist,
+    euclidean,
+    eval_f,
+    eval_f_many,
+    log_positive,
+)
+from proxmax import oracle
 from proxmax.oracle import (
     GridSpec,
     fd_gradient,
@@ -55,7 +66,7 @@ def test_fd_gradient_propagates_domain_error(log_example):
 def test_grid_minimize_parabola():
     m = euclidean(1)
     grid = GridSpec(lower=np.array([0.0]), upper=np.array([5.0]), points_per_dim=501)
-    pt, val = grid_minimize(lambda p: 0.5 * (p.coords[0] - 3.0) ** 2, grid, m)
+    pt, val = grid_minimize(lambda X: 0.5 * (X[:, 0] - 3.0) ** 2, grid, m)
     assert pt.coords[0] == pytest.approx(3.0, abs=1e-8)
     assert val <= 1e-15
 
@@ -63,7 +74,7 @@ def test_grid_minimize_parabola():
 def test_grid_minimize_finds_kink(log_example):
     obj = log_example.objective
     grid = GridSpec(lower=np.array([0.1251]), upper=np.array([4.0]), points_per_dim=2001)
-    pt, val = grid_minimize(lambda p: eval_f(obj, p)[0], grid, LP1)
+    pt, val = grid_minimize(lambda X: eval_f_many(obj, X), grid, LP1)
     assert pt.coords[0] == pytest.approx(1.0, abs=1e-7)
     assert val <= 1e-7
 
@@ -72,7 +83,7 @@ def test_grid_minimize_two_dim():
     m = euclidean(2)
     grid = GridSpec(lower=np.array([-2.0, -2.0]), upper=np.array([4.0, 4.0]), points_per_dim=121)
     pt, val = grid_minimize(
-        lambda p: 0.5 * float((p.coords - np.array([1.0, 2.0])) @ (p.coords - np.array([1.0, 2.0]))),
+        lambda X: 0.5 * np.sum((X - np.array([1.0, 2.0])) ** 2, axis=1),
         grid,
         m,
     )
@@ -84,10 +95,65 @@ def test_grid_minimize_two_dim():
 def test_grid_minimize_is_deterministic(log_example):
     obj = log_example.objective
     grid = GridSpec(lower=np.array([0.1251]), upper=np.array([4.0]), points_per_dim=501)
-    a = grid_minimize(lambda p: eval_f(obj, p)[0], grid, LP1)
-    b = grid_minimize(lambda p: eval_f(obj, p)[0], grid, LP1)
+    a = grid_minimize(lambda X: eval_f_many(obj, X), grid, LP1)
+    b = grid_minimize(lambda X: eval_f_many(obj, X), grid, LP1)
     assert a[0].coords[0] == b[0].coords[0]
     assert a[1] == b[1]
+
+
+def test_grid_minimize_first_of_equal_minima_wins(monkeypatch):
+    grid = GridSpec(lower=np.array([0.0, 0.0]), upper=np.array([4.0, 4.0]), points_per_dim=5)
+
+    def field(X):
+        # minima at (1, 3) and (3, 1); (1, 3) comes first in C order
+        return np.minimum(np.sum((X - [1, 3]) ** 2, 1), np.sum((X - [3, 1]) ** 2, 1))
+
+    for chunk in (oracle.GRID_CHUNK, 7, 1):  # 7 splits the two minima across chunks
+        monkeypatch.setattr(oracle, "GRID_CHUNK", chunk)
+        pt, val = grid_minimize(field, grid, euclidean(2))
+        assert pt.coords.tolist() == [1.0, 3.0]
+        assert val == 0.0
+
+
+def test_grid_minimize_skips_nan_nodes():
+    grid = GridSpec(lower=np.array([-2.0, -2.0]), upper=np.array([2.0, 2.0]), points_per_dim=5)
+
+    def field(X):
+        vals = np.sum(X**2, axis=1)
+        return np.where(vals == 0.0, np.nan, vals)
+
+    pt, val = grid_minimize(field, grid, euclidean(2))
+    assert pt.coords.tolist() == [-1.0, 0.0]
+    assert val == 1.0
+    with pytest.raises(RuntimeError):
+        grid_minimize(lambda X: np.full(len(X), np.nan), grid, euclidean(2))
+    with pytest.raises(RuntimeError):
+        grid_minimize(lambda X: np.full(len(X), np.inf), grid, euclidean(2))
+
+
+def test_grid_minimize_across_chunks_matches_plain_argmin():
+    m = euclidean(2)
+    grid = GridSpec(lower=np.array([0.0, 0.0]), upper=np.array([300.0, 300.0]), points_per_dim=301)
+    assert 301**2 > oracle.GRID_CHUNK
+    a, b = np.meshgrid(np.arange(301.0), np.arange(301.0), indexing="ij")
+    nodes = np.stack([a.ravel(), b.ravel()], axis=1)
+    fields = [
+        # tied minima on both sides of the first chunk border
+        lambda X: np.where((X[:, 0] >= 217) & (X[:, 1] >= 150), 0.0, 1.0),
+        # a single minimum in the second chunk
+        lambda X: (X[:, 0] - 250.0) ** 2 + (X[:, 1] - 7.0) ** 2,
+    ]
+    for field in fields:
+        want = int(np.argmin(field(nodes)))
+        pt, val = grid_minimize(field, grid, m)
+        assert pt.coords.tolist() == nodes[want].tolist()
+        assert val == field(nodes)[want]
+
+
+def test_grid_minimize_checks_nodes_are_points():
+    grid = GridSpec(lower=np.array([-1.0]), upper=np.array([1.0]), points_per_dim=5)
+    with pytest.raises(InvalidPointError):
+        grid_minimize(lambda X: X[:, 0], grid, LP1)
 
 
 def test_grid_spec_guards():
@@ -99,7 +165,7 @@ def test_grid_spec_guards():
         GridSpec(lower=np.zeros(2), upper=np.ones(2), points_per_dim=4000)
     with pytest.raises(ValueError):
         grid_minimize(
-            lambda p: 0.0,
+            lambda X: np.zeros(len(X)),
             GridSpec(lower=np.array([0.1]), upper=np.array([1.0]), points_per_dim=5),
             euclidean(2),
         )

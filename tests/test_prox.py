@@ -16,6 +16,7 @@ from proxmax import (
     clarke_subdiff,
     dist,
     eval_f,
+    eval_f_many,
     hull_distance,
     log_map,
     log_positive,
@@ -154,7 +155,7 @@ def test_prox_step_matches_grid_search(log_example):
         p_next, _ = prox_step(obj, p_k, lam, ProxConfig(), lipschitz=0.34)
         shifted = with_prox_term(obj, p_k, lam)
         grid = GridSpec(lower=np.array([0.1251]), upper=np.array([4.0]), points_per_dim=5001)
-        g_pt, g_val = grid_minimize(lambda q: eval_f(shifted, q)[0], grid, LP1)
+        g_pt, g_val = grid_minimize(lambda X: eval_f_many(shifted, X), grid, LP1)
         assert dist(p_next, g_pt) <= 1e-6
         assert eval_f(shifted, p_next)[0] <= g_val + 1e-10
 
