@@ -24,11 +24,16 @@ from . import oracle
 from .manifold import (
     Point,
     dist,
-    exp_map,
-    log_map,
+    dist_rows,
+    exp_rows,
+    from_chart_rows,
+    log_rows,
     norm,
+    norm_rows,
+    point_coords,
+    random_unit_coords,
     random_unit_tangent,
-    transport,
+    transport_rows,
 )
 from .objective import (
     clarke_subdiff,
@@ -381,25 +386,29 @@ def exit_code_for(summary: RunSummary) -> int:
 
 def _check_geometry(prep: _Prepared, rng: np.random.Generator) -> tuple[bool, str]:
     m = prep.problem.objective.manifold
-    worst = 0.0
-    for _ in range(2000):
-        z = rng.uniform(-2.0, 2.0, m.dim)
-        p = Point(m, np.exp(z)) if m.geometry.value == "log_positive" else Point(m, z)
-        zq = rng.uniform(-2.0, 2.0, m.dim)
-        q = Point(m, np.exp(zq)) if m.geometry.value == "log_positive" else Point(m, zq)
-        v = rng.uniform(0.1, 3.0) * random_unit_tangent(p, rng)
-        back = log_map(p, exp_map(p, v))
-        scale = max(1.0, norm(p, v))
-        worst = max(worst, norm(p, back - v) / scale)
-        worst = max(worst, abs(norm(p, log_map(p, q)) - dist(p, q)) / max(1.0, dist(p, q)))
-        worst = max(
-            worst,
-            abs(norm(q, transport(p, q, v)) - norm(p, v)) / scale,
-        )
-        r_z = rng.uniform(-2.0, 2.0, m.dim)
-        r = Point(m, np.exp(r_z)) if m.geometry.value == "log_positive" else Point(m, r_z)
-        violation = dist(p, q) - (dist(p, r) + dist(r, q))
-        worst = max(worst, violation)
+    count = 2000
+    p, zq, zr, v = (np.empty((count, m.dim)) for _ in range(4))
+    for i in range(count):
+        # one round trip at a time, drawing p, q, the speed and direction of
+        # v at p, then r: this order fixes the samples and so the report
+        p[i] = from_chart_rows(m, rng.uniform(-2.0, 2.0, m.dim))
+        zq[i] = rng.uniform(-2.0, 2.0, m.dim)
+        v[i] = rng.uniform(0.1, 3.0) * random_unit_coords(m, p[i], rng)
+        zr[i] = rng.uniform(-2.0, 2.0, m.dim)
+    p = point_coords(m, p, rows=True)
+    q, r = (point_coords(m, from_chart_rows(m, z), rows=True) for z in (zq, zr))
+    back = log_rows(m, p, point_coords(m, exp_rows(m, p, v), rows=True))
+    speed = norm_rows(m, p, v)
+    scale = np.maximum(1.0, speed)
+    d_pq = dist_rows(m, p, q)
+    deviations = [
+        norm_rows(m, p, back - v) / scale,
+        np.abs(norm_rows(m, p, log_rows(m, p, q)) - d_pq) / np.maximum(1.0, d_pq),
+        np.abs(norm_rows(m, q, transport_rows(m, p, q, v)) - speed) / scale,
+        d_pq - (dist_rows(m, p, r) + dist_rows(m, r, q)),
+    ]
+    # the first three are >= 0, so this is >= 0; a NaN anywhere propagates and fails
+    worst = float(np.max(deviations))
     return worst <= 1e-10, f"worst deviation {worst:.3e} (bound 1e-10)"
 
 
@@ -431,14 +440,14 @@ def _check_strong_convexity(prep: _Prepared, rng: np.random.Generator) -> tuple[
         return False, reason
     h_obj = with_prox_term(obj, prep.start, lam)
     report = oracle.geodesic_convexity_test(
-        lambda p: eval_f(h_obj, p)[0],
+        lambda X: eval_f_many(h_obj, X),
         obj.manifold,
         samples=300,
         modulus=lam - lip,
         lower=prep.problem.region_lower,
         upper=prep.problem.region_upper,
         seed=int(rng.integers(2**31)),
-        domain=h_obj.in_domain,
+        domain=h_obj.domain_guard,
     )
     return report.passed, (
         f"{report.n_violations} violations in {report.n_checks} checks, "
@@ -483,7 +492,7 @@ def _check_prox_vs_grid(
     worst_pt, worst_val = 0.0, 0.0
     for _ in range(10):
         z = rng.uniform(np.log(lo) if lo > 0 else lo, np.log(hi) if lo > 0 else hi)
-        coords = np.exp([z]) if obj.manifold.geometry.value == "log_positive" else np.array([z])
+        coords = from_chart_rows(obj.manifold, [z])
         # keep the subproblem minimizer well inside the search box
         coords = np.clip(coords, lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo))
         p_k = Point(obj.manifold, coords)
@@ -503,9 +512,10 @@ def _check_prox_vs_grid(
 
 def _check_dist_convexity(prep: _Prepared, rng: np.random.Generator) -> tuple[bool, str]:
     m = prep.problem.objective.manifold
-    center = prep.start
+    center = prep.start.coords
     report = oracle.geodesic_convexity_test(
-        lambda p: 0.5 * dist(p, center) ** 2,
+        # float_power is the C pow of a float's ** 2
+        lambda X: 0.5 * np.float_power(dist_rows(m, X, center), 2.0),
         m,
         samples=200,
         modulus=1.0,

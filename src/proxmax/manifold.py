@@ -7,7 +7,12 @@ operation below has an exact closed form and nothing is integrated
 numerically.
 
 Points and tangents are immutable after construction; all operations are
-pure functions, so values can be shared freely across threads.
+pure functions, so values can be shared freely across threads.  The closed
+forms of inner, norm, dist, exp_map, log_map and transport live in row
+kernels (inner_rows, norm_rows, dist_rows, exp_rows, log_rows,
+transport_rows) on coordinate arrays of shape (..., n); the Point/Tangent
+functions validate their operands and call these kernels, so a batch of
+rows gets the same arithmetic as one point.
 """
 
 from __future__ import annotations
@@ -33,15 +38,22 @@ __all__ = [
     "log_positive",
     "zero_tangent",
     "from_chart",
+    "from_chart_rows",
     "to_chart",
     "random_unit_tangent",
+    "random_unit_coords",
     "inner",
+    "inner_rows",
     "norm",
+    "norm_rows",
     "dist",
     "dist_rows",
     "exp_map",
+    "exp_rows",
     "log_map",
+    "log_rows",
     "transport",
+    "transport_rows",
     "pair_transport_gaps",
     "differential_exp",
     "grad_half_sq_dist",
@@ -203,12 +215,18 @@ def _require_at(p: Point, v: Tangent) -> None:
         raise MismatchError("tangent is not attached at the expected point")
 
 
+def from_chart_rows(manifold: ManifoldKind, z) -> np.ndarray:
+    """Coordinates (..., n) of the points with flat-chart coordinates z (..., n).
+
+    The rows are not validated; point_coords does that.
+    """
+    z = np.asarray(z, dtype=float)
+    return np.exp(z) if _is_log(manifold) else z
+
+
 def from_chart(manifold: ManifoldKind, z) -> Point:
     """Map flat-chart coordinates to a point (identity on Euclidean space)."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if _is_log(manifold):
-        return Point(manifold, np.exp(z))
-    return Point(manifold, z)
+    return Point(manifold, from_chart_rows(manifold, np.atleast_1d(z)))
 
 
 def to_chart(p: Point) -> np.ndarray:
@@ -218,65 +236,101 @@ def to_chart(p: Point) -> np.ndarray:
     return p.coords.copy()
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.dot of each pair of rows of a and b (..., n).
+
+    A stacked matmul reaches BLAS as np.dot and np.linalg.norm do, and on
+    numpy 2.4 each row then rounds exactly as that one vector would; a sum
+    over the last axis already differs in the last bit from n = 2 on.  In
+    one dimension every route gives the same single product.  Two single
+    vectors take np.dot itself, which costs less per call than the matmul.
+    """
+    if a.ndim == 1 and b.ndim == 1:
+        return np.dot(a, b)
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def inner_rows(
+    manifold: ManifoldKind, p: np.ndarray, u: np.ndarray, v: np.ndarray
+) -> np.ndarray:
+    """Closed form of inner on coordinate rows: u and v paired at p, all (..., n)."""
+    return np.sum(u * v / p**2, axis=-1) if _is_log(manifold) else _row_dots(u, v)
+
+
+def norm_rows(manifold: ManifoldKind, p: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Closed form of norm on coordinate rows: the length of v at p, both (..., n)."""
+    return np.sqrt(np.maximum(inner_rows(manifold, p, v, v), 0.0))
+
+
+def dist_rows(manifold: ManifoldKind, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Closed form of dist on coordinate rows p and q (..., n), broadcast."""
+    chord = np.log(p / q) if _is_log(manifold) else p - q
+    return np.sqrt(_row_dots(chord, chord))
+
+
 def inner(p: Point, u: Tangent, v: Tangent) -> float:
     """Metric pairing of two tangents at p."""
     _require_at(p, u)
     _require_at(p, v)
-    if _is_log(p.manifold):
-        return float(np.sum(u.coords * v.coords / p.coords**2))
-    return float(np.dot(u.coords, v.coords))
+    return float(inner_rows(p.manifold, p.coords, u.coords, v.coords))
 
 
 def norm(p: Point, v: Tangent) -> float:
-    return float(np.sqrt(max(inner(p, v, v), 0.0)))
+    _require_at(p, v)
+    return float(norm_rows(p.manifold, p.coords, v.coords))
 
 
 def dist(p: Point, q: Point) -> float:
     """Geodesic distance between p and q."""
     _require_same_manifold(p, q)
-    if _is_log(p.manifold):
-        return float(np.linalg.norm(np.log(p.coords / q.coords)))
-    return float(np.linalg.norm(p.coords - q.coords))
+    return float(dist_rows(p.manifold, p.coords, q.coords))
 
 
-def dist_rows(coords: np.ndarray, q: Point) -> np.ndarray:
-    """dist(p, q) for every row p of coords (N, dim), by dist's closed form.
+def exp_rows(manifold: ManifoldKind, p: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Closed form of exp_map on coordinate rows: p (..., n) moved by tangent v (..., n).
 
-    Bit-identical to dist in one dimension; in more, dist's BLAS dot may
-    round its sum differently by a few ulp.
+    Raises ExpOverflowError when a log-positive exponent would overflow; the
+    result rows are not validated as points.
     """
-    chord = np.log(coords / q.coords) if _is_log(q.manifold) else coords - q.coords
-    return np.sqrt(np.sum(chord * chord, axis=1))
+    if not _is_log(manifold):
+        return p + v
+    expo = v / p
+    if np.any(np.abs(expo) > EXP_CLAMP):
+        raise ExpOverflowError(
+            f"exponent magnitude exceeds {EXP_CLAMP}: max {np.max(np.abs(expo))}"
+        )
+    return p * np.exp(expo)
+
+
+def log_rows(manifold: ManifoldKind, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Closed form of log_map on coordinate rows: the tangent at p (..., n) towards q."""
+    return p * np.log(q / p) if _is_log(manifold) else q - p
+
+
+def transport_rows(
+    manifold: ManifoldKind, p: np.ndarray, q: np.ndarray, v: np.ndarray
+) -> np.ndarray:
+    """Closed form of transport on coordinate rows: v at p carried to q, all (..., n)."""
+    return v * q / p if _is_log(manifold) else v.copy()
 
 
 def exp_map(p: Point, v: Tangent) -> Point:
     """Point reached after unit time along the geodesic leaving p with velocity v."""
     _require_at(p, v)
-    if _is_log(p.manifold):
-        expo = v.coords / p.coords
-        if np.any(np.abs(expo) > EXP_CLAMP):
-            raise ExpOverflowError(
-                f"exponent magnitude exceeds {EXP_CLAMP}: max {np.max(np.abs(expo))}"
-            )
-        return Point(p.manifold, p.coords * np.exp(expo))
-    return Point(p.manifold, p.coords + v.coords)
+    return Point(p.manifold, exp_rows(p.manifold, p.coords, v.coords))
 
 
 def log_map(p: Point, q: Point) -> Tangent:
     """Initial velocity of the unit-time geodesic from p to q."""
     _require_same_manifold(p, q)
-    if _is_log(p.manifold):
-        return Tangent(p, p.coords * np.log(q.coords / p.coords))
-    return Tangent(p, q.coords - p.coords)
+    return Tangent(p, log_rows(p.manifold, p.coords, q.coords))
 
 
 def transport(p: Point, q: Point, v: Tangent) -> Tangent:
     """Parallel transport of v along the geodesic from p to q."""
     _require_same_manifold(p, q)
     _require_at(p, v)
-    if _is_log(p.manifold):
-        return Tangent(q, v.coords * q.coords / p.coords)
-    return Tangent(q, v.coords.copy())
+    return Tangent(q, transport_rows(p.manifold, p.coords, q.coords, v.coords))
 
 
 def pair_transport_gaps(
@@ -324,11 +378,22 @@ def geodesic(p: Point, v: Tangent, t: float) -> Point:
     return exp_map(p, float(t) * v)
 
 
+def random_unit_coords(
+    manifold: ManifoldKind, p: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Coordinates of a unit-norm tangent at the point with coordinates p (n,).
+
+    The direction is rotation-invariant: a standard normal draw, redrawn
+    when its norm is degenerate, then scaled to unit norm.
+    """
+    for _ in range(16):
+        g = rng.standard_normal(manifold.dim)
+        n = float(norm_rows(manifold, p, g))
+        if n > 1e-12:
+            return (1.0 / n) * g
+    raise RuntimeError("failed to draw a non-degenerate tangent direction")
+
+
 def random_unit_tangent(p: Point, rng: np.random.Generator) -> Tangent:
     """A unit-norm tangent at p with rotation-invariant random direction."""
-    for _ in range(16):
-        t = Tangent(p, rng.standard_normal(p.manifold.dim))
-        n = norm(p, t)
-        if n > 1e-12:
-            return (1.0 / n) * t
-    raise RuntimeError("failed to draw a non-degenerate tangent direction")
+    return Tangent(p, random_unit_coords(p.manifold, p.coords, rng))

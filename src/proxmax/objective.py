@@ -446,7 +446,7 @@ def with_prox_term(obj: MaxObjective, pbar: Point, lam: float) -> MaxObjective:
         def branch_values(X: np.ndarray) -> np.ndarray:
             # float_power calls the C pow that phi's float ** 2 calls; np.power
             # squares instead, and the two can differ in the last bit
-            sq = np.float_power(dist_rows(X, pbar), 2.0)
+            sq = np.float_power(dist_rows(obj.manifold, X, pbar.coords), 2.0)
             return obj.branch_values(X) + (0.5 * lam * sq)[:, None]
 
     return MaxObjective(

@@ -7,10 +7,12 @@ convexity from random chord checks, and semicontinuity from seeded
 sampling.  Agreement between these and the fast paths is the evidence the
 test suite leans on.
 
-The grid search takes an array field, mapping node coordinates (N, n) to
-values (N,), and evaluates the grid in chunks of GRID_CHUNK nodes, so a
-5001-node grid costs one field call rather than 5001.  The other oracles
-take a scalar field on Points.
+The grid search and the convexity test take an array field, mapping point
+coordinates (N, n) to values (N,).  The grid search evaluates the grid in
+chunks of GRID_CHUNK nodes, so a 5001-node grid costs one field call rather
+than 5001; the convexity test makes one call for all chord endpoints and
+one for all points along the chords.  fd_gradient takes a scalar field on
+Points, and usc_sampler an objective.
 """
 
 from __future__ import annotations
@@ -26,15 +28,16 @@ from .manifold import (
     ManifoldKind,
     Point,
     Tangent,
-    dist,
+    dist_rows,
     exp_map,
-    geodesic,
-    log_map,
+    exp_rows,
+    from_chart_rows,
+    log_rows,
     point_coords,
     random_unit_tangent,
     transport,
 )
-from .objective import DomainError, MaxObjective, gen_dir_derivative
+from .objective import CoordsMap, DomainError, MaxObjective, gen_dir_derivative
 
 __all__ = [
     "GridSpec",
@@ -133,6 +136,14 @@ def _golden_refine(f: Callable[[float], float], lo: float, hi: float) -> tuple[f
     return xbest, fbest
 
 
+def _field_values(field: ArrayField, X: np.ndarray) -> np.ndarray:
+    """field at the rows of X, which must come back as one value per row."""
+    vals = np.asarray(field(X), dtype=float)
+    if vals.shape != (len(X),):
+        raise ValueError(f"field returned shape {vals.shape} for {len(X)} points")
+    return vals
+
+
 def grid_minimize(
     field: ArrayField, grid: GridSpec, manifold: ManifoldKind
 ) -> tuple[Point, float]:
@@ -161,9 +172,7 @@ def grid_minimize(
         idx = np.unravel_index(np.arange(start, min(start + GRID_CHUNK, total)), shape)
         coords = np.stack([a[i] for a, i in zip(axes, idx)], axis=1)
         nodes = point_coords(manifold, coords, rows=True)
-        vals = np.asarray(field(nodes), dtype=float)
-        if vals.shape != (len(nodes),):
-            raise ValueError(f"field returned shape {vals.shape} for {len(nodes)} nodes")
+        vals = _field_values(field, nodes)
         k = int(np.argmin(np.where(np.isnan(vals), np.inf, vals)))
         if vals[k] < best_val:
             best_node, best_val, best_coords = start + k, float(vals[k]), nodes[k].copy()
@@ -200,7 +209,7 @@ class ConvexityReport:
 
 
 def geodesic_convexity_test(
-    field: ScalarField,
+    field: ArrayField,
     manifold: ManifoldKind,
     samples: int,
     modulus: float,
@@ -208,14 +217,18 @@ def geodesic_convexity_test(
     upper,
     seed: int = 42,
     slack: float = 1e-8,
-    domain: Optional[Callable[[Point], bool]] = None,
+    domain: Optional[CoordsMap] = None,
 ) -> ConvexityReport:
     """Chord test for geodesic strong convexity over a coordinate box.
 
-    Draws endpoint pairs uniformly in the flat chart of the box, checks
-    h(gamma(t)) against the strongly convex chord bound at t = 0.1 .. 0.9,
-    and reports the worst violation beyond the slack.  Draws landing
-    outside an optional domain predicate are retried up to a cap.
+    field maps point coordinates (N, n) to values (N,).  Draws endpoint
+    pairs uniformly in the flat chart of the box, checks h(gamma(t)) against
+    the strongly convex chord bound at t = 0.1 .. 0.9, and reports the worst
+    violation beyond the slack.  Draws whose coordinates fall outside an
+    optional domain map (coordinates (n,) to a bool, like
+    MaxObjective.domain_guard) are retried up to a cap.  One field call
+    evaluates all endpoints and one all chord points; a NaN value raises
+    ValueError naming its point.
     """
     if modulus < 0:
         raise ValueError(f"modulus must be >= 0, got {modulus}")
@@ -231,35 +244,37 @@ def geodesic_convexity_test(
         lo, hi = np.log(lo), np.log(hi)
     rng = np.random.default_rng(seed)
 
-    def draw() -> Point:
+    def draw() -> np.ndarray:
         for _ in range(200):
-            z = rng.uniform(lo, hi)
-            p = (
-                Point(manifold, np.exp(z))
-                if manifold.geometry is Geometry.LOG_POSITIVE
-                else Point(manifold, z)
-            )
-            if domain is None or domain(p):
-                return p
+            x = from_chart_rows(manifold, rng.uniform(lo, hi))
+            if domain is None or domain(x):
+                return x
         raise DomainError("could not draw an admissible sample in the box")
 
+    def values(X: np.ndarray) -> np.ndarray:
+        vals = _field_values(field, X)
+        nan = np.isnan(vals)
+        if np.any(nan):
+            raise ValueError(f"field value is NaN at {X[int(np.argmax(nan))].tolist()}")
+        return vals
+
+    # rows p_1, q_1, p_2, q_2, ...: each pair draws p, then q
+    ends = point_coords(manifold, [draw() for _ in range(2 * samples)], rows=True)
+    h_ends = values(ends)
+    p, q = ends[0::2], ends[1::2]
+    hp, hq = h_ends[0::2, None], h_ends[1::2, None]
+    # float_power is the C pow of a float's ** 2
+    d2 = np.float_power(dist_rows(manifold, p, q), 2.0)[:, None]
     ts = np.arange(1, 10) / 10.0
-    n_checks = 0
-    n_violations = 0
-    worst = -np.inf
-    for _ in range(samples):
-        p, q = draw(), draw()
-        hp, hq = field(p), field(q)
-        d2 = dist(p, q) ** 2
-        v = log_map(p, q)
-        for t in ts:
-            chord = (1.0 - t) * hp + t * hq - 0.5 * modulus * t * (1.0 - t) * d2
-            gap = field(geodesic(p, v, t)) - chord
-            n_checks += 1
-            worst = max(worst, gap)
-            if gap > slack:
-                n_violations += 1
-    return ConvexityReport(samples, n_checks, n_violations, float(worst), modulus, slack)
+    steps = ts[:, None] * log_rows(manifold, p, q)[:, None, :]
+    on_chords = exp_rows(manifold, p[:, None, :], steps).reshape(-1, manifold.dim)
+    h_chords = values(point_coords(manifold, on_chords, rows=True)).reshape(samples, ts.size)
+    gaps = h_chords - ((1.0 - ts) * hp + ts * hq - 0.5 * modulus * ts * (1.0 - ts) * d2)
+    # a NaN gap (infinite values on both sides) confirms nothing: a violation
+    n_violations = int(np.count_nonzero(~(gaps <= slack)))
+    return ConvexityReport(
+        samples, gaps.size, n_violations, float(np.max(gaps)), modulus, slack
+    )
 
 
 @dataclass(frozen=True)

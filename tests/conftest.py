@@ -1,7 +1,23 @@
 import numpy as np
 import pytest
 
-from proxmax import Point, log_positive, make_problem
+from proxmax import (
+    DomainError,
+    Point,
+    dist,
+    eval_f,
+    exp_map,
+    geodesic,
+    log_map,
+    log_positive,
+    make_problem,
+    norm,
+    transport,
+    with_prox_term,
+)
+from proxmax import cli
+from proxmax.manifold import Geometry, random_unit_tangent
+from proxmax.oracle import ConvexityReport
 
 
 @pytest.fixture
@@ -18,3 +34,149 @@ def log_example():
 @pytest.fixture
 def log_point():
     return Point(log_positive(1), [1.0])
+
+
+# The per-point convexity test and verify checks that the array passes
+# replaced, kept verbatim as references.  Tests reach them via the fixtures
+# below, so no test module imports another.
+
+
+def _reference_geodesic_convexity_test(
+    field,
+    manifold,
+    samples,
+    modulus,
+    lower,
+    upper,
+    seed=42,
+    slack=1e-8,
+    domain=None,
+):
+    """The per-point chord test the array version replaced, kept verbatim.
+
+    field is a scalar field on Points and domain a predicate on Points.
+    """
+    if modulus < 0:
+        raise ValueError(f"modulus must be >= 0, got {modulus}")
+    if samples < 1:
+        raise ValueError("need at least one sample pair")
+    lo = np.atleast_1d(np.asarray(lower, dtype=float))
+    hi = np.atleast_1d(np.asarray(upper, dtype=float))
+    if lo.shape != (manifold.dim,) or hi.shape != (manifold.dim,):
+        raise ValueError("box bounds must match the manifold dimension")
+    if manifold.geometry is Geometry.LOG_POSITIVE:
+        if np.any(lo <= 0):
+            raise ValueError("box bounds must be positive on the log-positive orthant")
+        lo, hi = np.log(lo), np.log(hi)
+    rng = np.random.default_rng(seed)
+
+    def draw() -> Point:
+        for _ in range(200):
+            z = rng.uniform(lo, hi)
+            p = (
+                Point(manifold, np.exp(z))
+                if manifold.geometry is Geometry.LOG_POSITIVE
+                else Point(manifold, z)
+            )
+            if domain is None or domain(p):
+                return p
+        raise DomainError("could not draw an admissible sample in the box")
+
+    ts = np.arange(1, 10) / 10.0
+    n_checks = 0
+    n_violations = 0
+    worst = -np.inf
+    for _ in range(samples):
+        p, q = draw(), draw()
+        hp, hq = field(p), field(q)
+        d2 = dist(p, q) ** 2
+        v = log_map(p, q)
+        for t in ts:
+            chord = (1.0 - t) * hp + t * hq - 0.5 * modulus * t * (1.0 - t) * d2
+            gap = field(geodesic(p, v, t)) - chord
+            n_checks += 1
+            worst = max(worst, gap)
+            if gap > slack:
+                n_violations += 1
+    return ConvexityReport(samples, n_checks, n_violations, float(worst), modulus, slack)
+
+
+def _reference_check_geometry(prep, rng):
+    m = prep.problem.objective.manifold
+    worst = 0.0
+    for _ in range(2000):
+        z = rng.uniform(-2.0, 2.0, m.dim)
+        p = Point(m, np.exp(z)) if m.geometry.value == "log_positive" else Point(m, z)
+        zq = rng.uniform(-2.0, 2.0, m.dim)
+        q = Point(m, np.exp(zq)) if m.geometry.value == "log_positive" else Point(m, zq)
+        v = rng.uniform(0.1, 3.0) * random_unit_tangent(p, rng)
+        back = log_map(p, exp_map(p, v))
+        scale = max(1.0, norm(p, v))
+        worst = max(worst, norm(p, back - v) / scale)
+        worst = max(worst, abs(norm(p, log_map(p, q)) - dist(p, q)) / max(1.0, dist(p, q)))
+        worst = max(
+            worst,
+            abs(norm(q, transport(p, q, v)) - norm(p, v)) / scale,
+        )
+        r_z = rng.uniform(-2.0, 2.0, m.dim)
+        r = Point(m, np.exp(r_z)) if m.geometry.value == "log_positive" else Point(m, r_z)
+        violation = dist(p, q) - (dist(p, r) + dist(r, q))
+        worst = max(worst, violation)
+    return worst <= 1e-10, f"worst deviation {worst:.3e} (bound 1e-10)"
+
+
+def _reference_check_strong_convexity(prep, rng):
+    obj = prep.problem.objective
+    lam, lip = prep.lam, prep.lipschitz
+    reason = cli._weight_too_small(prep)
+    if reason:
+        return False, reason
+    h_obj = with_prox_term(obj, prep.start, lam)
+    report = _reference_geodesic_convexity_test(
+        lambda p: eval_f(h_obj, p)[0],
+        obj.manifold,
+        samples=300,
+        modulus=lam - lip,
+        lower=prep.problem.region_lower,
+        upper=prep.problem.region_upper,
+        seed=int(rng.integers(2**31)),
+        domain=h_obj.in_domain,
+    )
+    return report.passed, (
+        f"{report.n_violations} violations in {report.n_checks} checks, "
+        f"worst {report.worst_violation:.3e}"
+    )
+
+
+def _reference_check_dist_convexity(prep, rng):
+    m = prep.problem.objective.manifold
+    center = prep.start
+    report = _reference_geodesic_convexity_test(
+        lambda p: 0.5 * dist(p, center) ** 2,
+        m,
+        samples=200,
+        modulus=1.0,
+        lower=prep.problem.region_lower,
+        upper=prep.problem.region_upper,
+        seed=int(rng.integers(2**31)),
+    )
+    return report.passed, (
+        f"{report.n_violations} violations in {report.n_checks} checks, "
+        f"worst {report.worst_violation:.3e}"
+    )
+
+
+@pytest.fixture
+def reference_convexity_test():
+    """The per-point geodesic_convexity_test: a field and a domain on Points."""
+    return _reference_geodesic_convexity_test
+
+
+@pytest.fixture
+def reference_checks():
+    """The per-point verify checks, by their name in cli._CHECKS."""
+    return {
+        "geometry_roundtrip": _reference_check_geometry,
+        "strong_convexity": _reference_check_strong_convexity,
+        "dist_convexity": _reference_check_dist_convexity,
+    }

@@ -176,7 +176,7 @@ def test_criterion_05_shifted_strong_convexity(report, reference_run):
 
     def shifted_field(lam):
         h = with_prox_term(obj, center, lam)
-        return lambda p: eval_f(h, p)[0]
+        return lambda X: eval_f_many(h, X)
 
     lam_pos = lip + 1.0
     good = geodesic_convexity_test(
@@ -187,7 +187,7 @@ def test_criterion_05_shifted_strong_convexity(report, reference_run):
         lower=prob.region_lower,
         upper=prob.region_upper,
         seed=42,
-        domain=obj.in_domain,
+        domain=obj.domain_guard,
     )
     # negative control: the same modulus with the weight forced to half the
     # curvature bound must produce violations
@@ -199,7 +199,7 @@ def test_criterion_05_shifted_strong_convexity(report, reference_run):
         lower=prob.region_lower,
         upper=prob.region_upper,
         seed=42,
-        domain=obj.in_domain,
+        domain=obj.domain_guard,
     )
     ok = good.passed and good.n_violations == 0 and bad.n_violations > 0
     report(

@@ -1,9 +1,12 @@
 import csv
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from proxmax import euclidean, log_positive
+from proxmax import cli
 from proxmax.cli import (
     ConfigError,
     exit_code_for,
@@ -242,6 +245,72 @@ def test_verify_flags_weight_below_curvature(tmp_path):
     assert "strong_convexity" in failed
     by_name = {c["name"]: c for c in report["checks"]}
     assert by_name["solve_stationary"]["detail"] == by_name["strong_convexity"]["detail"]
+
+
+def _geometry_prep(m):
+    return SimpleNamespace(problem=SimpleNamespace(objective=SimpleNamespace(manifold=m)))
+
+
+@pytest.mark.parametrize("m", [log_positive(1), euclidean(1)], ids=["log_positive1", "euclidean1"])
+def test_geometry_check_matches_reference_in_one_dimension(m, reference_checks):
+    for seed in (0, 1):
+        want = reference_checks["geometry_roundtrip"](_geometry_prep(m), np.random.default_rng(seed))
+        got = cli._check_geometry(_geometry_prep(m), np.random.default_rng(seed))
+        assert got == want
+
+
+@pytest.mark.parametrize("m", [log_positive(3), euclidean(3)], ids=["log_positive3", "euclidean3"])
+def test_geometry_check_within_ulps_of_reference_in_three_dimensions(m, reference_checks):
+    want = reference_checks["geometry_roundtrip"](_geometry_prep(m), np.random.default_rng(3))
+    got = cli._check_geometry(_geometry_prep(m), np.random.default_rng(3))
+    assert got[0] == want[0]
+    worst = [float(detail.split()[2]) for _, detail in (got, want)]
+    # deviations are relative to scales >= 1, so a few ulp of 1.0 bound the
+    # rounding that dist's BLAS dot may do differently on a row
+    assert abs(worst[0] - worst[1]) <= 8 * np.finfo(float).eps
+
+
+def test_geometry_check_fails_on_a_nan_deviation(monkeypatch):
+    # the per-point loop skipped a NaN term: max(worst, nan) keeps worst
+    rows = cli.norm_rows
+
+    def norm_rows_with_a_nan(*args):
+        out = rows(*args).copy()
+        out[17] = np.nan
+        return out
+
+    monkeypatch.setattr(cli, "norm_rows", norm_rows_with_a_nan)
+    passed, detail = cli._check_geometry(_geometry_prep(log_positive(1)), np.random.default_rng(0))
+    assert not passed
+    assert detail == "worst deviation nan (bound 1e-10)"
+
+
+def test_verify_is_byte_deterministic(tmp_path):
+    cfg = parse_config({"problem": "paper_example"})
+    verify(cfg, out_dir=tmp_path / "a")
+    verify(cfg, out_dir=tmp_path / "b")
+    first = (tmp_path / "a" / "verify.json").read_bytes()
+    assert first == (tmp_path / "b" / "verify.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"problem": "paper_example"},
+        {"problem": "paper_example", "seed": 7, "start_point": [0.4]},
+        {"problem": {"name": "paper_example", "epsilon": 0.11}, "seed": 19},
+        {"problem": "abs"},
+    ],
+    ids=["paper-default", "paper-seed7", "paper-eps-seed19", "abs"],
+)
+def test_verify_report_matches_reference_checks(tmp_path, monkeypatch, raw, reference_checks):
+    cfg = parse_config(raw)
+    verify(cfg, out_dir=tmp_path / "new")
+    reference = [(name, reference_checks.get(name, fn)) for name, fn in cli._CHECKS]
+    monkeypatch.setattr(cli, "_CHECKS", reference)
+    verify(cfg, out_dir=tmp_path / "ref")
+    got = (tmp_path / "new" / "verify.json").read_bytes()
+    assert got == (tmp_path / "ref" / "verify.json").read_bytes()
 
 
 def test_sweep_runs_each_config(tmp_path):

@@ -24,7 +24,17 @@ from proxmax import (
     transport,
     zero_tangent,
 )
-from proxmax.manifold import differential_exp, dist_rows, point_coords, random_unit_tangent
+from proxmax.manifold import (
+    differential_exp,
+    dist_rows,
+    exp_rows,
+    from_chart_rows,
+    log_rows,
+    norm_rows,
+    point_coords,
+    random_unit_tangent,
+    transport_rows,
+)
 
 LP1 = log_positive(1)
 E1 = euclidean(1)
@@ -142,12 +152,72 @@ def test_dist_rows_matches_dist(rng):
         q = from_chart(m, [0.3])
         X = np.array([[x] for x in np.exp(rng.uniform(-3.0, 3.0, 200))])
         want = [dist(Point(m, x), q) for x in X]
-        assert np.array_equal(dist_rows(X, q), want)
+        assert np.array_equal(dist_rows(m, X, q.coords), want)
+        # row against row, as well as rows against one point
+        Y = X[::-1].copy()
+        want = [dist(Point(m, x), Point(m, y)) for x, y in zip(X, Y)]
+        assert np.array_equal(dist_rows(m, X, Y), want)
     m3 = log_positive(3)
     q = Point(m3, [0.5, 1.0, 2.0])
     X = np.exp(rng.uniform(-3.0, 3.0, (200, 3)))
     want = np.array([dist(Point(m3, x), q) for x in X])
-    assert np.all(np.abs(dist_rows(X, q) - want) <= 4 * np.finfo(float).eps * want)
+    assert np.all(np.abs(dist_rows(m3, X, q.coords) - want) <= 4 * np.finfo(float).eps * want)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [LP1, E1, log_positive(3), euclidean(3)],
+    ids=["log_positive1", "euclidean1", "log_positive3", "euclidean3"],
+)
+def test_row_kernels_match_point_maps(m, rng):
+    # exp_map, log_map and transport call the row kernels, so a stack of
+    # rows gets the bits of the point-by-point maps
+    P = from_chart_rows(m, rng.uniform(-2.0, 2.0, (100, m.dim)))
+    Q = from_chart_rows(m, rng.uniform(-2.0, 2.0, (100, m.dim)))
+    V = rng.uniform(-2.0, 2.0, (100, m.dim)) * P
+    pts = [(Point(m, p), Point(m, q), v) for p, q, v in zip(P, Q, V)]
+    assert np.array_equal(exp_rows(m, P, V), [exp_map(p, Tangent(p, v)).coords for p, _, v in pts])
+    assert np.array_equal(log_rows(m, P, Q), [log_map(p, q).coords for p, q, _ in pts])
+    assert np.array_equal(
+        transport_rows(m, P, Q, V), [transport(p, q, Tangent(p, v)).coords for p, q, v in pts]
+    )
+    # norm's Euclidean dot goes through BLAS; above one dimension a numpy
+    # build may round the stacked rows differently by a few ulp
+    want = np.array([norm(p, Tangent(p, v)) for p, _, v in pts])
+    got = norm_rows(m, P, V)
+    if m.dim == 1 or m.geometry.value == "log_positive":
+        assert np.array_equal(got, want)
+    else:
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * want)
+    # the same rows stacked as (..., n)
+    stacked = exp_rows(m, P.reshape(10, 10, -1), V.reshape(10, 10, -1))
+    assert np.array_equal(stacked.reshape(P.shape), exp_rows(m, P, V))
+
+
+def test_exp_rows_overflow_guard():
+    with pytest.raises(ExpOverflowError):
+        exp_rows(LP1, np.ones((3, 1)), np.array([[1.0], [701.0], [2.0]]))
+    assert np.array_equal(exp_rows(E1, np.ones((1, 1)), np.array([[701.0]])), [[702.0]])
+
+
+def test_scalar_metric_keeps_its_closed_form_bits(rng):
+    # inner, norm and dist call the row kernels; on one point they give the
+    # bits of the np.dot, np.sum and np.linalg.norm bodies they replaced
+    for m in (LP1, E1, log_positive(3), euclidean(3)):
+        for _ in range(50):
+            p = from_chart(m, rng.uniform(-2.0, 2.0, m.dim))
+            q = from_chart(m, rng.uniform(-2.0, 2.0, m.dim))
+            u = Tangent(p, rng.standard_normal(m.dim) * p.coords)
+            v = Tangent(p, rng.standard_normal(m.dim) * p.coords)
+            if m.geometry.value == "log_positive":
+                uv = float(np.sum(u.coords * v.coords / p.coords**2))
+                chord = np.log(p.coords / q.coords)
+            else:
+                uv = float(np.dot(u.coords, v.coords))
+                chord = p.coords - q.coords
+            assert inner(p, u, v) == uv
+            assert norm(p, v) == float(np.sqrt(max(inner(p, v, v), 0.0)))
+            assert dist(p, q) == float(np.linalg.norm(chord))
 
 
 def test_mixed_manifolds_rejected():

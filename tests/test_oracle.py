@@ -12,8 +12,11 @@ from proxmax import (
     eval_f,
     eval_f_many,
     log_positive,
+    make_problem,
+    with_prox_term,
 )
 from proxmax import oracle
+from proxmax.manifold import Geometry, dist_rows
 from proxmax.oracle import (
     GridSpec,
     fd_gradient,
@@ -23,10 +26,25 @@ from proxmax.oracle import (
 )
 
 LP1 = log_positive(1)
+E1 = euclidean(1)
 
 
 def _pt(x):
     return Point(LP1, [x])
+
+
+def _half_sq_dist_fields(m, center):
+    """0.5 d(., center)^2 as a field on Points and as an array field."""
+    c = Point(m, center)
+    return (
+        lambda p: 0.5 * dist(p, c) ** 2,
+        lambda X: 0.5 * np.float_power(dist_rows(m, X, c.coords), 2.0),
+    )
+
+
+def _objective_fields(obj):
+    """eval_f on Points and eval_f_many on rows, for the same objective."""
+    return lambda p: eval_f(obj, p)[0], lambda X: eval_f_many(obj, X)
 
 
 # finite-difference gradients
@@ -177,7 +195,7 @@ def test_grid_spec_guards():
 def test_half_sq_dist_is_one_strongly_convex(log_example):
     center = _pt(0.9)
     report = geodesic_convexity_test(
-        lambda p: 0.5 * dist(p, center) ** 2,
+        lambda X: 0.5 * np.float_power(dist_rows(LP1, X, center.coords), 2.0),
         LP1,
         samples=200,
         modulus=1.0,
@@ -195,33 +213,31 @@ def test_raw_max_objective_is_not_convex(log_example):
     # convexity must fail somewhere in the sampled region
     obj = log_example.objective
     report = geodesic_convexity_test(
-        lambda p: eval_f(obj, p)[0],
+        lambda X: eval_f_many(obj, X),
         LP1,
         samples=400,
         modulus=0.0,
         lower=log_example.region_lower,
         upper=log_example.region_upper,
         seed=7,
-        domain=obj.in_domain,
+        domain=obj.domain_guard,
     )
     assert not report.passed
     assert report.worst_violation > 1e-8
 
 
 def test_shifted_objective_regains_strong_convexity(log_example):
-    from proxmax import with_prox_term
-
     obj = log_example.objective
     shifted = with_prox_term(obj, _pt(0.5), 0.51)
     report = geodesic_convexity_test(
-        lambda p: eval_f(shifted, p)[0],
+        lambda X: eval_f_many(shifted, X),
         LP1,
         samples=300,
         modulus=0.51 - 0.34,
         lower=log_example.region_lower,
         upper=log_example.region_upper,
         seed=7,
-        domain=obj.in_domain,
+        domain=obj.domain_guard,
     )
     assert report.passed, f"worst violation {report.worst_violation}"
 
@@ -229,13 +245,117 @@ def test_shifted_objective_regains_strong_convexity(log_example):
 def test_convexity_test_rejects_negative_modulus(log_example):
     with pytest.raises(ValueError):
         geodesic_convexity_test(
-            lambda p: 0.0,
+            lambda X: np.zeros(len(X)),
             LP1,
             samples=10,
             modulus=-1.0,
             lower=log_example.region_lower,
             upper=log_example.region_upper,
         )
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [lambda X: np.zeros((len(X), 1)), lambda X: 0.0, lambda X: np.zeros(len(X) + 1)],
+    ids=["column", "scalar", "too-long"],
+)
+def test_convexity_test_rejects_wrong_field_shape(bad):
+    with pytest.raises(ValueError, match="field returned shape"):
+        geodesic_convexity_test(bad, LP1, samples=5, modulus=0.0, lower=[0.2], upper=[4.0])
+
+
+def test_convexity_test_raises_on_nan_field(reference_convexity_test):
+    # the per-point test let an all-NaN field pass: max() and gap > slack skip NaN
+    nan_field = (lambda p: float("nan"), lambda X: np.full(len(X), np.nan))
+    ref = reference_convexity_test(nan_field[0], LP1, 50, 1.0, [0.2], [4.0])
+    assert ref.passed and ref.worst_violation == -np.inf
+    with pytest.raises(ValueError, match="NaN"):
+        geodesic_convexity_test(nan_field[1], LP1, 50, 1.0, [0.2], [4.0])
+
+    # partly NaN: one value of the endpoint call, then of the chord call
+    for bad_call in (0, 1):
+        calls = []
+
+        def field(X):
+            calls.append(X)
+            vals = X[:, 0] ** 2
+            if len(calls) == bad_call + 1:
+                vals[17] = np.nan
+            return vals
+
+        with pytest.raises(ValueError, match="NaN") as err:
+            geodesic_convexity_test(field, LP1, 50, 0.0, [0.2], [4.0])
+        assert len(calls) == bad_call + 1
+        assert str(calls[-1][17].tolist()) in str(err.value)
+
+
+def _reference_cases():
+    prob = make_problem("paper_example")
+    obj = prob.objective
+    shifted = with_prox_term(obj, _pt(0.5), 0.51)
+    abs_obj = make_problem("abs").objective
+    # each admits 40-60% of the draws, so the retry path runs
+    lp_guard = lambda x: (x > 1.0).all(axis=-1)  # noqa: E731
+    e_guard = lambda x: (np.abs(x) > 4.0).all(axis=-1)  # noqa: E731
+    box = (prob.region_lower, prob.region_upper)
+    return [
+        ("lp-half-sq-dist", LP1, _half_sq_dist_fields(LP1, [0.9]), 1.0, box, None),
+        ("lp-shifted", LP1, _objective_fields(shifted), 0.51 - 0.34, box, obj.domain_guard),
+        ("lp-raw-retry", LP1, _objective_fields(obj), 0.0, box, lp_guard),
+        ("e-half-sq-dist", E1, _half_sq_dist_fields(E1, [1.5]), 1.0, ([-10.0], [10.0]), None),
+        ("e-abs-retry", E1, _objective_fields(abs_obj), 0.0, ([-10.0], [10.0]), e_guard),
+    ]
+
+
+@pytest.mark.parametrize("case", _reference_cases(), ids=lambda c: c[0])
+def test_convexity_test_matches_reference_in_one_dimension(case, reference_convexity_test):
+    _, m, (point_field, array_field), modulus, (lo, hi), guard = case
+    point_domain = None if guard is None else (lambda p: bool(guard(p.coords)))
+    for seed in (7, 8):
+        want = reference_convexity_test(
+            point_field, m, 150, modulus, lo, hi, seed=seed, domain=point_domain
+        )
+        got = geodesic_convexity_test(
+            array_field, m, 150, modulus, lo, hi, seed=seed, domain=guard
+        )
+        assert got == want
+
+
+@pytest.mark.parametrize(
+    "m, fields, modulus",
+    [
+        (euclidean(3), _half_sq_dist_fields(euclidean(3), [0.5, -1.0, 2.0]), 1.0),
+        (log_positive(3), _half_sq_dist_fields(log_positive(3), [0.5, 1.0, 2.0]), 1.0),
+        (
+            log_positive(3),
+            _objective_fields(
+                with_prox_term(
+                    make_problem({"name": "paper_example_product", "n": 3}).objective,
+                    Point(log_positive(3), [0.7, 1.2, 2.0]),
+                    1.0,
+                )
+            ),
+            0.3,
+        ),
+    ],
+    ids=["euclidean3", "log3", "product3-shifted"],
+)
+def test_convexity_test_within_ulps_of_reference_in_three_dimensions(
+    m, fields, modulus, reference_convexity_test
+):
+    lo = [0.2] * 3 if m.geometry is Geometry.LOG_POSITIVE else [-3.0] * 3
+    hi = [3.0] * 3
+    want = reference_convexity_test(fields[0], m, 150, modulus, lo, hi, seed=5)
+    got = geodesic_convexity_test(fields[1], m, 150, modulus, lo, hi, seed=5)
+    assert (got.n_pairs, got.n_checks, got.n_violations, got.passed) == (
+        want.n_pairs,
+        want.n_checks,
+        want.n_violations,
+        want.passed,
+    )
+    # dist's BLAS dot may round a row differently; the field values here are
+    # below 40, where 32 ulp of 1.0 covers a few ulp of a value
+    assert abs(got.worst_violation - want.worst_violation) <= 32 * np.finfo(float).eps
 
 
 # upper semicontinuity sampling
