@@ -1,0 +1,116 @@
+"""The sampled checks that `proxmax verify` and the acceptance gate share.
+
+Each function measures one fact the method rests on at samples the caller
+draws and returns the measurement; the caller takes the worst over its
+samples and applies its own bound.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Optional
+
+import numpy as np
+
+from .manifold import (
+    ManifoldKind,
+    Point,
+    Tangent,
+    dist,
+    dist_rows,
+    exp_rows,
+    grad_half_sq_dist,
+    inner,
+    log_rows,
+    norm,
+    norm_rows,
+    point_coords,
+    transport_rows,
+)
+from .objective import MaxObjective, eval_f, eval_f_many, gen_dir_derivative, with_prox_term
+from .oracle import ConvexityReport, GridSpec, fd_gradient, geodesic_convexity_test, grid_minimize
+from .problems import BuiltinProblem
+from .prox import ProxConfig, prox_step
+
+__all__ = [
+    "weight_too_small",
+    "geometry_deviation",
+    "gradient_error",
+    "shifted_convexity",
+    "sum_rule_mismatch",
+    "prox_grid_gaps",
+]
+
+
+def weight_too_small(lam: float, lipschitz: float) -> Optional[str]:
+    """Why the weight cannot make the subproblem strongly convex, or None."""
+    if lam <= lipschitz:
+        return f"lambda {lam} does not exceed the Lipschitz estimate {lipschitz}"
+    return None
+
+
+def geometry_deviation(m: ManifoldKind, p, q, r, v: np.ndarray) -> float:
+    """Worst deviation from the Hadamard identities over point rows p, q, r and tangents v at p.
+
+    Per row: the exp/log round trip of v and the norm change of v carried to
+    q, relative to max(1, |v|); |log_map(p, q)| against d(p, q), relative to
+    max(1, d); and the excess of d(p, q) over the path through r.  Each is 0
+    up to rounding, and a NaN anywhere propagates to the result.
+    """
+    p, q, r = (point_coords(m, x, rows=True) for x in (p, q, r))
+    back = log_rows(m, p, point_coords(m, exp_rows(m, p, v), rows=True))
+    speed = norm_rows(m, p, v)
+    scale = np.maximum(1.0, speed)
+    d_pq = dist_rows(m, p, q)
+    deviations = [
+        norm_rows(m, p, back - v) / scale,
+        np.abs(norm_rows(m, p, log_rows(m, p, q)) - d_pq) / np.maximum(1.0, d_pq),
+        np.abs(norm_rows(m, q, transport_rows(m, p, q, v)) - speed) / scale,
+        d_pq - (dist_rows(m, p, r) + dist_rows(m, r, q)),
+    ]
+    return float(np.max(deviations))
+
+
+def gradient_error(field: Callable[[Point], float], exact: Tangent) -> float:
+    """Relative error of exact, the gradient of field at its base, against fd_gradient."""
+    p = exact.base
+    return norm(p, exact - fd_gradient(field, p)) / max(1.0, norm(p, exact))
+
+
+def shifted_convexity(
+    problem: BuiltinProblem, center: Point, lam: float, modulus: float, samples: int, seed: int
+) -> ConvexityReport:
+    """Chord test of f + (lam/2) d(., center)^2 for the given modulus over the problem's box.
+
+    With lam above the Lipschitz estimate L, the proximal step relies on
+    the modulus lam - L.
+    """
+    h_obj = with_prox_term(problem.objective, center, lam)
+    return geodesic_convexity_test(
+        lambda X: eval_f_many(h_obj, X),
+        h_obj.manifold,
+        samples=samples,
+        modulus=modulus,
+        lower=problem.region_lower,
+        upper=problem.region_upper,
+        seed=seed,
+        domain=h_obj.domain_guard,
+    )
+
+
+def sum_rule_mismatch(
+    obj: MaxObjective, shifted: MaxObjective, center: Point, lam: float, p: Point, v: Tangent
+) -> float:
+    """How far shifted, meant as with_prox_term(obj, center, lam), breaks the sum rule at p, v."""
+    lhs = gen_dir_derivative(shifted, p, v)
+    rhs = gen_dir_derivative(obj, p, v) + lam * inner(p, grad_half_sq_dist(p, center), v)
+    return abs(lhs - rhs)
+
+
+def prox_grid_gaps(
+    obj: MaxObjective, p_k: Point, lam: float, lipschitz: float, cfg: ProxConfig, grid: GridSpec
+) -> tuple[float, float]:
+    """Point and value gaps between the prox step from p_k and its subproblem's grid minimum."""
+    p_next, _ = prox_step(obj, p_k, lam, cfg, lipschitz=lipschitz)
+    h_obj = with_prox_term(obj, p_k, lam)
+    g_pt, g_val = grid_minimize(lambda X: eval_f_many(h_obj, X), grid, obj.manifold)
+    return dist(p_next, g_pt), abs(eval_f(h_obj, p_next)[0] - g_val)

@@ -14,40 +14,30 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from . import oracle
+from . import checks, oracle
 from .manifold import (
     Point,
-    dist,
     dist_rows,
-    exp_rows,
     from_chart_rows,
-    log_rows,
-    norm,
-    norm_rows,
-    point_coords,
     random_unit_coords,
     random_unit_tangent,
-    transport_rows,
+    to_chart,
 )
 from .objective import (
     clarke_subdiff,
     estimate_sup_lipschitz,
     eval_f,
-    eval_f_many,
-    gen_dir_derivative,
-    grad_half_sq_dist,
-    inner,
     min_norm_subgradient,
     with_prox_term,
 )
 from .problems import BUILTIN_NAMES, BuiltinProblem, make_problem, region_samples
-from .prox import LambdaSchedule, ProxConfig, Termination, Trace, prox_step, solve
+from .prox import LambdaSchedule, ProxConfig, Termination, Trace, solve
 
 __all__ = [
     "ConfigError",
@@ -110,22 +100,7 @@ class RunSummary:
     settings: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "problem": self.problem,
-            "termination": {
-                "kind": self.termination.kind,
-                "message": self.termination.message,
-            },
-            "iterations": self.iterations,
-            "start_point": self.start_point,
-            "final_point": self.final_point,
-            "final_f": self.final_f,
-            "final_residual": self.final_residual,
-            "wall_time_ms": self.wall_time_ms,
-            "lambda_used": self.lambda_used,
-            "lipschitz_estimate": self.lipschitz_estimate,
-            "settings": self.settings,
-        }
+        return asdict(self)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -133,7 +108,7 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _check_number(raw: dict, key: str, default, positive: bool = True):
+def _check_number(raw: dict, key: str, default):
     value = raw.get(key, default)
     _require(
         isinstance(value, (int, float)) and not isinstance(value, bool),
@@ -141,8 +116,7 @@ def _check_number(raw: dict, key: str, default, positive: bool = True):
     )
     value = float(value)
     _require(np.isfinite(value), f"field '{key}' must be finite")
-    if positive:
-        _require(value > 0, f"field '{key}' must be positive")
+    _require(value > 0, f"field '{key}' must be positive")
     return value
 
 
@@ -384,6 +358,13 @@ def exit_code_for(summary: RunSummary) -> int:
 # apply to the problem, and the report lists it as skipped.
 
 
+def _chord_detail(report: oracle.ConvexityReport) -> str:
+    return (
+        f"{report.n_violations} violations in {report.n_checks} checks, "
+        f"worst {report.worst_violation:.3e}"
+    )
+
+
 def _check_geometry(prep: _Prepared, rng: np.random.Generator) -> tuple[bool, str]:
     m = prep.problem.objective.manifold
     count = 2000
@@ -395,20 +376,7 @@ def _check_geometry(prep: _Prepared, rng: np.random.Generator) -> tuple[bool, st
         zq[i] = rng.uniform(-2.0, 2.0, m.dim)
         v[i] = rng.uniform(0.1, 3.0) * random_unit_coords(m, p[i], rng)
         zr[i] = rng.uniform(-2.0, 2.0, m.dim)
-    p = point_coords(m, p, rows=True)
-    q, r = (point_coords(m, from_chart_rows(m, z), rows=True) for z in (zq, zr))
-    back = log_rows(m, p, point_coords(m, exp_rows(m, p, v), rows=True))
-    speed = norm_rows(m, p, v)
-    scale = np.maximum(1.0, speed)
-    d_pq = dist_rows(m, p, q)
-    deviations = [
-        norm_rows(m, p, back - v) / scale,
-        np.abs(norm_rows(m, p, log_rows(m, p, q)) - d_pq) / np.maximum(1.0, d_pq),
-        np.abs(norm_rows(m, q, transport_rows(m, p, q, v)) - speed) / scale,
-        d_pq - (dist_rows(m, p, r) + dist_rows(m, r, q)),
-    ]
-    # the first three are >= 0, so this is >= 0; a NaN anywhere propagates and fails
-    worst = float(np.max(deviations))
+    worst = checks.geometry_deviation(m, p, from_chart_rows(m, zq), from_chart_rows(m, zr), v)
     return worst <= 1e-10, f"worst deviation {worst:.3e} (bound 1e-10)"
 
 
@@ -419,53 +387,30 @@ def _check_fd_gradient(prep: _Prepared, rng: np.random.Generator) -> tuple[bool,
     for tau in obj.params:
         for p in pts:
             exact = obj.grad_phi(p, float(tau))
-            approx = oracle.fd_gradient(lambda x, t=float(tau): obj.phi(x, t), p)
-            err = norm(p, exact - approx) / max(1.0, norm(p, exact))
+            err = checks.gradient_error(lambda x, t=float(tau): obj.phi(x, t), exact)
             worst = max(worst, err)
     return worst <= 1e-6, f"worst relative error {worst:.3e} (bound 1e-6)"
 
 
-def _weight_too_small(prep: _Prepared) -> Optional[str]:
-    """Why the weight cannot make the subproblem strongly convex, or None."""
-    if prep.lam <= prep.lipschitz:
-        return f"lambda {prep.lam} does not exceed the Lipschitz estimate {prep.lipschitz}"
-    return None
-
-
 def _check_strong_convexity(prep: _Prepared, rng: np.random.Generator) -> tuple[bool, str]:
-    obj = prep.problem.objective
-    lam, lip = prep.lam, prep.lipschitz
-    reason = _weight_too_small(prep)
+    reason = checks.weight_too_small(prep.lam, prep.lipschitz)
     if reason:
         return False, reason
-    h_obj = with_prox_term(obj, prep.start, lam)
-    report = oracle.geodesic_convexity_test(
-        lambda X: eval_f_many(h_obj, X),
-        obj.manifold,
-        samples=300,
-        modulus=lam - lip,
-        lower=prep.problem.region_lower,
-        upper=prep.problem.region_upper,
-        seed=int(rng.integers(2**31)),
-        domain=h_obj.domain_guard,
+    modulus = prep.lam - prep.lipschitz
+    report = checks.shifted_convexity(
+        prep.problem, prep.start, prep.lam, modulus, samples=300, seed=int(rng.integers(2**31))
     )
-    return report.passed, (
-        f"{report.n_violations} violations in {report.n_checks} checks, "
-        f"worst {report.worst_violation:.3e}"
-    )
+    return report.passed, _chord_detail(report)
 
 
 def _check_sum_rule(prep: _Prepared, rng: np.random.Generator) -> tuple[bool, str]:
     obj = prep.problem.objective
     lam = max(prep.lam, 1.0)
-    center = prep.start
-    shifted = with_prox_term(obj, center, lam)
+    shifted = with_prox_term(obj, prep.start, lam)
     worst = 0.0
     for p in region_samples(prep.problem, 100, rng):
         v = rng.uniform(0.5, 2.0) * random_unit_tangent(p, rng)
-        lhs = gen_dir_derivative(shifted, p, v)
-        rhs = gen_dir_derivative(obj, p, v) + lam * inner(p, grad_half_sq_dist(p, center), v)
-        worst = max(worst, abs(lhs - rhs))
+        worst = max(worst, checks.sum_rule_mismatch(obj, shifted, prep.start, lam, p, v))
     return worst <= 1e-8, f"worst mismatch {worst:.3e} (bound 1e-8)"
 
 
@@ -481,31 +426,25 @@ def _check_prox_vs_grid(
     prep: _Prepared, rng: np.random.Generator
 ) -> tuple[Optional[bool], str]:
     obj = prep.problem.objective
-    if obj.manifold.dim != 1:
+    m = obj.manifold
+    if m.dim != 1:
         return None, "grid cross-check runs on one-dimensional problems only"
-    lam, lip = prep.lam, prep.lipschitz
-    reason = _weight_too_small(prep)
+    reason = checks.weight_too_small(prep.lam, prep.lipschitz)
     if reason:
         return False, reason
-    lo = float(prep.problem.region_lower[0])
-    hi = float(prep.problem.region_upper[0])
+    lower, upper = prep.problem.region_lower, prep.problem.region_upper
+    lo, hi = float(lower[0]), float(upper[0])
+    z_lo, z_hi = to_chart(Point(m, lower)), to_chart(Point(m, upper))
+    grid = oracle.GridSpec(lower=np.array([lo + 1e-9]), upper=np.array([hi]), points_per_dim=5001)
     worst_pt, worst_val = 0.0, 0.0
     for _ in range(10):
-        z = rng.uniform(np.log(lo) if lo > 0 else lo, np.log(hi) if lo > 0 else hi)
-        coords = from_chart_rows(obj.manifold, [z])
+        coords = from_chart_rows(m, rng.uniform(z_lo, z_hi))
         # keep the subproblem minimizer well inside the search box
         coords = np.clip(coords, lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo))
-        p_k = Point(obj.manifold, coords)
-        p_next, _ = prox_step(obj, p_k, lam, prep.pcfg, lipschitz=lip)
-        h_obj = with_prox_term(obj, p_k, lam)
-        grid = oracle.GridSpec(
-            lower=np.array([lo + 1e-9]), upper=np.array([hi]), points_per_dim=5001
+        gap_pt, gap_val = checks.prox_grid_gaps(
+            obj, Point(m, coords), prep.lam, prep.lipschitz, prep.pcfg, grid
         )
-        g_pt, g_val = oracle.grid_minimize(
-            lambda X: eval_f_many(h_obj, X), grid, obj.manifold
-        )
-        worst_pt = max(worst_pt, dist(p_next, g_pt))
-        worst_val = max(worst_val, abs(eval_f(h_obj, p_next)[0] - g_val))
+        worst_pt, worst_val = max(worst_pt, gap_pt), max(worst_val, gap_val)
     ok = worst_pt <= 1e-4 and worst_val <= 1e-8
     return ok, f"worst point gap {worst_pt:.3e} (1e-4), value gap {worst_val:.3e} (1e-8)"
 
@@ -523,10 +462,7 @@ def _check_dist_convexity(prep: _Prepared, rng: np.random.Generator) -> tuple[bo
         upper=prep.problem.region_upper,
         seed=int(rng.integers(2**31)),
     )
-    return report.passed, (
-        f"{report.n_violations} violations in {report.n_checks} checks, "
-        f"worst {report.worst_violation:.3e}"
-    )
+    return report.passed, _chord_detail(report)
 
 
 def _check_subgrad_floor(
@@ -539,12 +475,9 @@ def _check_subgrad_floor(
     m = obj.manifold
     f_q, _ = eval_f(obj, Point(m, [meta["q"]]))
     c, delta = meta["c"], meta["delta"]
-    lo = np.log(prep.problem.region_lower[0])
-    hi = np.log(prep.problem.region_upper[0])
     floor = np.inf
     checked = 0
-    for z in np.linspace(lo, hi, 402)[1:-1]:
-        p = Point(m, [np.exp(z)])
+    for p in region_samples(prep.problem, 400):
         f_p, _ = eval_f(obj, p)
         if not (c < f_p <= f_q):
             continue
@@ -562,7 +495,8 @@ def _check_solve_stationary(prep: _Prepared, rng: np.random.Generator) -> tuple[
     # the run the config describes: verify passes only configs that run passes
     if prep.sched is None:
         # the schedule rejected lambda: at or below the estimate, or above lambda_bar
-        return False, _weight_too_small(prep) or f"lambda {prep.lam} exceeds lambda_bar"
+        reason = checks.weight_too_small(prep.lam, prep.lipschitz)
+        return False, reason or f"lambda {prep.lam} exceeds lambda_bar"
     trace = solve(prep.problem.objective, prep.start, prep.sched, prep.pcfg, prep.level_ref)
     term = trace.termination
     detail = f"{term.kind} after {trace.iterations} iterations"

@@ -54,8 +54,6 @@ __all__ = [
     "log_rows",
     "transport",
     "transport_rows",
-    "pair_transport_gaps",
-    "differential_exp",
     "grad_half_sq_dist",
     "geodesic",
 ]
@@ -331,41 +329,6 @@ def transport(p: Point, q: Point, v: Tangent) -> Tangent:
     _require_same_manifold(p, q)
     _require_at(p, v)
     return Tangent(q, transport_rows(p.manifold, p.coords, q.coords, v.coords))
-
-
-def pair_transport_gaps(
-    manifold: ManifoldKind, coords: np.ndarray, vecs: np.ndarray, i: np.ndarray, j: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched dist(p_i, p_j) and norm(p_j, v_j - transport(p_i, p_j, v_i)).
-
-    coords (S, n) stacks points of the manifold and vecs (S, n) one tangent
-    at each; i and j index the pairs.  Each pair gets the closed forms of
-    dist, transport, inner and norm above, evaluated in the same order.
-    """
-    p_i, p_j = coords[i], coords[j]
-    if _is_log(manifold):
-        chord = np.log(p_i / p_j)
-        diff = vecs[j] - vecs[i] * p_j / p_i
-        sq = np.sum(diff * diff / p_j**2, axis=1)
-    else:
-        chord = p_i - p_j
-        diff = vecs[j] - vecs[i]
-        sq = np.sum(diff * diff, axis=1)
-    return np.sqrt(np.sum(chord * chord, axis=1)), np.sqrt(sq)
-
-
-def differential_exp(p: Point, w: Tangent, u: Tangent) -> Tangent:
-    """Differential of the exponential map at p, taken at w and applied to u.
-
-    The result is attached at exp_map(p, w).  Closed forms exist for both
-    shipped geometries because both are flat.
-    """
-    _require_at(p, w)
-    _require_at(p, u)
-    at = exp_map(p, w)
-    if _is_log(p.manifold):
-        return Tangent(at, np.exp(w.coords / p.coords) * u.coords)
-    return Tangent(at, u.coords.copy())
 
 
 def grad_half_sq_dist(q: Point, pbar: Point) -> Tangent:

@@ -4,34 +4,29 @@ An objective is f(p) = max over a finite parameter grid of smooth branches
 phi(p, tau).  The generalized directional derivative at p along v is the
 largest metric pairing <g, v> over gradients of branches active at p, and
 the generalized subdifferential is the convex hull of those gradients.
-A slow sampling estimator of the directional derivative is kept alongside
-for cross-checking; it is evidence, not the primary computation.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .manifold import (
+    Geometry,
     ManifoldKind,
     MismatchError,
     Point,
     Tangent,
-    differential_exp,
     dist,
     dist_rows,
-    exp_map,
     grad_half_sq_dist,
     inner,
-    log_map,
     norm,
-    pair_transport_gaps,
+    norm_rows,
     point_coords,
-    random_unit_tangent,
+    transport_rows,
     zero_tangent,
 )
 
@@ -46,10 +41,8 @@ __all__ = [
     "active_set",
     "clarke_subdiff",
     "gen_dir_derivative",
-    "gd_sampling_estimate",
     "min_norm_subgradient",
     "unit_forward",
-    "hull_distance",
     "estimate_sup_lipschitz",
     "with_prox_term",
 ]
@@ -228,63 +221,7 @@ def gen_dir_derivative(
     return max(inner(p, g, v) for g in hull.generators)
 
 
-def gd_sampling_estimate(
-    obj: MaxObjective,
-    p: Point,
-    v: Tangent,
-    radius_seq: Sequence[float],
-    step_seq: Sequence[float],
-    samples_per_radius: int = 20,
-    seed: int = 42,
-) -> float:
-    """Sampling estimate of the generalized directional derivative.
-
-    Draws base points q near p, carries v to q through the differential of
-    the exponential map, and takes the largest forward difference quotient
-    over all drawn pairs and step sizes.  Verification aid only; quotients
-    whose evaluation leaves the admissible region are discarded and counted
-    in a warning.
-    """
-    radii = [float(r) for r in radius_seq]
-    steps = [float(t) for t in step_seq]
-    if not radii or any(r <= 0 for r in radii):
-        raise ValueError("radius_seq must be non-empty and positive")
-    if not steps or any(t <= 0 for t in steps):
-        raise ValueError("step_seq must be non-empty and positive")
-    rng = np.random.default_rng(seed)
-
-    bases = [p]
-    for r in radii:
-        for _ in range(samples_per_radius):
-            direction = random_unit_tangent(p, rng)
-            bases.append(exp_map(p, (r * rng.uniform(0.0, 1.0)) * direction))
-
-    best = -np.inf
-    discarded = 0
-    for q in bases:
-        if not obj.in_domain(q):
-            discarded += 1
-            continue
-        u_q = differential_exp(p, log_map(p, q), v)
-        f_q, _ = eval_f(obj, q)
-        for t in steps:
-            try:
-                target = exp_map(q, t * u_q)
-                f_t, _ = eval_f(obj, target)
-            except (DomainError, ValueError):
-                discarded += 1
-                continue
-            best = max(best, (f_t - f_q) / t)
-    if discarded:
-        warnings.warn(f"gd_sampling_estimate discarded {discarded} out-of-domain samples")
-    if not np.isfinite(best):
-        raise DomainError("every sampled quotient left the admissible region")
-    return float(best)
-
-
 def _metric_weights(p: Point) -> np.ndarray:
-    from .manifold import Geometry
-
     if p.manifold.geometry is Geometry.LOG_POSITIVE:
         return 1.0 / p.coords**2
     return np.ones(p.manifold.dim)
@@ -294,8 +231,6 @@ def unit_forward(p: Point) -> Tangent:
     """The unit tangent at p pointing along increasing coordinates (dim 1)."""
     if p.manifold.dim != 1:
         raise ValueError("unit_forward is defined for one-dimensional manifolds only")
-    from .manifold import Geometry
-
     if p.manifold.geometry is Geometry.LOG_POSITIVE:
         return Tangent(p, p.coords.copy())
     return Tangent(p, np.ones(1))
@@ -376,26 +311,15 @@ def min_norm_subgradient(hull: SubdiffHull, tol: float = 1e-10) -> tuple[Tangent
     return g, norm(base, g)
 
 
-def hull_distance(hull: SubdiffHull, w: Tangent, tol: float = 1e-10) -> float:
-    """Metric distance from the tangent w to the hull."""
-    shifted = SubdiffHull(hull.base, tuple(g - w for g in hull.generators))
-    _, d = min_norm_subgradient(shifted, tol)
-    return d
-
-
-def estimate_sup_lipschitz(
-    obj: MaxObjective,
-    region_samples: Sequence[Point],
-    safety_factor: float = LIPSCHITZ_SAFETY_FACTOR,
-) -> float:
+def estimate_sup_lipschitz(obj: MaxObjective, region_samples: Sequence[Point]) -> float:
     """Upper estimate of the largest branch-gradient Lipschitz constant.
 
     Returns the declared bound when the objective carries one.  Otherwise
     takes the largest transported difference quotient of each branch
-    gradient over all sample pairs and inflates it by the safety factor.
+    gradient over all sample pairs and inflates it by LIPSCHITZ_SAFETY_FACTOR.
     The quotient is norm(p_j, g_j - transport(p_i, p_j, g_i)) / dist(p_i, p_j),
-    the same closed forms as those functions, evaluated for every pair at
-    once; pairs closer than 1e-14 are skipped.  It makes one grad_phi call
+    evaluated for every pair at once through the row kernels those functions
+    call; pairs closer than 1e-14 are skipped.  It makes one grad_phi call
     per sample per branch, and its memory grows as O(S^2 n) for S samples
     in dimension n (64 samples give 2016 pairs).
     """
@@ -407,20 +331,22 @@ def estimate_sup_lipschitz(
         raise ValueError("need at least two region samples to estimate a Lipschitz bound")
     for s in samples:
         obj.check_domain(s)
+    m = obj.manifold
     coords = np.stack([s.coords for s in samples])
     i, j = np.triu_indices(len(samples), k=1)
+    p_i, p_j = coords[i], coords[j]
+    d = dist_rows(m, p_i, p_j)
+    keep = d > 1e-14
     best = 0.0
     for t in obj.params:
         grads = [obj.grad_phi(s, float(t)) for s in samples]
         if not np.array_equal(np.stack([g.base.coords for g in grads]), coords):
             raise MismatchError("grad_phi returned a tangent at the wrong base point")
-        d, gap = pair_transport_gaps(
-            obj.manifold, coords, np.stack([g.coords for g in grads]), i, j
-        )
-        keep = d > 1e-14
+        vecs = np.stack([g.coords for g in grads])
+        gap = norm_rows(m, p_j, vecs[j] - transport_rows(m, p_i, p_j, vecs[i]))
         # fmax ignores a NaN quotient (p_j**2 can underflow) instead of returning it
         best = float(np.fmax.reduce(gap[keep] / d[keep], initial=best))
-    return safety_factor * best
+    return LIPSCHITZ_SAFETY_FACTOR * best
 
 
 def with_prox_term(obj: MaxObjective, pbar: Point, lam: float) -> MaxObjective:

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the closed forms used by the library
 proper: gradients come from central differences pushed through the
 exponential map, minimizers from dense grids with a golden-section polish,
-convexity from random chord checks, and semicontinuity from seeded
-sampling.  Agreement between these and the fast paths is the evidence the
+convexity from random chord checks, semicontinuity from seeded sampling,
+and the generalized directional derivative from sampled difference
+quotients.  Agreement between these and the fast paths is the evidence the
 test suite leans on.
 
 The grid search and the convexity test take an array field, mapping point
@@ -18,26 +19,29 @@ Points, and usc_sampler an objective.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .manifold import (
     Geometry,
     ManifoldKind,
+    MismatchError,
     Point,
     Tangent,
     dist_rows,
     exp_map,
     exp_rows,
     from_chart_rows,
+    log_map,
     log_rows,
     point_coords,
     random_unit_tangent,
     transport,
 )
-from .objective import CoordsMap, DomainError, MaxObjective, gen_dir_derivative
+from .objective import CoordsMap, DomainError, MaxObjective, eval_f, gen_dir_derivative
 
 __all__ = [
     "GridSpec",
@@ -92,18 +96,16 @@ class GridSpec:
         return int(self.lower.size)
 
 
-def fd_gradient(field: ScalarField, p: Point, step: Optional[float] = None) -> Tangent:
+def fd_gradient(field: ScalarField, p: Point) -> Tangent:
     """Central-difference gradient of a scalar field at p.
 
     Differences are taken through exp_map along each tangent coordinate
-    direction, then converted to a gradient with the metric (the sharp of
-    the estimated differential).  Out-of-domain evaluations propagate.
+    direction, with steps sqrt(eps) * max(1, |coordinate|), then converted
+    to a gradient with the metric (the sharp of the estimated differential).
+    Out-of-domain evaluations propagate.
     """
     dim = p.manifold.dim
-    scale = np.maximum(1.0, np.abs(p.coords))
-    steps = np.full(dim, float(step)) if step is not None else np.sqrt(np.finfo(float).eps) * scale
-    if np.any(steps <= 0):
-        raise ValueError("finite-difference step must be positive")
+    steps = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(p.coords))
     diffs = np.empty(dim)
     for i in range(dim):
         e = np.zeros(dim)
@@ -337,3 +339,69 @@ def usc_sampler(
         tail_start=tail_start,
         discarded=discarded,
     )
+
+
+def differential_exp(p: Point, w: Tangent, u: Tangent) -> Tangent:
+    """Differential of the exponential map at p, taken at w and applied to u.
+
+    The result is attached at exp_map(p, w).  Closed forms exist for both
+    shipped geometries because both are flat.
+    """
+    at = exp_map(p, w)
+    if u.base.manifold != p.manifold or not np.array_equal(u.base.coords, p.coords):
+        raise MismatchError("tangent is not attached at the expected point")
+    if p.manifold.geometry is Geometry.LOG_POSITIVE:
+        return Tangent(at, np.exp(w.coords / p.coords) * u.coords)
+    return Tangent(at, u.coords.copy())
+
+
+def gd_sampling_estimate(
+    obj: MaxObjective,
+    p: Point,
+    v: Tangent,
+    radius_seq: Sequence[float],
+    step_seq: Sequence[float],
+) -> float:
+    """Sampling estimate of the generalized directional derivative.
+
+    Draws base points q near p, carries v to q through the differential of
+    the exponential map, and takes the largest forward difference quotient
+    over all drawn pairs and step sizes, with 20 bases per radius drawn
+    from seed 42.  Verification aid only; quotients whose evaluation
+    leaves the admissible region are discarded and counted in a warning.
+    """
+    radii = [float(r) for r in radius_seq]
+    steps = [float(t) for t in step_seq]
+    if not radii or any(r <= 0 for r in radii):
+        raise ValueError("radius_seq must be non-empty and positive")
+    if not steps or any(t <= 0 for t in steps):
+        raise ValueError("step_seq must be non-empty and positive")
+    rng = np.random.default_rng(42)
+
+    bases = [p]
+    for r in radii:
+        for _ in range(20):
+            direction = random_unit_tangent(p, rng)
+            bases.append(exp_map(p, (r * rng.uniform(0.0, 1.0)) * direction))
+
+    best = -np.inf
+    discarded = 0
+    for q in bases:
+        if not obj.in_domain(q):
+            discarded += 1
+            continue
+        u_q = differential_exp(p, log_map(p, q), v)
+        f_q, _ = eval_f(obj, q)
+        for t in steps:
+            try:
+                target = exp_map(q, t * u_q)
+                f_t, _ = eval_f(obj, target)
+            except (DomainError, ValueError):
+                discarded += 1
+                continue
+            best = max(best, (f_t - f_q) / t)
+    if discarded:
+        warnings.warn(f"gd_sampling_estimate discarded {discarded} out-of-domain samples")
+    if not np.isfinite(best):
+        raise DomainError("every sampled quotient left the admissible region")
+    return float(best)

@@ -10,8 +10,6 @@ makes lam * d(p_next, p_k) the natural stationarity residual.
 
 from __future__ import annotations
 
-import enum
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -44,7 +42,6 @@ __all__ = [
     "LambdaBoundError",
     "InnerCapError",
     "LevelSetError",
-    "LevelGuard",
     "LambdaSchedule",
     "ProxConfig",
     "Termination",
@@ -79,12 +76,6 @@ class InnerCapError(RuntimeError):
         self.best = best
         self.iterations = iterations
         self.grad_norm = grad_norm
-
-
-class LevelGuard(enum.Enum):
-    ERROR = "error"
-    WARN = "warn"
-    OFF = "off"
 
 
 @dataclass(frozen=True)
@@ -146,7 +137,6 @@ class ProxConfig:
     inner_tol: float = 1e-10
     max_outer: int = 10_000
     max_inner: int = 1_000
-    level_guard: LevelGuard = LevelGuard.ERROR
 
     def __post_init__(self) -> None:
         if self.outer_tol <= 0 or self.inner_tol <= 0:
@@ -423,7 +413,8 @@ def solve(
 
     p0 must lie in the admissible region; a start outside it is rejected,
     never projected.  When level_ref is given, f(p0) must not exceed
-    f(level_ref), and later iterates are policed per cfg.level_guard.
+    f(level_ref) (LevelSetError), and an iterate above that level ends the
+    run with an error termination.
     Failures after the first step are folded into the returned trace as an
     error termination so partial progress survives.
     """
@@ -432,11 +423,8 @@ def solve(
     f_ref = None
     if level_ref is not None:
         f_ref, _ = eval_f(obj, level_ref)
-        if f_prev > f_ref and cfg.level_guard is not LevelGuard.OFF:
-            msg = f"start value {f_prev} exceeds the reference level {f_ref}"
-            if cfg.level_guard is LevelGuard.ERROR:
-                raise LevelSetError(msg)
-            warnings.warn(msg)
+        if f_prev > f_ref:
+            raise LevelSetError(f"start value {f_prev} exceeds the reference level {f_ref}")
 
     records: list[IterationRecord] = []
     termination = Termination.max_iters()
@@ -455,12 +443,11 @@ def solve(
         records.append(
             IterationRecord(k, p_next, f_next, step, res, lam, inner_iters, sub_norm)
         )
-        if f_ref is not None and f_next > f_ref and cfg.level_guard is not LevelGuard.OFF:
-            msg = f"iterate {k} value {f_next} left the reference level {f_ref}"
-            if cfg.level_guard is LevelGuard.ERROR:
-                termination = Termination.error(f"LevelSetError: {msg}")
-                break
-            warnings.warn(msg)
+        if f_ref is not None and f_next > f_ref:
+            termination = Termination.error(
+                f"LevelSetError: iterate {k} value {f_next} left the reference level {f_ref}"
+            )
+            break
         if res <= cfg.outer_tol:
             termination = Termination.stationary()
             break

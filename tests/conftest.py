@@ -4,6 +4,7 @@ import pytest
 from proxmax import (
     DomainError,
     Point,
+    SubdiffHull,
     dist,
     eval_f,
     exp_map,
@@ -11,11 +12,12 @@ from proxmax import (
     log_map,
     log_positive,
     make_problem,
+    min_norm_subgradient,
     norm,
     transport,
     with_prox_term,
 )
-from proxmax import cli
+from proxmax import checks
 from proxmax.manifold import Geometry, random_unit_tangent
 from proxmax.oracle import ConvexityReport
 
@@ -34,6 +36,22 @@ def log_example():
 @pytest.fixture
 def log_point():
     return Point(log_positive(1), [1.0])
+
+
+def _hull_distance(hull, w, tol=1e-10):
+    """Metric distance from the tangent w to the hull."""
+    shifted = SubdiffHull(hull.base, tuple(g - w for g in hull.generators))
+    _, d = min_norm_subgradient(shifted, tol)
+    return d
+
+
+@pytest.fixture
+def hull_distance():
+    """Distance from a tangent to a SubdiffHull, computed by min_norm_subgradient.
+
+    It calls the code it is used to check, so it lives here and not in oracle.py.
+    """
+    return _hull_distance
 
 
 # The per-point convexity test and verify checks that the array passes
@@ -128,7 +146,7 @@ def _reference_check_geometry(prep, rng):
 def _reference_check_strong_convexity(prep, rng):
     obj = prep.problem.objective
     lam, lip = prep.lam, prep.lipschitz
-    reason = cli._weight_too_small(prep)
+    reason = checks.weight_too_small(prep.lam, prep.lipschitz)
     if reason:
         return False, reason
     h_obj = with_prox_term(obj, prep.start, lam)

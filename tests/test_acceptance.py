@@ -19,23 +19,21 @@ from proxmax import (
     exp_map,
     gen_dir_derivative,
     grad_half_sq_dist,
-    inner,
-    log_map,
     log_positive,
     make_problem,
-    norm,
     solve,
-    transport,
     with_prox_term,
 )
-from proxmax.cli import parse_config, run
-from proxmax.oracle import (
-    GridSpec,
-    fd_gradient,
-    geodesic_convexity_test,
-    grid_minimize,
-    usc_sampler,
+from proxmax.checks import (
+    geometry_deviation,
+    gradient_error,
+    prox_grid_gaps,
+    shifted_convexity,
+    sum_rule_mismatch,
 )
+from proxmax.cli import parse_config, run
+from proxmax.manifold import from_chart_rows
+from proxmax.oracle import GridSpec, grid_minimize, usc_sampler
 from proxmax.problems import region_samples
 from proxmax.prox import prox_step
 
@@ -130,26 +128,14 @@ def test_criterion_03_closed_form_euclidean(report):
 
 def test_criterion_04_geometry_suite(report):
     rng = np.random.default_rng(42)
-    worst = 0.0
+    deviations = []
     for m in (log_positive(2), euclidean(2)):
-        is_log = m.geometry.value == "log_positive"
-        for _ in range(2500):
-            zs = rng.uniform(-3.0, 3.0, (3, 2))
-            p, q, r = (
-                Point(m, np.exp(z)) if is_log else Point(m, z) for z in zs
-            )
-            v = Tangent(p, rng.uniform(-3.0, 3.0, 2))
-            back = log_map(p, exp_map(p, v))
-            worst = max(worst, norm(p, back - v) / max(1.0, norm(p, v)))
-            worst = max(
-                worst,
-                abs(norm(p, log_map(p, q)) - dist(p, q)) / max(1.0, dist(p, q)),
-            )
-            worst = max(
-                worst,
-                abs(norm(q, transport(p, q, v)) - norm(p, v)) / max(1.0, norm(p, v)),
-            )
-            worst = max(worst, dist(p, q) - (dist(p, r) + dist(r, q)))
+        # per round trip: the charts of p, q and r, then the tangent at p
+        draws = rng.uniform(-3.0, 3.0, (2500, 8))
+        p, q, r = (from_chart_rows(m, draws[:, k : k + 2]) for k in (0, 2, 4))
+        deviations.append(geometry_deviation(m, p, q, r, draws[:, 6:]))
+    # np.max keeps a NaN, which fails the bound
+    worst = float(np.max(deviations))
     geometry_ok = worst <= 1e-10
 
     m = log_positive(2)
@@ -158,8 +144,9 @@ def test_criterion_04_geometry_suite(report):
         q = Point(m, np.exp(rng.uniform(-2, 2, 2)))
         center = Point(m, np.exp(rng.uniform(-2, 2, 2)))
         exact = grad_half_sq_dist(q, center)
-        approx = fd_gradient(lambda x: 0.5 * dist(x, center) ** 2, q)
-        worst_grad = max(worst_grad, norm(q, exact - approx) / max(1.0, norm(q, exact)))
+        worst_grad = max(
+            worst_grad, gradient_error(lambda x: 0.5 * dist(x, center) ** 2, exact)
+        )
     grad_ok = worst_grad <= 1e-6
     report(
         4,
@@ -171,36 +158,15 @@ def test_criterion_04_geometry_suite(report):
 
 def test_criterion_05_shifted_strong_convexity(report, reference_run):
     prob, lip, _, _, _ = reference_run
-    obj = prob.objective
-    center = prob.start
-
-    def shifted_field(lam):
-        h = with_prox_term(obj, center, lam)
-        return lambda X: eval_f_many(h, X)
-
     lam_pos = lip + 1.0
-    good = geodesic_convexity_test(
-        shifted_field(lam_pos),
-        obj.manifold,
-        samples=1000,
-        modulus=lam_pos - lip,
-        lower=prob.region_lower,
-        upper=prob.region_upper,
-        seed=42,
-        domain=obj.domain_guard,
-    )
+
+    def chord_test(lam):
+        return shifted_convexity(prob, prob.start, lam, lam_pos - lip, samples=1000, seed=42)
+
+    good = chord_test(lam_pos)
     # negative control: the same modulus with the weight forced to half the
     # curvature bound must produce violations
-    bad = geodesic_convexity_test(
-        shifted_field(lip / 2.0),
-        obj.manifold,
-        samples=1000,
-        modulus=lam_pos - lip,
-        lower=prob.region_lower,
-        upper=prob.region_upper,
-        seed=42,
-        domain=obj.domain_guard,
-    )
+    bad = chord_test(lip / 2.0)
     ok = good.passed and good.n_violations == 0 and bad.n_violations > 0
     report(
         5,
@@ -222,11 +188,7 @@ def test_criterion_06_sum_rule(report, reference_run):
     for _ in range(100):
         p = Point(obj.manifold, [float(np.exp(rng.uniform(-2.0, 1.35)))])
         v = Tangent(p, rng.uniform(-2.0, 2.0, 1))
-        lhs = gen_dir_derivative(shifted, p, v)
-        rhs = gen_dir_derivative(obj, p, v) + lam * inner(
-            p, grad_half_sq_dist(p, center), v
-        )
-        worst = max(worst, abs(lhs - rhs))
+        worst = max(worst, sum_rule_mismatch(obj, shifted, center, lam, p, v))
     report(6, "sum-rule", worst <= 1e-8, f"worst mismatch {worst:.3e} at 100 points")
 
 
@@ -263,11 +225,8 @@ def test_criterion_08_prox_grid_equivalence(report, reference_run):
     for _ in range(50):
         p_k = Point(m, [float(np.exp(rng.uniform(np.log(0.16), np.log(3.5))))])
         lam = float(rng.uniform(0.45, 3.0))
-        p_next, _ = prox_step(obj, p_k, lam, ProxConfig(), lipschitz=lip)
-        shifted = with_prox_term(obj, p_k, lam)
-        g_pt, g_val = grid_minimize(lambda X: eval_f_many(shifted, X), grid, m)
-        worst_pt = max(worst_pt, dist(p_next, g_pt))
-        worst_val = max(worst_val, abs(eval_f(shifted, p_next)[0] - g_val))
+        gap_pt, gap_val = prox_grid_gaps(obj, p_k, lam, lip, ProxConfig(), grid)
+        worst_pt, worst_val = max(worst_pt, gap_pt), max(worst_val, gap_val)
     ok = worst_pt <= 1e-4 and worst_val <= 1e-8
     report(
         8,

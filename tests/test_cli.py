@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from proxmax import euclidean, log_positive
-from proxmax import cli
+from proxmax import checks, cli
 from proxmax.cli import (
     ConfigError,
     exit_code_for,
@@ -272,14 +272,14 @@ def test_geometry_check_within_ulps_of_reference_in_three_dimensions(m, referenc
 
 def test_geometry_check_fails_on_a_nan_deviation(monkeypatch):
     # the per-point loop skipped a NaN term: max(worst, nan) keeps worst
-    rows = cli.norm_rows
+    rows = checks.norm_rows
 
     def norm_rows_with_a_nan(*args):
         out = rows(*args).copy()
         out[17] = np.nan
         return out
 
-    monkeypatch.setattr(cli, "norm_rows", norm_rows_with_a_nan)
+    monkeypatch.setattr(checks, "norm_rows", norm_rows_with_a_nan)
     passed, detail = cli._check_geometry(_geometry_prep(log_positive(1)), np.random.default_rng(0))
     assert not passed
     assert detail == "worst deviation nan (bound 1e-10)"

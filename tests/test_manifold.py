@@ -25,7 +25,6 @@ from proxmax import (
     zero_tangent,
 )
 from proxmax.manifold import (
-    differential_exp,
     dist_rows,
     exp_rows,
     from_chart_rows,
@@ -35,6 +34,7 @@ from proxmax.manifold import (
     random_unit_tangent,
     transport_rows,
 )
+from proxmax.oracle import differential_exp
 
 LP1 = log_positive(1)
 E1 = euclidean(1)

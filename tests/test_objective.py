@@ -22,7 +22,6 @@ from proxmax import (
     eval_f_many,
     gen_dir_derivative,
     grad_half_sq_dist,
-    hull_distance,
     inner,
     log_positive,
     make_problem,
@@ -31,7 +30,7 @@ from proxmax import (
     transport,
     with_prox_term,
 )
-from proxmax.objective import gd_sampling_estimate
+from proxmax.oracle import gd_sampling_estimate
 from proxmax.problems import region_samples
 
 LP1 = log_positive(1)
@@ -344,7 +343,7 @@ def test_min_norm_matches_face_enumeration(rng):
         assert n == pytest.approx(_exact_min_norm_3(raw), abs=1e-8)
 
 
-def test_min_norm_result_stays_in_hull(rng):
+def test_min_norm_result_stays_in_hull(rng, hull_distance):
     m = euclidean(4)
     p = Point(m, np.zeros(4))
     for _ in range(20):
@@ -357,7 +356,7 @@ def test_min_norm_result_stays_in_hull(rng):
             assert n <= np.linalg.norm(row) + 1e-10
 
 
-def test_hull_distance_examples(log_example):
+def test_hull_distance_examples(log_example, hull_distance):
     p = _pt(1.0)
     hull = clarke_subdiff(log_example.objective, p)
     assert hull_distance(hull, Tangent(p, [1.0])) <= 1e-12

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,7 +7,6 @@ from proxmax import (
     InnerCapError,
     LambdaBoundError,
     LambdaSchedule,
-    LevelGuard,
     LevelSetError,
     Point,
     ProxConfig,
@@ -17,7 +14,6 @@ from proxmax import (
     dist,
     eval_f,
     eval_f_many,
-    hull_distance,
     log_map,
     log_positive,
     make_problem,
@@ -216,7 +212,7 @@ def test_solve_invalid_start_raises(log_example):
         solve(log_example.objective, _pt(0.05), sched, ProxConfig())
 
 
-def test_trace_invariants(log_example):
+def test_trace_invariants(log_example, hull_distance):
     obj = log_example.objective
     lam = 0.6
     sched = LambdaSchedule(lower=0.34, upper=1e6, constant=lam)
@@ -262,23 +258,6 @@ def test_level_guard_accepts_higher_reference(log_example):
     trace = solve(
         log_example.objective, _pt(0.75), sched, ProxConfig(), level_ref=_pt(0.3125)
     )
-    assert trace.termination.kind == "stationary"
-
-
-def test_level_guard_warn_mode(log_example):
-    sched = LambdaSchedule(lower=0.34, upper=1e6, constant=0.51)
-    cfg = ProxConfig(level_guard=LevelGuard.WARN)
-    with pytest.warns(UserWarning):
-        trace = solve(log_example.objective, _pt(0.3125), sched, cfg, level_ref=_pt(1.0))
-    assert trace.termination.kind == "stationary"
-
-
-def test_level_guard_off_mode(log_example):
-    sched = LambdaSchedule(lower=0.34, upper=1e6, constant=0.51)
-    cfg = ProxConfig(level_guard=LevelGuard.OFF)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        trace = solve(log_example.objective, _pt(0.3125), sched, cfg, level_ref=_pt(1.0))
     assert trace.termination.kind == "stationary"
 
 
