@@ -94,6 +94,9 @@ class RunSummary:
     final_point: list
     final_f: Optional[float]
     final_residual: Optional[float]
+    # a failed inner solve's last iterate and its certificate; null otherwise
+    best_point: Optional[list]
+    best_residual: Optional[float]
     wall_time_ms: float
     lambda_used: float
     lipschitz_estimate: float
@@ -328,6 +331,8 @@ def run(cfg: RunConfig, out_dir=None) -> RunSummary:
         final_point=trace.final_point().coords.tolist(),
         final_f=last.f_value if last else None,
         final_residual=last.residual if last else None,
+        best_point=trace.best.coords.tolist() if trace.best is not None else None,
+        best_residual=trace.best_residual,
         wall_time_ms=wall_ms,
         lambda_used=last.lam if last else prep.lam,
         lipschitz_estimate=prep.lipschitz,

@@ -40,6 +40,7 @@ __all__ = [
     "from_chart",
     "from_chart_rows",
     "to_chart",
+    "chart_scale_rows",
     "random_unit_tangent",
     "random_unit_coords",
     "inner",
@@ -232,6 +233,15 @@ def to_chart(p: Point) -> np.ndarray:
     if _is_log(p.manifold):
         return np.log(p.coords)
     return p.coords.copy()
+
+
+def chart_scale_rows(manifold: ManifoldKind, p: np.ndarray) -> np.ndarray:
+    """dx/dz at the points with coordinates p (..., n), for the flat chart z.
+
+    A tangent with coordinates v at p has chart components v / chart_scale_rows(p),
+    and the chart is an isometry, so their Euclidean norm is the metric norm.
+    """
+    return p if _is_log(manifold) else np.ones_like(p)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -4,6 +4,11 @@ An objective is f(p) = max over a finite parameter grid of smooth branches
 phi(p, tau).  The generalized directional derivative at p along v is the
 largest metric pairing <g, v> over gradients of branches active at p, and
 the generalized subdifferential is the convex hull of those gradients.
+
+simplex_qp minimizes |w @ G|^2 / (2c) - w @ h over the unit simplex exactly,
+in finitely many steps.  With h = 0 it gives min_norm_subgradient, which is
+exact for every hull; with branch values as h it is the dual of the
+prox-linear inner step in prox.py.
 """
 
 from __future__ import annotations
@@ -14,11 +19,11 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .manifold import (
-    Geometry,
     ManifoldKind,
     MismatchError,
     Point,
     Tangent,
+    chart_scale_rows,
     dist,
     dist_rows,
     grad_half_sq_dist,
@@ -38,16 +43,19 @@ __all__ = [
     "default_active_tol",
     "eval_f",
     "eval_f_many",
+    "eval_branches",
+    "branch_grads",
     "active_set",
     "clarke_subdiff",
     "gen_dir_derivative",
     "min_norm_subgradient",
-    "unit_forward",
+    "simplex_qp",
     "estimate_sup_lipschitz",
     "with_prox_term",
 ]
 
 LIPSCHITZ_SAFETY_FACTOR = 1.1
+_EPS = np.finfo(float).eps
 
 
 class DomainError(ValueError):
@@ -165,15 +173,24 @@ def eval_f(obj: MaxObjective, p: Point) -> tuple[float, np.ndarray]:
 def eval_f_many(obj: MaxObjective, X) -> np.ndarray:
     """Objective values (N,) at the points stored as rows of X (N, n).
 
-    Runs eval_f's checks on every row: each must be a valid point of the
-    manifold (InvalidPointError), lie in the domain and give finite branch
-    values (DomainError).  Evaluates all rows in one branch_values call, or
-    row by row through phi when the objective has none.
+    Runs eval_branches, with its checks, and takes the max of each row.
+    """
+    return np.max(eval_branches(obj, X), axis=1)
+
+
+def eval_branches(obj: MaxObjective, X) -> np.ndarray:
+    """Every branch value (N, m) at the points stored as rows of X (N, n).
+
+    Columns follow params.  Runs eval_f's checks on every row: each must be
+    a valid point of the manifold (InvalidPointError), lie in the domain and
+    give finite branch values (DomainError).  Evaluates all rows in one
+    branch_values call, or row by row through phi when the objective has
+    none.
     """
     X = point_coords(obj.manifold, X, rows=True)
     if obj.domain_guard is not None:
         inside = np.asarray(obj.domain_guard(X), dtype=bool)
-        if not np.all(inside):
+        if not inside.all():
             bad = X[int(np.argmin(inside))]
             raise DomainError(f"point {bad.tolist()} is outside the admissible region")
     if obj.branch_values is not None:
@@ -182,11 +199,23 @@ def eval_f_many(obj: MaxObjective, X) -> np.ndarray:
         vals = np.array(
             [[obj.phi(Point(obj.manifold, x), t) for t in obj.params] for x in X], dtype=float
         ).reshape(len(X), len(obj.params))
-    finite = np.all(np.isfinite(vals), axis=1)
-    if not np.all(finite):
+    finite = np.isfinite(vals).all(axis=1)
+    if not finite.all():
         bad = X[int(np.argmin(finite))]
         raise DomainError(f"branch value is non-finite at {bad.tolist()}")
-    return np.max(vals, axis=1)
+    return vals
+
+
+def _branch_grad(obj: MaxObjective, p: Point, tau: float) -> Tangent:
+    g = obj.grad_phi(p, float(tau))
+    if g.base is not p and not np.array_equal(g.base.coords, p.coords):
+        raise MismatchError("grad_phi returned a tangent at the wrong base point")
+    return g
+
+
+def branch_grads(obj: MaxObjective, p: Point) -> np.ndarray:
+    """Tangent coordinates (m, n) of every branch gradient at p, rows in params order."""
+    return np.stack([_branch_grad(obj, p, t).coords for t in obj.params])
 
 
 def active_set(obj: MaxObjective, p: Point, eta: Optional[float] = None) -> np.ndarray:
@@ -203,14 +232,7 @@ def active_set(obj: MaxObjective, p: Point, eta: Optional[float] = None) -> np.n
 
 def clarke_subdiff(obj: MaxObjective, p: Point, eta: Optional[float] = None) -> SubdiffHull:
     """Hull of gradients of the eta-active branches at p."""
-    taus = active_set(obj, p, eta)
-    gens = []
-    for t in taus:
-        g = obj.grad_phi(p, float(t))
-        if not np.array_equal(g.base.coords, p.coords):
-            raise MismatchError("grad_phi returned a tangent at the wrong base point")
-        gens.append(g)
-    return SubdiffHull(p, tuple(gens))
+    return SubdiffHull(p, tuple(_branch_grad(obj, p, t) for t in active_set(obj, p, eta)))
 
 
 def gen_dir_derivative(
@@ -221,93 +243,106 @@ def gen_dir_derivative(
     return max(inner(p, g, v) for g in hull.generators)
 
 
-def _metric_weights(p: Point) -> np.ndarray:
-    if p.manifold.geometry is Geometry.LOG_POSITIVE:
-        return 1.0 / p.coords**2
-    return np.ones(p.manifold.dim)
+def _affine_minimizer(G: np.ndarray, h: np.ndarray, c: float):
+    """Minimizer of simplex_qp's objective over the affine hull {sum y = 1} of the rows of G.
+
+    Returns (y, None), or (None, v) when the rows are affinely dependent:
+    then sum v = 0, v @ G = 0, and the objective does not rise along v.
+    Gram-Schmidt on the differences D = G[1:] - G[0], run twice per row,
+    keeps T with T @ D orthonormal, so (D D^T)^-1 = T^T T.
+    """
+    k = len(h) - 1
+    if k == 0:
+        return np.ones(1), None
+    D = G[1:] - G[0]
+    b = h[1:] - h[0]
+    Q = np.zeros_like(D)
+    T = np.zeros((k, k))
+    tol = 1e-12 * abs(D).max()
+    for i in range(k):
+        v, t = D[i], np.eye(k)[i]
+        for _ in range(2):
+            coef = Q[:i] @ v
+            v = v - coef @ Q[:i]
+            t = t - coef @ T[:i]
+        r = float(np.sqrt(v @ v))
+        if not r > tol:  # t @ D = v vanishes
+            a = t if t @ b >= 0.0 else -t
+            return None, np.concatenate(([-a.sum()], a))
+        Q[i], T[i] = v / r, t / r
+    a = T.T @ (T @ (c * b - D @ G[0]))
+    return np.concatenate(([1.0 - a.sum()], a)), None
 
 
-def unit_forward(p: Point) -> Tangent:
-    """The unit tangent at p pointing along increasing coordinates (dim 1)."""
-    if p.manifold.dim != 1:
-        raise ValueError("unit_forward is defined for one-dimensional manifolds only")
-    if p.manifold.geometry is Geometry.LOG_POSITIVE:
-        return Tangent(p, p.coords.copy())
-    return Tangent(p, np.ones(1))
+def simplex_qp(G: np.ndarray, h: Optional[np.ndarray] = None, c: float = 1.0) -> np.ndarray:
+    """Weights w on the unit simplex minimizing |w @ G|^2 / (2c) - w @ h.
 
-
-def _min_norm_weights(gram: np.ndarray, coords: np.ndarray, wm: np.ndarray, tol: float):
-    """Away-step Frank-Wolfe for min ||sum_i w_i g_i|| over the simplex."""
-    m = gram.shape[0]
+    G holds one vector per row, (m, n), in Euclidean coordinates, and h
+    (m,) defaults to zeros, which makes w @ G the minimum-norm point of the
+    hull of the rows.  Wolfe's corral method (1976) with the linear term
+    carried along: a major cycle adds the row with the smallest entry of the
+    gradient q = G (w @ G) / c - h; minor cycles move towards the minimizer
+    over the affine hull of the corral and drop the rows whose weight would
+    turn negative.  Where the corral is affinely dependent the objective is
+    linear along the dependence, and the minor cycle follows it downhill to
+    the boundary instead.  Every major cycle lowers the objective, so no
+    corral repeats and the method ends after finitely many cycles, with an
+    affinely independent corral: at most n + 1 weights are nonzero.
+    """
+    m = G.shape[0]
+    h = np.zeros(m) if h is None else h
     w = np.zeros(m)
-    w[int(np.argmin(np.diag(gram)))] = 1.0
-    scale = max(1.0, float(np.max(np.diag(gram))))
-    for _ in range(100_000):
-        comb = w @ coords
-        if np.sqrt(max(float(np.sum(comb * comb * wm)), 0.0)) <= tol:
-            break
-        grad = gram @ w
-        s = int(np.argmin(grad))
-        fw_gap = float(w @ grad - grad[s])
-        if fw_gap <= 1e-16 * scale:
-            break
-        active = np.flatnonzero(w > 1e-16)
-        a = int(active[np.argmax(grad[active])])
-        away_gap = float(grad[a] - w @ grad)
-        if fw_gap >= away_gap:
-            d = -w.copy()
-            d[s] += 1.0
-            gamma_max = 1.0
-        else:
-            d = w.copy()
-            d[a] -= 1.0
-            gamma_max = w[a] / (1.0 - w[a]) if w[a] < 1.0 else 1.0
-        dgd = float(d @ gram @ d)
-        if dgd <= 0.0:
-            gamma = gamma_max
-        else:
-            gamma = min(max(-float(d @ grad) / dgd, 0.0), gamma_max)
-        if gamma <= 0.0:
-            break
-        w = np.maximum(w + gamma * d, 0.0)
-        w /= w.sum()
-    return w
+    w[((G * G).sum(axis=1) / (2.0 * c) - h).argmin()] = 1.0
+    best_w, best = w, np.inf
+    while True:
+        u = w @ G
+        value = u @ u / (2.0 * c) - w @ h
+        if not value < best:  # rounding has stopped the descent
+            return best_w
+        best_w, best = w, value
+        q = G @ u / c - h
+        j = q.argmin()
+        if w[j] > 0.0 or q[j] >= w @ q - 64.0 * _EPS * abs(q).max():
+            return w
+        corral = np.append(w.nonzero()[0], j)
+        ws = np.append(w[corral[:-1]], 0.0)
+        while True:
+            y, v = _affine_minimizer(G[corral], h[corral], c)
+            if y is not None:
+                if (y > 0.0).all():
+                    ws = y
+                    break
+                v, shrink = y - ws, y <= 0.0
+            else:
+                shrink = v < 0.0
+            # the longest step along v that keeps every weight >= 0 (at most 1 towards y)
+            ratios = np.full(len(ws), np.inf)
+            ratios[shrink] = ws[shrink] / np.maximum(-v[shrink], np.finfo(float).tiny)
+            drop = ratios.argmin()
+            ws = ws + ratios[drop] * v
+            ws[drop] = 0.0
+            keep = ws > 0.0
+            corral, ws = corral[keep], ws[keep]
+        w = np.zeros(m)
+        w[corral] = ws
 
 
-def min_norm_subgradient(hull: SubdiffHull, tol: float = 1e-10) -> tuple[Tangent, float]:
-    """Minimum-norm element of the hull and its norm.
+def min_norm_subgradient(hull: SubdiffHull) -> tuple[Tangent, float]:
+    """Minimum-norm element of the hull and its norm, exact for every hull.
 
-    Exact for one-dimensional manifolds and for hulls with at most two
-    generators; larger hulls are solved by Frank-Wolfe over the simplex.
+    Runs simplex_qp on the generators' flat-chart components, where the
+    metric is Euclidean.  When n + 1 generators keep weight, their affine
+    hull is the whole tangent space and the element is the origin itself.
     """
     base = hull.base
-    gens = hull.generators
-    if len(gens) == 1:
-        return gens[0], norm(base, gens[0])
-
-    if base.manifold.dim == 1:
-        # the hull is an interval of pairings with the forward unit tangent
-        unit = unit_forward(base)
-        s = np.array([inner(base, g, unit) for g in gens])
-        lo, hi = float(np.min(s)), float(np.max(s))
-        if lo <= 0.0 <= hi:
-            return zero_tangent(base), 0.0
-        idx = int(np.argmin(np.abs(s)))
-        return gens[idx], float(abs(s[idx]))
-
-    if len(gens) == 2:
-        g1, g2 = gens
-        diff = g1 - g2
-        den = inner(base, diff, diff)
-        t = min(max(inner(base, g1, diff) / den, 0.0), 1.0) if den > 0.0 else 0.0
-        g = g1 - t * diff
-        return g, norm(base, g)
-
-    coords = np.stack([g.coords for g in gens])
-    wm = _metric_weights(base)
-    gram = (coords * wm) @ coords.T
-    w = _min_norm_weights(gram, coords, wm, tol)
-    g = Tangent(base, w @ coords)
+    if len(hull.generators) == 1:
+        return hull.generators[0], norm(base, hull.generators[0])
+    scale = chart_scale_rows(base.manifold, base.coords)
+    G = np.stack([g.coords for g in hull.generators]) / scale
+    w = simplex_qp(G)
+    if np.count_nonzero(w) > base.manifold.dim:
+        return zero_tangent(base), 0.0
+    g = Tangent(base, (w @ G) * scale)
     return g, norm(base, g)
 
 

@@ -6,36 +6,39 @@ geodesically strongly convex with modulus lam minus that constant, so the
 step is unique.  The scaled step lam * log_map(p_next, p_k) is a
 generalized subgradient of f at p_next up to the inner tolerance, which
 makes lam * d(p_next, p_k) the natural stationarity residual.
+
+The inner solver takes prox-linear steps in the flat chart z (z = x, or
+z = ln x), solving each step's model exactly through objective.simplex_qp;
+Point and Tangent appear only at its edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .manifold import (
-    ExpOverflowError,
     GeometryError,
     InvalidPointError,
     Point,
-    Tangent,
+    chart_scale_rows,
     dist,
-    exp_map,
-    inner,
+    from_chart_rows,
     log_map,
     norm,
+    to_chart,
 )
 from .objective import (
     DomainError,
     MaxObjective,
-    SubdiffHull,
+    branch_grads,
     clarke_subdiff,
+    eval_branches,
     eval_f,
     min_norm_subgradient,
-    unit_forward,
-    with_prox_term,
+    simplex_qp,
 )
 
 __all__ = [
@@ -53,11 +56,11 @@ __all__ = [
     "solve",
 ]
 
-# subgradient-descent steps taken before the one-dimensional polish
-_WARMUP_STEPS_1D = 40
-_BRACKET_DOUBLINGS = 80
-_BISECT_CAP = 300
 _STEP_BACKTRACKS = 40
+# an accepted step lowers h by at least this share of the model's decrease
+_ARMIJO = 1e-4
+# rounding allowance of an h comparison, relative to the largest |h_i|
+_H_NOISE = 16.0 * np.finfo(float).eps
 
 
 class LambdaBoundError(ValueError):
@@ -69,13 +72,18 @@ class LevelSetError(RuntimeError):
 
 
 class InnerCapError(RuntimeError):
-    """Inner solver hit its iteration cap before reaching tolerance."""
+    """Inner solver stopped short of its tolerance: at its iteration cap, or
+    when no trial of a step stayed admissible and lowered h.
 
-    def __init__(self, message: str, best: Point, iterations: int, grad_norm: float):
+    Carries the last inner iterate (the lowest h so far), the steps taken
+    and the certificate c|d| at that iterate.
+    """
+
+    def __init__(self, message: str, best: Point, iterations: int, certificate: float):
         super().__init__(message)
         self.best = best
         self.iterations = iterations
-        self.grad_norm = grad_norm
+        self.certificate = certificate
 
 
 @dataclass(frozen=True)
@@ -181,9 +189,14 @@ class IterationRecord:
 
 @dataclass
 class Trace:
+    """Outer records and why they stopped; best and best_residual hold a
+    failed inner solve's last iterate and certificate."""
+
     records: list[IterationRecord]
     termination: Termination
     start: Point
+    best: Optional[Point] = None
+    best_residual: Optional[float] = None
 
     @property
     def iterations(self) -> int:
@@ -203,160 +216,88 @@ def residual(p_next: Point, p_k: Point, lam: float) -> float:
     return norm(p_next, float(lam) * log_map(p_next, p_k))
 
 
-def _hull_stats_1d(hull: SubdiffHull) -> tuple[float, float, float]:
-    """(min pairing, max pairing, min-norm) of a hull on a 1-d manifold."""
-    base = hull.base
-    unit = unit_forward(base)
-    s = [inner(base, g, unit) for g in hull.generators]
-    lo, hi = min(s), max(s)
-    mn = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
-    return lo, hi, mn
-
-
-def _attempt_step(p: Point, direction: Tangent, t: float, valid: Callable[[Point], bool]):
-    """Move along direction with step t, halving on domain or overflow exits."""
-    for _ in range(_STEP_BACKTRACKS):
-        try:
-            cand = exp_map(p, t * direction)
-        except (ExpOverflowError, InvalidPointError):
-            t *= 0.5
-            continue
-        if valid(cand):
-            return cand
-        t *= 0.5
-    raise DomainError("could not keep the inner iterate inside the admissible region")
-
-
-def _polish_1d(
-    h_value: Callable[[Point], float],
-    h_subdiff: Callable[[Point], SubdiffHull],
-    p: Point,
-    mu: float,
-    cfg: ProxConfig,
-    iters: int,
-    valid: Callable[[Point], bool],
-) -> tuple[Point, int]:
-    """Bisection on the sign of the one-sided subproblem derivatives (dim 1).
-
-    Maintains a bracket whose ends disagree on which side the minimizer
-    lies, shrinking by geodesic midpoints until the minimum-norm
-    subgradient meets the inner tolerance.
-    """
-    tol = cfg.inner_tol
-
-    def stats(x: Point) -> tuple[float, float, float]:
-        return _hull_stats_1d(h_subdiff(x))
-
-    _, hi, mn = stats(p)
-    iters += 1
-    if mn <= tol:
-        return p, iters
-    forward = hi < 0.0  # descent direction points along increasing coordinates
-    sign = 1.0 if forward else -1.0
-    base_unit = unit_forward(p)
-
-    # the minimizer of a mu-strongly-convex h lies within 2|g|/mu of p
-    reach = 2.0 * mn / mu
-    step = 1.05 * reach + 1e-15
-    a = p
-    b = None
-    best, best_mn = p, mn
-    for _ in range(_BRACKET_DOUBLINGS):
-        cand = _attempt_step(p, base_unit, sign * step, valid)
-        _, chi, cmn = stats(cand)
-        iters += 1
-        if cmn < best_mn:
-            best, best_mn = cand, cmn
-        if cmn <= tol:
-            return cand, iters
-        if (chi < 0.0) == forward:
-            a = cand
-            step *= 2.0
-        else:
-            b = cand
-            break
-    if b is None:
-        raise InnerCapError(
-            "bracketing the subproblem minimizer failed", best, iters, best_mn
-        )
-
-    for _ in range(_BISECT_CAP):
-        mid = exp_map(a, 0.5 * log_map(a, b))
-        _, mhi, mmn = stats(mid)
-        iters += 1
-        if mmn < best_mn:
-            best, best_mn = mid, mmn
-        if mmn <= tol:
-            return mid, iters
-        if (mhi < 0.0) == forward:
-            a = mid
-        else:
-            b = mid
-        if dist(a, b) <= 1e-15:
-            break
-    if best_mn <= tol:
-        return best, iters
-    raise InnerCapError(
-        f"bisection stalled with min-norm subgradient {best_mn:.3e}", best, iters, best_mn
-    )
-
-
 def inner_solve(
-    h_value: Callable[[Point], float],
-    h_subdiff: Callable[[Point], SubdiffHull],
-    p_start: Point,
-    mu: float,
-    cfg: ProxConfig,
-    t_safe: Optional[float] = None,
-    valid: Optional[Callable[[Point], bool]] = None,
+    obj: MaxObjective, center: Point, lam: float, rho: float, cfg: ProxConfig
 ) -> tuple[Point, int]:
-    """Minimize a strongly convex nonsmooth subproblem.
+    """Minimize h = f + (lam/2) d(., center)^2 from center by prox-linear steps.
 
-    Runs projected-free Riemannian subgradient descent with the classic
-    strongly-convex step rule t_j = 2 / (mu (j+2)) clamped at t_safe, using
-    the minimum-norm subgradient at each iterate.  Terminates once that
-    norm reaches cfg.inner_tol.  On one-dimensional manifolds a bisection
-    polish on the sign of the directional derivative finishes the job;
-    otherwise hitting the cap raises InnerCapError carrying the best
-    iterate seen.
+    In the flat chart z the branches of h are h_i(z) = phi_i + (lam/2)|z - z_c|^2.
+    Each step minimizes the model max_i [h_i(z) + <grad h_i(z), d>] + (c/2)|d|^2.
+    simplex_qp solves its dual, min over the simplex of
+    |sum w_i grad h_i|^2 / (2c) - sum w_i h_i, exactly, and
+    d = -sum w_i grad h_i / c.  An Armijo search on h halves the step on
+    domain or overflow exits and on too little decrease.  The first step
+    takes c = lam + rho, which makes the model bound h from above when rho
+    bounds the branch-gradient Lipschitz constants; each later step takes
+    the curvature of the previous step's branch mix sum w_i h_i along that
+    step, at least lam - rho.  That secant is lam on affine branches, and it
+    corrects a bound below the branches' curvature (quadratic declares 0).
+
+    The certificate c|d| bounds the distance from 0 to the
+    eps-subdifferential of h at z, eps = h(z) - sum w_i h_i.  Once it is at
+    most cfg.inner_tol the solver returns z + d from that step, after its
+    own search (or z, if rounding leaves no decrease to see): near a kink,
+    z + d lies on it.  Returns the point and the number of steps taken;
+    raises InnerCapError when the cfg.max_inner-th step is still
+    uncertified or a search fails.
     """
-    if mu <= 0:
-        raise LambdaBoundError(f"strong convexity modulus must be positive, got {mu}")
-    if valid is None:
-        valid = lambda _: True
+    m = obj.manifold
+    c = lam + rho
+    z0 = to_chart(center)
 
-    dim = p_start.manifold.dim
-    budget = cfg.max_inner if dim > 1 else min(cfg.max_inner, _WARMUP_STEPS_1D)
-    p = p_start
-    iters = 0
-    best, best_h = p, h_value(p)
-    for j in range(budget):
-        hull = h_subdiff(p)
-        g, gn = min_norm_subgradient(hull)
-        iters += 1
-        if gn <= cfg.inner_tol:
-            return p, iters
-        t = 2.0 / (mu * (j + 2))
-        if t_safe is not None:
-            t = min(t, t_safe)
-        p = _attempt_step(p, g, -t, valid)
-        h_p = h_value(p)
-        if h_p < best_h:
-            best, best_h = p, h_p
+    def trial(zt: np.ndarray):
+        """(x, branch values of h) at chart point zt, or None outside the domain."""
+        with np.errstate(over="ignore"):
+            xt = from_chart_rows(m, zt)
+        try:
+            vals = eval_branches(obj, xt[None])[0]
+        except (DomainError, InvalidPointError):
+            return None
+        dz = zt - z0
+        return xt, vals + 0.5 * lam * float(dz @ dz)
 
-    if dim == 1:
-        return _polish_1d(h_value, h_subdiff, best, mu, cfg, iters, valid)
-
-    hull = h_subdiff(best)
-    g, gn = min_norm_subgradient(hull)
-    if gn <= cfg.inner_tol:
-        return best, iters
-    raise InnerCapError(
-        f"inner cap {cfg.max_inner} reached with min-norm subgradient {gn:.3e}",
-        best,
-        iters,
-        gn,
-    )
+    z, p, hv = z0, center, eval_branches(obj, center.coords[None])[0]
+    it, s = 0, None
+    while True:
+        G = branch_grads(obj, p) / chart_scale_rows(m, p.coords) + lam * (z - z0)
+        if s is not None and s @ s > 0.0:
+            # curvature of the last step's branch mix along that step
+            c = max(s @ (w @ G - u) / (s @ s), lam - rho)
+        w = simplex_qp(G, hv, c)
+        u = w @ G
+        cert = float(np.sqrt(u @ u))
+        certified = cert <= cfg.inner_tol
+        it += 1
+        if not certified and it == cfg.max_inner:
+            raise InnerCapError(
+                f"inner cap {cfg.max_inner} reached with certificate {cert:.3e}",
+                p,
+                it,
+                cert,
+            )
+        if cert == 0.0:  # z minimizes its own model: there is no step to search
+            return p, it
+        h = hv.max()
+        decrease = h - w @ hv + cert * cert / c
+        noise = _H_NOISE * abs(hv).max()
+        t = 1.0
+        for _ in range(_STEP_BACKTRACKS):
+            zt = z - (t / c) * u
+            step = trial(zt)
+            if step is not None and step[1].max() <= h - _ARMIJO * t * decrease + noise:
+                s, z, p, hv = zt - z, zt, Point(m, step[0]), step[1]
+                break
+            t *= 0.5
+        else:
+            if not certified:
+                raise InnerCapError(
+                    f"no trial step stayed admissible and lowered h; certificate {cert:.3e}",
+                    p,
+                    it,
+                    cert,
+                )
+        if certified:
+            return p, it
 
 
 def prox_step(
@@ -369,8 +310,8 @@ def prox_step(
     """One proximal step from p_k with weight lam.
 
     lam must strictly exceed the Lipschitz bound (passed explicitly or
-    declared on the objective); the difference is the strong convexity
-    modulus handed to the inner solver.
+    declared on the objective); lam plus the bound weighs the quadratic of
+    the inner solver's first model.
     """
     lam = float(lam)
     lip = lipschitz if lipschitz is not None else obj.declared_sup_lipschitz()
@@ -381,24 +322,7 @@ def prox_step(
     if lam <= lip:
         raise LambdaBoundError(f"weight {lam} must strictly exceed the Lipschitz bound {lip}")
     obj.check_domain(p_k)
-
-    h_obj = with_prox_term(obj, p_k, lam)
-
-    def h_value(p: Point) -> float:
-        return eval_f(h_obj, p)[0]
-
-    def h_subdiff(p: Point) -> SubdiffHull:
-        return clarke_subdiff(h_obj, p)
-
-    return inner_solve(
-        h_value,
-        h_subdiff,
-        p_k,
-        mu=lam - lip,
-        cfg=cfg,
-        t_safe=1.0 / lam,
-        valid=h_obj.in_domain,
-    )
+    return inner_solve(obj, p_k, lam, float(lip), cfg)
 
 
 def solve(
@@ -416,7 +340,9 @@ def solve(
     f(level_ref) (LevelSetError), and an iterate above that level ends the
     run with an error termination.
     Failures after the first step are folded into the returned trace as an
-    error termination so partial progress survives.
+    error termination so partial progress survives; a failed inner solve
+    also leaves its last iterate and certificate in trace.best and
+    trace.best_residual.
     """
     obj.check_domain(p0)
     f_prev, _ = eval_f(obj, p0)
@@ -428,6 +354,7 @@ def solve(
 
     records: list[IterationRecord] = []
     termination = Termination.max_iters()
+    best = best_residual = None
     p = p0
     for k in range(cfg.max_outer):
         lam = sched.at(k)
@@ -439,6 +366,8 @@ def solve(
             _, sub_norm = min_norm_subgradient(clarke_subdiff(obj, p_next))
         except (InnerCapError, DomainError, GeometryError) as exc:
             termination = Termination.error(f"{type(exc).__name__}: {exc}")
+            if isinstance(exc, InnerCapError):
+                best, best_residual = exc.best, exc.certificate
             break
         records.append(
             IterationRecord(k, p_next, f_next, step, res, lam, inner_iters, sub_norm)
@@ -452,4 +381,4 @@ def solve(
             termination = Termination.stationary()
             break
         p = p_next
-    return Trace(records, termination, p0)
+    return Trace(records, termination, p0, best, best_residual)

@@ -38,10 +38,10 @@ def log_point():
     return Point(log_positive(1), [1.0])
 
 
-def _hull_distance(hull, w, tol=1e-10):
+def _hull_distance(hull, w):
     """Metric distance from the tangent w to the hull."""
     shifted = SubdiffHull(hull.base, tuple(g - w for g in hull.generators))
-    _, d = min_norm_subgradient(shifted, tol)
+    _, d = min_norm_subgradient(shifted)
     return d
 
 

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from proxmax import euclidean, log_positive
+from proxmax import Point, euclidean, eval_f, log_positive, make_problem
 from proxmax import checks, cli
 from proxmax.cli import (
     ConfigError,
@@ -118,6 +118,36 @@ def test_run_writes_consistent_artifacts(tmp_path):
     assert data["final_point"][0] == pytest.approx(1.0, abs=1e-6)
     assert data["lipschitz_estimate"] > 0
     assert data["settings"]["lambda"] == "auto"
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_product_problem_reaches_all_ones(tmp_path, n):
+    cfg = parse_config({"problem": {"name": "paper_example_product", "n": n}})
+    summary = run(cfg, out_dir=tmp_path / "out")
+    assert summary.termination.kind == "stationary"
+    # chart distance to the minimizer (1, ..., 1)
+    assert np.linalg.norm(np.log(summary.final_point)) <= 1e-6
+    assert summary.best_point is None and summary.best_residual is None
+
+
+def test_failed_run_reports_best_point(tmp_path):
+    cfg = parse_config({"problem": {"name": "paper_example_product", "n": 2}, "max_inner": 2})
+    summary = run(cfg, out_dir=tmp_path / "out")
+    assert exit_code_for(summary) == 1
+    assert "InnerCapError" in summary.termination.message
+    with open(tmp_path / "out" / "summary.json") as fh:
+        data = json.load(fh)
+    assert data["iterations"] == 0
+    assert data["final_point"] == data["start_point"]
+    assert data["best_point"] != data["start_point"]
+    assert data["best_residual"] > data["settings"]["inner_tol"]
+    obj = make_problem(cfg.problem).objective
+    f_best, _ = eval_f(obj, Point(obj.manifold, data["best_point"]))
+    f_start, _ = eval_f(obj, Point(obj.manifold, data["start_point"]))
+    assert f_best < f_start
+    # the best point lives in summary.json only
+    lines = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+    assert lines == ["k,x0,x1,f,step_dist,residual,lambda,inner_iters,subgrad_norm"]
 
 
 def test_run_abs_walks_integers(tmp_path):

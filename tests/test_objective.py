@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -30,6 +32,7 @@ from proxmax import (
     transport,
     with_prox_term,
 )
+from proxmax.objective import simplex_qp
 from proxmax.oracle import gd_sampling_estimate
 from proxmax.problems import region_samples
 
@@ -339,7 +342,7 @@ def test_min_norm_matches_face_enumeration(rng):
     for _ in range(50):
         raw = rng.uniform(-2, 2, (3, 3))
         hull = SubdiffHull(base=p, generators=tuple(Tangent(p, row) for row in raw))
-        _, n = min_norm_subgradient(hull, tol=1e-12)
+        _, n = min_norm_subgradient(hull)
         assert n == pytest.approx(_exact_min_norm_3(raw), abs=1e-8)
 
 
@@ -349,11 +352,69 @@ def test_min_norm_result_stays_in_hull(rng, hull_distance):
     for _ in range(20):
         raw = rng.uniform(-1, 1, (5, 4))
         hull = SubdiffHull(base=p, generators=tuple(Tangent(p, row) for row in raw))
-        g, n = min_norm_subgradient(hull, tol=1e-12)
+        g, n = min_norm_subgradient(hull)
         # distance from g back to the hull must vanish
         assert hull_distance(hull, g) <= 1e-8
         for row in raw:
             assert n <= np.linalg.norm(row) + 1e-10
+
+
+def _enumerated_simplex_qp(G, h, c):
+    """Least |w @ G|^2 / (2c) - w @ h over the simplex, from the KKT point of every support."""
+    m = len(h)
+    best = np.inf
+    for k in range(1, m + 1):
+        for support in itertools.combinations(range(m), k):
+            S = list(support)
+            kkt = np.zeros((k + 1, k + 1))
+            kkt[:k, :k] = G[S] @ G[S].T / c
+            kkt[:k, k] = kkt[k, :k] = 1.0
+            w = np.linalg.lstsq(kkt, np.append(h[S], 1.0), rcond=None)[0][:k]
+            if np.all(w >= -1e-12):
+                u = w @ G[S]
+                best = min(best, u @ u / (2.0 * c) - w @ h[S])
+    return best
+
+
+def _qp_value(G, h, c, w):
+    u = w @ G
+    return u @ u / (2.0 * c) - w @ h
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (4, 1), (3, 2), (6, 2), (5, 3), (7, 4)])
+def test_simplex_qp_matches_support_enumeration(rng, m, n):
+    for _ in range(30):
+        G = rng.uniform(-2.0, 2.0, (m, n))
+        h = rng.uniform(-1.0, 1.0, m)
+        c = float(rng.uniform(0.3, 3.0))
+        w = simplex_qp(G, h, c)
+        assert np.all(w >= 0.0) and w.sum() == pytest.approx(1.0, abs=1e-14)
+        assert np.count_nonzero(w) <= n + 1
+        assert _qp_value(G, h, c, w) == pytest.approx(_enumerated_simplex_qp(G, h, c), abs=1e-12)
+
+
+def test_simplex_qp_handles_repeated_and_dependent_rows():
+    # equal gradients: only the largest value can carry weight
+    G = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]])
+    h = np.array([0.0, 0.5, 0.2])
+    assert_allclose(simplex_qp(G, h, 1.0), [0.0, 1.0, 0.0])
+    # three collinear rows in the plane, the middle one on the segment but lower
+    G = np.array([[-1.0, 1.0], [0.0, 1.0], [1.0, 1.0]])
+    h = np.array([0.0, -0.1, 0.0])
+    w = simplex_qp(G, h, 1.0)
+    assert_allclose(w, [0.5, 0.0, 0.5], atol=1e-15)
+    assert _qp_value(G, h, 1.0, w) == pytest.approx(_enumerated_simplex_qp(G, h, 1.0), abs=1e-15)
+
+
+def test_min_norm_of_box_vertices_is_the_origin():
+    # all 2^n branches of the product problem are active at its minimizer
+    for n in (2, 3, 5):
+        prob = make_problem({"name": "paper_example_product", "n": n})
+        p = Point(prob.objective.manifold, np.ones(n))
+        hull = clarke_subdiff(prob.objective, p)
+        assert len(hull.generators) == 2**n
+        _, d = min_norm_subgradient(hull)
+        assert d <= 1e-14
 
 
 def test_hull_distance_examples(log_example, hull_distance):

@@ -12,6 +12,7 @@ from proxmax import (
     ProxConfig,
     clarke_subdiff,
     dist,
+    estimate_sup_lipschitz,
     eval_f,
     eval_f_many,
     log_map,
@@ -23,6 +24,7 @@ from proxmax import (
     with_prox_term,
 )
 from proxmax.oracle import GridSpec, grid_minimize
+from proxmax.problems import region_samples
 
 LP1 = log_positive(1)
 
@@ -142,6 +144,14 @@ def test_prox_step_captures_kink_from_start(log_example):
     assert dist(p_next, _pt(1.0)) <= 1e-6
 
 
+def test_certified_step_lands_on_the_kink(log_example):
+    # a loose tolerance certifies an iterate about 1e-6 from the kink; the
+    # solver returns that iterate's own model step, which lands on it
+    cfg = ProxConfig(inner_tol=1e-4)
+    p_next, _ = prox_step(log_example.objective, _pt(0.3125), 0.51, cfg, lipschitz=0.34)
+    assert dist(p_next, _pt(1.0)) <= 1e-12
+
+
 def test_prox_step_matches_grid_search(log_example):
     # dual route: the inner solver against a dense grid plus golden refinement
     obj = log_example.objective
@@ -154,6 +164,20 @@ def test_prox_step_matches_grid_search(log_example):
         g_pt, g_val = grid_minimize(lambda X: eval_f_many(shifted, X), grid, LP1)
         assert dist(p_next, g_pt) <= 1e-6
         assert eval_f(shifted, p_next)[0] <= g_val + 1e-10
+
+
+def test_smooth_prox_steps_take_few_inner_steps(log_example):
+    # far from the kink both branches are nearly affine in the chart, so h
+    # curves like lam alone; the first model's lam + 0.34 would converge linearly
+    sched = LambdaSchedule(lower=0.34, upper=1e6, constant=0.51)
+    trace = solve(log_example.objective, _pt(1e3), sched, ProxConfig())
+    assert trace.termination.kind == "stationary"
+    assert max(r.inner_iters for r in trace.records) <= 5
+    # quadratic declares the bound 0, below its curvature 1
+    quad = make_problem("quadratic")
+    for lam in (0.5, 3.0):
+        _, iters = prox_step(quad.objective, quad.start, lam, ProxConfig())
+        assert iters <= 3
 
 
 # full runs
@@ -261,17 +285,20 @@ def test_level_guard_accepts_higher_reference(log_example):
     assert trace.termination.kind == "stationary"
 
 
-# multi-dimensional subproblems hit the inner iteration cap at kinks
+# the inner iteration cap, reached on purpose through a tiny max_inner: the
+# first step moves, the second is not yet certified
 
 
 def test_inner_cap_carries_best_iterate():
     prob = make_problem({"name": "paper_example_product", "n": 2})
     obj = prob.objective
     start = prob.start
+    cfg = ProxConfig(max_inner=2)
     with pytest.raises(InnerCapError) as info:
-        prox_step(obj, start, 0.51, ProxConfig(), lipschitz=0.34)
+        prox_step(obj, start, 0.51, cfg, lipschitz=0.34)
     err = info.value
-    assert err.iterations == ProxConfig().max_inner
+    assert err.iterations == cfg.max_inner
+    assert err.certificate > cfg.inner_tol
     shifted = with_prox_term(obj, start, 0.51)
     h_best, _ = eval_f(shifted, err.best)
     h_start, _ = eval_f(shifted, start)
@@ -281,7 +308,56 @@ def test_inner_cap_carries_best_iterate():
 def test_solve_reports_inner_cap_as_error():
     prob = make_problem({"name": "paper_example_product", "n": 2})
     sched = LambdaSchedule(lower=0.34, upper=1e6, constant=0.51)
-    trace = solve(prob.objective, prob.start, sched, ProxConfig())
+    trace = solve(prob.objective, prob.start, sched, ProxConfig(max_inner=2))
     assert trace.termination.kind == "error"
     assert "inner" in trace.termination.message
+    assert trace.iterations == 0
     assert dist(trace.final_point(), prob.start) == 0.0
+    # the failed step's last inner iterate and its certificate survive
+    assert dist(trace.best, prob.start) > 0.0
+    assert trace.best_residual > ProxConfig().inner_tol
+
+
+def test_successful_solve_carries_no_best_iterate(log_example):
+    sched = LambdaSchedule(lower=0.34, upper=1e6, constant=0.51)
+    trace = solve(log_example.objective, log_example.start, sched, ProxConfig())
+    assert trace.termination.kind == "stationary"
+    assert trace.best is None and trace.best_residual is None
+
+
+# finite termination at sharp minima (Ferris 1991)
+
+
+@pytest.mark.parametrize("x0", [5.0, 5.3, 50.7])
+def test_abs_terminates_after_ceil_steps(x0):
+    prob = make_problem("abs")
+    lam = 1.0
+    sched = LambdaSchedule(lower=0.0, upper=10.0, constant=lam)
+    trace = solve(prob.objective, Point(prob.objective.manifold, [x0]), sched, ProxConfig())
+    assert trace.termination.kind == "stationary"
+    assert trace.iterations == int(np.ceil(lam * abs(x0))) + 1
+    assert abs(trace.final_point().coords[0]) <= 1e-12
+
+
+def test_paper_example_lands_on_the_kink_in_one_step(log_example):
+    lip = estimate_sup_lipschitz(log_example.objective, region_samples(log_example, 64))
+    sched = LambdaSchedule.default(lip, 1e6)
+    trace = solve(log_example.objective, log_example.start, sched, ProxConfig())
+    assert trace.termination.kind == "stationary"
+    assert trace.iterations == 2
+    assert abs(trace.records[0].point.coords[0] - 1.0) <= 1e-10
+    # the second step stays put, up to rounding
+    assert trace.records[1].step_dist <= 1e-15
+
+
+def test_half_line_prox_steps_take_few_inner_steps():
+    # the start range and epsilon range of the half_line benchmark workload
+    for eps in (0.1001, 0.11, 0.125):
+        prob = make_problem({"name": "paper_example", "epsilon": eps})
+        lip = estimate_sup_lipschitz(prob.objective, region_samples(prob, 64))
+        sched = LambdaSchedule.default(lip, 1e6)
+        for x0 in np.exp(np.linspace(np.log(0.13), np.log(4.0), 41)):
+            trace = solve(prob.objective, _pt(x0), sched, ProxConfig())
+            assert trace.termination.kind == "stationary"
+            assert abs(trace.final_point().coords[0] - 1.0) <= 1e-10
+            assert max(r.inner_iters for r in trace.records) <= 10
