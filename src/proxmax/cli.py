@@ -23,6 +23,7 @@ import numpy as np
 from . import checks, oracle
 from .manifold import (
     Point,
+    Tangent,
     dist_rows,
     from_chart_rows,
     random_unit_coords,
@@ -30,6 +31,7 @@ from .manifold import (
     to_chart,
 )
 from .objective import (
+    branch_grads,
     clarke_subdiff,
     estimate_sup_lipschitz,
     eval_f,
@@ -387,11 +389,13 @@ def _check_geometry(prep: _Prepared, rng: np.random.Generator) -> tuple[bool, st
 
 def _check_fd_gradient(prep: _Prepared, rng: np.random.Generator) -> tuple[bool, str]:
     obj = prep.problem.objective
-    pts = region_samples(prep.problem, 100, rng)
+    X = region_samples(prep.problem, 100, rng)
+    pts = [Point(obj.manifold, x) for x in X]
+    grads = branch_grads(obj, X)
     worst = 0.0
-    for tau in obj.params:
-        for p in pts:
-            exact = obj.grad_phi(p, float(tau))
+    for i, tau in enumerate(obj.params):
+        for k, p in enumerate(pts):
+            exact = Tangent(p, grads[k, i])
             err = checks.gradient_error(lambda x, t=float(tau): obj.phi(x, t), exact)
             worst = max(worst, err)
     return worst <= 1e-6, f"worst relative error {worst:.3e} (bound 1e-6)"
@@ -413,7 +417,8 @@ def _check_sum_rule(prep: _Prepared, rng: np.random.Generator) -> tuple[bool, st
     lam = max(prep.lam, 1.0)
     shifted = with_prox_term(obj, prep.start, lam)
     worst = 0.0
-    for p in region_samples(prep.problem, 100, rng):
+    for x in region_samples(prep.problem, 100, rng):
+        p = Point(obj.manifold, x)
         v = rng.uniform(0.5, 2.0) * random_unit_tangent(p, rng)
         worst = max(worst, checks.sum_rule_mismatch(obj, shifted, prep.start, lam, p, v))
     return worst <= 1e-8, f"worst mismatch {worst:.3e} (bound 1e-8)"
@@ -482,7 +487,8 @@ def _check_subgrad_floor(
     c, delta = meta["c"], meta["delta"]
     floor = np.inf
     checked = 0
-    for p in region_samples(prep.problem, 400):
+    for x in region_samples(prep.problem, 400):
+        p = Point(m, x)
         f_p, _ = eval_f(obj, p)
         if not (c < f_p <= f_q):
             continue

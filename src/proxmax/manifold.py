@@ -112,7 +112,7 @@ def _freeze(values, dim: int, what: str) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(values, dtype=float)).copy()
     if arr.shape != (dim,):
         raise InvalidPointError(f"{what} must have shape ({dim},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidPointError(f"{what} has non-finite entries: {arr}")
     arr.flags.writeable = False
     return arr
@@ -134,9 +134,10 @@ def point_coords(manifold: ManifoldKind, coords, rows: bool = False) -> np.ndarr
         arr = np.atleast_1d(arr)
         if arr.shape != (dim,):
             raise InvalidPointError(f"point coordinates must have shape ({dim},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    # ndarray.all and .any skip the np.all/np.any wrappers, which dominate a one-point check
+    if not np.isfinite(arr).all():
         raise InvalidPointError(f"point coordinates has non-finite entries: {arr}")
-    if manifold.geometry is Geometry.LOG_POSITIVE and np.any(arr <= MIN_POSITIVE_COORD):
+    if manifold.geometry is Geometry.LOG_POSITIVE and (arr <= MIN_POSITIVE_COORD).any():
         raise InvalidPointError(
             f"log-positive coordinates must exceed {MIN_POSITIVE_COORD}: {arr}"
         )

@@ -14,7 +14,7 @@ prox-linear inner step in prox.py.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .manifold import (
     dist_rows,
     grad_half_sq_dist,
     inner,
+    log_rows,
     norm,
     norm_rows,
     point_coords,
@@ -87,7 +88,8 @@ class ParamSet:
 
 
 LipschitzBound = Union[float, Callable[[float], float], None]
-# coordinates (..., n) -> admissibility (...,), or branch values (N, m) for rows (N, n)
+# coordinates (..., n) -> admissibility (...,); or rows (N, n) -> branch values
+# (N, m) or branch gradients (N, m, n)
 CoordsMap = Callable[[np.ndarray], np.ndarray]
 
 
@@ -109,6 +111,12 @@ class MaxObjective:
     every branch value at every row, shape (N, m), columns in params order.
     It must agree with phi; eval_f_many uses it to evaluate many points in
     one array pass, and falls back to calling phi when it is None.
+
+    branch_gradients, when given, maps the same rows to every branch's
+    gradient tangent coordinates, shape (N, m, n), branches in params order;
+    entry [k, i] is grad_phi(X[k], params[i]).coords.  branch_grads uses it
+    to take all gradients in one array pass, and falls back to calling
+    grad_phi when it is None.
     """
 
     manifold: ManifoldKind
@@ -118,6 +126,7 @@ class MaxObjective:
     lipschitz_bound: LipschitzBound = None
     domain_guard: Optional[CoordsMap] = None
     branch_values: Optional[CoordsMap] = None
+    branch_gradients: Optional[CoordsMap] = None
 
     def check_domain(self, p: Point) -> None:
         if p.manifold != self.manifold:
@@ -187,23 +196,70 @@ def eval_branches(obj: MaxObjective, X) -> np.ndarray:
     branch_values call, or row by row through phi when the objective has
     none.
     """
+    return _branch_values(obj, _admissible_rows(obj, X))
+
+
+def branch_grads(obj: MaxObjective, X) -> np.ndarray:
+    """Every branch gradient (N, m, n) at the points stored as rows of X (N, n).
+
+    Entry [k, i] holds the tangent coordinates of grad_phi(X[k], params[i]).
+    Checks the rows as eval_branches does, then takes one branch_gradients
+    call, or calls grad_phi row by row when the objective has none (a
+    tangent at another base raises MismatchError).  Raises DomainError
+    naming the first row with a non-finite gradient entry.
+    """
+    return _branch_gradients(obj, _admissible_rows(obj, X))
+
+
+def _admissible_rows(obj: MaxObjective, X) -> np.ndarray:
+    """X as validated point rows (N, n) of the objective's manifold, each in its domain."""
     X = point_coords(obj.manifold, X, rows=True)
     if obj.domain_guard is not None:
         inside = np.asarray(obj.domain_guard(X), dtype=bool)
         if not inside.all():
             bad = X[int(np.argmin(inside))]
             raise DomainError(f"point {bad.tolist()} is outside the admissible region")
+    return X
+
+
+def _require_finite(arr: np.ndarray, X: np.ndarray, what: str) -> np.ndarray:
+    """arr, whose leading axis follows the rows X.
+
+    Raises DomainError naming the first row with a non-finite entry.
+    """
+    finite = np.isfinite(arr)
+    if not finite.all():
+        bad = X[int(np.argmin(finite.reshape(len(X), -1).all(axis=1)))]
+        raise DomainError(f"{what} is non-finite at {bad.tolist()}")
+    return arr
+
+
+def _branch_values(obj: MaxObjective, X: np.ndarray) -> np.ndarray:
+    """eval_branches on rows that _admissible_rows has checked."""
     if obj.branch_values is not None:
         vals = np.asarray(obj.branch_values(X), dtype=float)
     else:
         vals = np.array(
             [[obj.phi(Point(obj.manifold, x), t) for t in obj.params] for x in X], dtype=float
         ).reshape(len(X), len(obj.params))
-    finite = np.isfinite(vals).all(axis=1)
-    if not finite.all():
-        bad = X[int(np.argmin(finite))]
-        raise DomainError(f"branch value is non-finite at {bad.tolist()}")
-    return vals
+    return _require_finite(vals, X, "branch value")
+
+
+def _branch_gradients(obj: MaxObjective, X: np.ndarray) -> np.ndarray:
+    """branch_grads on rows that _admissible_rows has checked."""
+    m = obj.manifold
+    shape = (len(X), len(obj.params), m.dim)
+    if obj.branch_gradients is not None:
+        grads = np.asarray(obj.branch_gradients(X), dtype=float)
+        if grads.shape != shape:
+            raise ValueError(f"branch_gradients returned shape {grads.shape}, expected {shape}")
+    else:
+        grads = np.empty(shape)
+        for k, x in enumerate(X):
+            p = Point(m, x)
+            for i, t in enumerate(obj.params):
+                grads[k, i] = _branch_grad(obj, p, t).coords
+    return _require_finite(grads, X, "branch gradient")
 
 
 def _branch_grad(obj: MaxObjective, p: Point, tau: float) -> Tangent:
@@ -213,26 +269,36 @@ def _branch_grad(obj: MaxObjective, p: Point, tau: float) -> Tangent:
     return g
 
 
-def branch_grads(obj: MaxObjective, p: Point) -> np.ndarray:
-    """Tangent coordinates (m, n) of every branch gradient at p, rows in params order."""
-    return np.stack([_branch_grad(obj, p, t).coords for t in obj.params])
-
-
-def active_set(obj: MaxObjective, p: Point, eta: Optional[float] = None) -> np.ndarray:
-    """Parameters whose branch value comes within eta of the max at p."""
+def _point_row(obj: MaxObjective, p: Point) -> np.ndarray:
+    """p's coordinates, which Point has validated, as one row (1, n) after check_domain."""
     obj.check_domain(p)
-    vals = np.array([obj.phi(p, t) for t in obj.params], dtype=float)
-    fmax = float(np.max(vals))
+    return p.coords[None]
+
+
+def _active_mask(vals: np.ndarray, eta: Optional[float]) -> np.ndarray:
+    fmax = float(vals.max())
     if eta is None:
         eta = default_active_tol(fmax)
     if eta < 0:
         raise ValueError(f"activation tolerance must be >= 0, got {eta}")
-    return obj.params.values[vals >= fmax - eta].copy()
+    return vals >= fmax - eta
+
+
+def active_set(obj: MaxObjective, p: Point, eta: Optional[float] = None) -> np.ndarray:
+    """Parameters whose branch value comes within eta of the max at p."""
+    vals = _branch_values(obj, _point_row(obj, p))[0]
+    return obj.params.values[_active_mask(vals, eta)].copy()
 
 
 def clarke_subdiff(obj: MaxObjective, p: Point, eta: Optional[float] = None) -> SubdiffHull:
-    """Hull of gradients of the eta-active branches at p."""
-    return SubdiffHull(p, tuple(_branch_grad(obj, p, t) for t in active_set(obj, p, eta)))
+    """Hull of gradients of the eta-active branches at p.
+
+    Reads one row of branch values and one row of branch gradients.
+    """
+    X = _point_row(obj, p)
+    active = _active_mask(_branch_values(obj, X)[0], eta)
+    grads = _branch_gradients(obj, X)[0]
+    return SubdiffHull(p, tuple(Tangent(p, g) for g in grads[active]))
 
 
 def gen_dir_derivative(
@@ -346,38 +412,35 @@ def min_norm_subgradient(hull: SubdiffHull) -> tuple[Tangent, float]:
     return g, norm(base, g)
 
 
-def estimate_sup_lipschitz(obj: MaxObjective, region_samples: Sequence[Point]) -> float:
+def estimate_sup_lipschitz(obj: MaxObjective, samples) -> float:
     """Upper estimate of the largest branch-gradient Lipschitz constant.
 
-    Returns the declared bound when the objective carries one.  Otherwise
-    takes the largest transported difference quotient of each branch
-    gradient over all sample pairs and inflates it by LIPSCHITZ_SAFETY_FACTOR.
-    The quotient is norm(p_j, g_j - transport(p_i, p_j, g_i)) / dist(p_i, p_j),
-    evaluated for every pair at once through the row kernels those functions
-    call; pairs closer than 1e-14 are skipped.  It makes one grad_phi call
-    per sample per branch, and its memory grows as O(S^2 n) for S samples
-    in dimension n (64 samples give 2016 pairs).
+    samples holds the sample points as rows (S, n), as region_samples
+    returns them.  Returns the declared bound when the objective carries
+    one.  Otherwise takes the largest transported difference quotient of
+    each branch gradient over all sample pairs and inflates it by
+    LIPSCHITZ_SAFETY_FACTOR.  The quotient is
+    norm(p_j, g_j - transport(p_i, p_j, g_i)) / dist(p_i, p_j), evaluated
+    for every pair of one branch at once through the row kernels those
+    functions call; pairs closer than 1e-14 are skipped.  All gradients come
+    from one branch_grads call, (S, m, n), and the pair pass holds O(S^2 n)
+    for S samples in dimension n (64 samples give 2016 pairs).
     """
     declared = obj.declared_sup_lipschitz()
     if declared is not None:
         return declared
-    samples = list(region_samples)
-    if len(samples) < 2:
-        raise ValueError("need at least two region samples to estimate a Lipschitz bound")
-    for s in samples:
-        obj.check_domain(s)
     m = obj.manifold
-    coords = np.stack([s.coords for s in samples])
-    i, j = np.triu_indices(len(samples), k=1)
-    p_i, p_j = coords[i], coords[j]
+    X = point_coords(m, samples, rows=True)
+    if len(X) < 2:
+        raise ValueError("need at least two region samples to estimate a Lipschitz bound")
+    grads = branch_grads(obj, X)
+    i, j = np.triu_indices(len(X), k=1)
+    p_i, p_j = X[i], X[j]
     d = dist_rows(m, p_i, p_j)
     keep = d > 1e-14
     best = 0.0
-    for t in obj.params:
-        grads = [obj.grad_phi(s, float(t)) for s in samples]
-        if not np.array_equal(np.stack([g.base.coords for g in grads]), coords):
-            raise MismatchError("grad_phi returned a tangent at the wrong base point")
-        vecs = np.stack([g.coords for g in grads])
+    for b in range(grads.shape[1]):
+        vecs = grads[:, b]
         gap = norm_rows(m, p_j, vecs[j] - transport_rows(m, p_i, p_j, vecs[i]))
         # fmax ignores a NaN quotient (p_j**2 can underflow) instead of returning it
         best = float(np.fmax.reduce(gap[keep] / d[keep], initial=best))
@@ -389,7 +452,9 @@ def with_prox_term(obj: MaxObjective, pbar: Point, lam: float) -> MaxObjective:
 
     Branch order and active sets are preserved because the added term does
     not depend on the branch parameter.  branch_values, when obj has it,
-    adds the same term through dist_rows, in the same order as phi.
+    adds the same term through dist_rows, in the same order as phi, and
+    branch_gradients adds lam times the gradient of d(., pbar)^2 / 2 through
+    log_rows, in the same order as grad_phi.
     """
     if pbar.manifold != obj.manifold:
         raise MismatchError("prox center lives on a different manifold")
@@ -410,6 +475,14 @@ def with_prox_term(obj: MaxObjective, pbar: Point, lam: float) -> MaxObjective:
             sq = np.float_power(dist_rows(obj.manifold, X, pbar.coords), 2.0)
             return obj.branch_values(X) + (0.5 * lam * sq)[:, None]
 
+    branch_gradients = None
+    if obj.branch_gradients is not None:
+
+        def branch_gradients(X: np.ndarray) -> np.ndarray:
+            # grad_half_sq_dist(p, pbar) is -log_map(p, pbar)
+            pull = lam * -log_rows(obj.manifold, X, pbar.coords)
+            return obj.branch_gradients(X) + pull[:, None, :]
+
     return MaxObjective(
         manifold=obj.manifold,
         params=obj.params,
@@ -418,4 +491,5 @@ def with_prox_term(obj: MaxObjective, pbar: Point, lam: float) -> MaxObjective:
         lipschitz_bound=None,
         domain_guard=obj.domain_guard,
         branch_values=branch_values,
+        branch_gradients=branch_gradients,
     )

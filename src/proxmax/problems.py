@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .manifold import Point, Tangent, euclidean, from_chart, log_positive
+from .manifold import Point, Tangent, euclidean, from_chart_rows, log_positive, point_coords
 from .objective import MaxObjective, ParamSet
 
 __all__ = [
@@ -68,10 +68,18 @@ def paper_example(epsilon: float = 0.125) -> BuiltinProblem:
         tau = params.values
         return (1.0 - tau) * f1 + tau * f2
 
+    def gradients(X: np.ndarray, tau: np.ndarray) -> np.ndarray:
+        # (N, 1) rows and (k,) parameters -> (N, k, 1)
+        X = X[:, None, :]
+        d1, d2 = _log_example_branch_derivs(X)
+        flat = (1.0 - tau[:, None]) * d1 + tau[:, None] * d2
+        return X**2 * flat
+
+    def branch_gradients(X: np.ndarray) -> np.ndarray:
+        return gradients(X, params.values)
+
     def grad_phi(p: Point, tau: float) -> Tangent:
-        d1, d2 = _log_example_branch_derivs(p.coords)
-        flat = (1.0 - tau) * d1 + tau * d2
-        return Tangent(p, p.coords**2 * flat)
+        return Tangent(p, gradients(p.coords[None], np.array([tau], dtype=float))[0, 0])
 
     def guard(x: np.ndarray) -> np.ndarray:
         # ndarray.all skips np.all's wrapper, which dominates a one-point check
@@ -85,6 +93,7 @@ def paper_example(epsilon: float = 0.125) -> BuiltinProblem:
         lipschitz_bound=None,
         domain_guard=guard,
         branch_values=branch_values,
+        branch_gradients=branch_gradients,
     )
     q = 0.3125
     c = float(-np.log(0.75) + np.exp(-1.5) - np.exp(-2.0))
@@ -133,11 +142,20 @@ def paper_example_product(n: int = 2, epsilon: float = 0.125) -> BuiltinProblem:
         f1, f2 = _log_example_branches(X)
         return np.sum(np.where(all_bits == 1, f2[:, None, :], f1[:, None, :]), axis=2)
 
+    def gradients(X: np.ndarray, bits: np.ndarray) -> np.ndarray:
+        # (N, n) rows and (k, n) branch bits -> (N, k, n): x**2 * flat, multiplied
+        # in place so the (N, 2^n, n) array exists once
+        X = X[:, None, :]
+        d1, d2 = _log_example_branch_derivs(X)
+        flat = np.where(bits == 1, d2, d1)
+        flat *= X**2
+        return flat
+
+    def branch_gradients(X: np.ndarray) -> np.ndarray:
+        return gradients(X, all_bits)
+
     def grad_phi(p: Point, tau: float) -> Tangent:
-        b = bits_of(tau)
-        d1, d2 = _log_example_branch_derivs(p.coords)
-        flat = np.where(b == 1, d2, d1)
-        return Tangent(p, p.coords**2 * flat)
+        return Tangent(p, gradients(p.coords[None], bits_of(tau)[None])[0, 0])
 
     def guard(x: np.ndarray) -> np.ndarray:
         # ndarray.all skips np.all's wrapper, which dominates a one-point check
@@ -151,6 +169,7 @@ def paper_example_product(n: int = 2, epsilon: float = 0.125) -> BuiltinProblem:
         lipschitz_bound=None,
         domain_guard=guard,
         branch_values=branch_values,
+        branch_gradients=branch_gradients,
     )
     return BuiltinProblem(
         name="paper_example_product",
@@ -177,8 +196,15 @@ def abs_value() -> BuiltinProblem:
     def branch_values(X: np.ndarray) -> np.ndarray:
         return (1.0 - 2.0 * params.values) * X
 
+    def gradients(X: np.ndarray, tau: np.ndarray) -> np.ndarray:
+        # (N, 1) rows and (k,) parameters -> (N, k, 1)
+        return np.tile((1.0 - 2.0 * tau)[:, None], (len(X), 1, 1))
+
+    def branch_gradients(X: np.ndarray) -> np.ndarray:
+        return gradients(X, params.values)
+
     def grad_phi(p: Point, tau: float) -> Tangent:
-        return Tangent(p, np.array([1.0 - 2.0 * tau]))
+        return Tangent(p, gradients(p.coords[None], np.array([tau], dtype=float))[0, 0])
 
     obj = MaxObjective(
         manifold=m,
@@ -188,6 +214,7 @@ def abs_value() -> BuiltinProblem:
         lipschitz_bound=0.0,
         domain_guard=None,
         branch_values=branch_values,
+        branch_gradients=branch_gradients,
     )
     return BuiltinProblem(
         name="abs",
@@ -215,8 +242,11 @@ def quadratic() -> BuiltinProblem:
         # the C pow of phi's ** 2, which np.power would replace by a square
         return 0.5 * np.float_power(X, 2.0)
 
+    def branch_gradients(X: np.ndarray) -> np.ndarray:
+        return X[:, None, :].copy()
+
     def grad_phi(p: Point, tau: float) -> Tangent:
-        return Tangent(p, p.coords.copy())
+        return Tangent(p, branch_gradients(p.coords[None])[0, 0])
 
     obj = MaxObjective(
         manifold=m,
@@ -226,6 +256,7 @@ def quadratic() -> BuiltinProblem:
         lipschitz_bound=0.0,
         domain_guard=None,
         branch_values=branch_values,
+        branch_gradients=branch_gradients,
     )
     return BuiltinProblem(
         name="quadratic",
@@ -270,12 +301,13 @@ def make_problem(request) -> BuiltinProblem:
 
 def region_samples(
     problem: BuiltinProblem, count: int = 64, rng: Optional[np.random.Generator] = None
-) -> list[Point]:
-    """Deterministic interior samples of the problem's declared region.
+) -> np.ndarray:
+    """Deterministic interior samples of the problem's declared region, as point rows (count, n).
 
     One dimension uses an even grid in the flat chart.  Higher dimensions
-    draw uniformly in the chart box from the supplied generator, which is
-    then required.
+    take one uniform (count, n) draw in the chart box from the supplied
+    generator, which is then required.  The rows are validated points of
+    the problem's manifold and read-only.
     """
     m = problem.objective.manifold
     lo = problem.region_lower.astype(float)
@@ -283,8 +315,11 @@ def region_samples(
     if m.geometry.value == "log_positive":
         lo, hi = np.log(lo), np.log(hi)
     if m.dim == 1:
-        zs = np.linspace(lo[0], hi[0], count + 2)[1:-1]
-        return [from_chart(m, [z]) for z in zs]
-    if rng is None:
+        z = np.linspace(lo[0], hi[0], count + 2)[1:-1, None]
+    elif rng is None:
         raise ValueError("higher-dimensional regions need an explicit generator")
-    return [from_chart(m, rng.uniform(lo, hi)) for _ in range(count)]
+    else:
+        z = rng.uniform(lo, hi, size=(count, m.dim))
+    X = point_coords(m, from_chart_rows(m, z), rows=True)
+    X.flags.writeable = False
+    return X

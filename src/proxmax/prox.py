@@ -72,8 +72,9 @@ class LevelSetError(RuntimeError):
 
 
 class InnerCapError(RuntimeError):
-    """Inner solver stopped short of its tolerance: at its iteration cap, or
-    when no trial of a step stayed admissible and lowered h.
+    """Inner solver stopped short of its tolerance: at its iteration cap,
+    when no trial of a step stayed admissible and lowered h, or when an
+    accepted step was below the floating-point resolution of its iterate.
 
     Carries the last inner iterate (the lowest h so far), the steps taken
     and the certificate c|d| at that iterate.
@@ -239,7 +240,10 @@ def inner_solve(
     own search (or z, if rounding leaves no decrease to see): near a kink,
     z + d lies on it.  Returns the point and the number of steps taken;
     raises InnerCapError when the cfg.max_inner-th step is still
-    uncertified or a search fails.
+    uncertified, when a search fails, or when an uncertified step is
+    accepted that rounds back to z (the step is below the floating-point
+    resolution at z, so every later step would repeat it).  The steps read
+    coordinate rows; a Point is built only for the result or the error.
     """
     m = obj.manifold
     c = lam + rho
@@ -256,10 +260,10 @@ def inner_solve(
         dz = zt - z0
         return xt, vals + 0.5 * lam * float(dz @ dz)
 
-    z, p, hv = z0, center, eval_branches(obj, center.coords[None])[0]
+    z, x, hv = z0, center.coords, eval_branches(obj, center.coords[None])[0]
     it, s = 0, None
     while True:
-        G = branch_grads(obj, p) / chart_scale_rows(m, p.coords) + lam * (z - z0)
+        G = branch_grads(obj, x[None])[0] / chart_scale_rows(m, x) + lam * (z - z0)
         if s is not None and s @ s > 0.0:
             # curvature of the last step's branch mix along that step
             c = max(s @ (w @ G - u) / (s @ s), lam - rho)
@@ -271,12 +275,12 @@ def inner_solve(
         if not certified and it == cfg.max_inner:
             raise InnerCapError(
                 f"inner cap {cfg.max_inner} reached with certificate {cert:.3e}",
-                p,
+                Point(m, x),
                 it,
                 cert,
             )
         if cert == 0.0:  # z minimizes its own model: there is no step to search
-            return p, it
+            return Point(m, x), it
         h = hv.max()
         decrease = h - w @ hv + cert * cert / c
         noise = _H_NOISE * abs(hv).max()
@@ -285,19 +289,27 @@ def inner_solve(
             zt = z - (t / c) * u
             step = trial(zt)
             if step is not None and step[1].max() <= h - _ARMIJO * t * decrease + noise:
-                s, z, p, hv = zt - z, zt, Point(m, step[0]), step[1]
+                if not certified and (zt == z).all():
+                    raise InnerCapError(
+                        f"step of length {t * cert / c:.3e} is below the floating-point "
+                        f"resolution at {x.tolist()}; certificate {cert:.3e}",
+                        Point(m, x),
+                        it,
+                        cert,
+                    )
+                s, z, x, hv = zt - z, zt, step[0], step[1]
                 break
             t *= 0.5
         else:
             if not certified:
                 raise InnerCapError(
                     f"no trial step stayed admissible and lowered h; certificate {cert:.3e}",
-                    p,
+                    Point(m, x),
                     it,
                     cert,
                 )
         if certified:
-            return p, it
+            return Point(m, x), it
 
 
 def prox_step(

@@ -18,7 +18,7 @@ from proxmax import (
     with_prox_term,
 )
 from proxmax import checks
-from proxmax.manifold import Geometry, random_unit_tangent
+from proxmax.manifold import Geometry, from_chart, random_unit_tangent
 from proxmax.oracle import ConvexityReport
 
 
@@ -182,6 +182,27 @@ def _reference_check_dist_convexity(prep, rng):
         f"{report.n_violations} violations in {report.n_checks} checks, "
         f"worst {report.worst_violation:.3e}"
     )
+
+
+def _reference_region_samples(problem, count=64, rng=None):
+    """The per-sample region_samples the row form replaced, kept verbatim: a list of Points."""
+    m = problem.objective.manifold
+    lo = problem.region_lower.astype(float)
+    hi = problem.region_upper.astype(float)
+    if m.geometry.value == "log_positive":
+        lo, hi = np.log(lo), np.log(hi)
+    if m.dim == 1:
+        zs = np.linspace(lo[0], hi[0], count + 2)[1:-1]
+        return [from_chart(m, [z]) for z in zs]
+    if rng is None:
+        raise ValueError("higher-dimensional regions need an explicit generator")
+    return [from_chart(m, rng.uniform(lo, hi)) for _ in range(count)]
+
+
+@pytest.fixture
+def reference_region_samples():
+    """The per-sample region_samples: Points drawn one at a time."""
+    return _reference_region_samples
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -16,6 +17,7 @@ from proxmax import (
     SubdiffHull,
     Tangent,
     active_set,
+    branch_grads,
     clarke_subdiff,
     dist,
     estimate_sup_lipschitz,
@@ -163,6 +165,90 @@ def test_domain_guard_maps_rows_to_flags(log_example):
     guard = log_example.objective.domain_guard
     assert guard(np.array([[0.1], [0.2], [0.125]])).tolist() == [False, True, False]
     assert guard(np.array([0.2])) == np.True_
+
+
+# branch gradients as rows
+
+
+@pytest.mark.parametrize(
+    "request_",
+    [
+        {"name": "paper_example", "epsilon": 0.1000001},
+        {"name": "paper_example", "epsilon": 0.125},
+        {"name": "paper_example", "epsilon": 0.31},
+        "abs",
+        "quadratic",
+        {"name": "paper_example_product", "n": 2},
+        {"name": "paper_example_product", "n": 4},
+        {"name": "paper_example_product", "n": 8},
+    ],
+    ids=["paper_0.1", "paper_0.125", "paper_0.31", "abs", "quadratic", "prod2", "prod4", "prod8"],
+)
+def test_branch_grads_match_stacked_grad_phi_bit_for_bit(request_):
+    prob = make_problem(request_)
+    obj = prob.objective
+    m = obj.manifold
+    rng = np.random.default_rng(9)
+    X = region_samples(prob, 16, rng)
+    centers = region_samples(prob, 2, rng)
+    for o in _with_and_without_prox(obj, centers, [0.6, 2.5]):
+        got = branch_grads(o, X)
+        want = np.stack(
+            [np.stack([o.grad_phi(Point(m, x), float(t)).coords for t in o.params]) for x in X]
+        )
+        assert got.shape == (len(X), len(obj.params), m.dim)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_branch_grads_falls_back_to_grad_phi():
+    m = euclidean(2)
+
+    def grad(p, tau):
+        return Tangent(p, [tau * p.coords[1], np.cos(p.coords[0])])
+
+    obj = MaxObjective(
+        manifold=m, params=ParamSet([0.0, 0.5, 1.0]), phi=lambda p, tau: 0.0, grad_phi=grad
+    )
+    X = np.random.default_rng(2).uniform(-2.0, 2.0, (7, 2))
+    center = Point(m, [0.3, -0.2])
+    for o in _with_and_without_prox(obj, [center.coords], [1.5]):
+        assert o.branch_gradients is None
+        want = [[o.grad_phi(Point(m, x), t).coords for t in o.params] for x in X]
+        assert np.array_equal(branch_grads(o, X), want)
+    assert branch_grads(obj, np.empty((0, 2))).shape == (0, 3, 2)
+
+
+def test_branch_grads_checks_rows_shape_and_finiteness(log_example):
+    obj = log_example.objective
+    with pytest.raises(DomainError, match="outside"):
+        branch_grads(obj, [[1.0], [0.1]])
+    for bad in ([[np.nan]], [[0.0]], [[1.0, 2.0]], [1.0]):
+        with pytest.raises(InvalidPointError):
+            branch_grads(obj, bad)
+    m = euclidean(1)
+    blowup = MaxObjective(
+        manifold=m,
+        params=ParamSet([0.0, 1.0]),
+        phi=lambda p, tau: 0.0,
+        grad_phi=lambda p, tau: Tangent(p, [0.0]),
+        branch_gradients=lambda X: np.where(X > 0.0, X, np.inf)[:, None, :].repeat(2, axis=1),
+    )
+    assert branch_grads(blowup, [[1.0], [2.0]]).tolist() == [[[1.0], [1.0]], [[2.0], [2.0]]]
+    with pytest.raises(DomainError, match=r"branch gradient is non-finite at \[-1.0\]"):
+        branch_grads(blowup, [[1.0], [-1.0]])
+    flat = dataclasses.replace(blowup, branch_gradients=lambda X: np.zeros((len(X), 2)))
+    with pytest.raises(ValueError, match="shape"):
+        branch_grads(flat, [[1.0]])
+
+
+def test_estimate_row_form_equals_grad_phi_fallback():
+    for n in range(2, 9):
+        prob = make_problem({"name": "paper_example_product", "n": n})
+        X = region_samples(prob, 24, np.random.default_rng(11 + n))
+        fallback = dataclasses.replace(prob.objective, branch_gradients=None)
+        got = estimate_sup_lipschitz(prob.objective, X)
+        assert got > 0.0
+        assert got == estimate_sup_lipschitz(fallback, X)
 
 
 def test_param_set_must_increase():
@@ -439,12 +525,17 @@ def _single_branch(manifold, value, grad):
     )
 
 
+def _rows(pts):
+    """Coordinate rows (N, n) of a list of Points, as estimate_sup_lipschitz takes them."""
+    return np.stack([p.coords for p in pts])
+
+
 def _reference_sup_lipschitz(obj, region_samples, safety_factor=1.1):
-    """The scalar pair loop the library estimate must reproduce."""
+    """The scalar pair loop the library estimate must reproduce, on sample rows."""
     declared = obj.declared_sup_lipschitz()
     if declared is not None:
         return declared
-    samples = list(region_samples)
+    samples = [Point(obj.manifold, x) for x in region_samples]
     if len(samples) < 2:
         raise ValueError("need at least two region samples to estimate a Lipschitz bound")
     for s in samples:
@@ -466,7 +557,7 @@ def test_estimate_zero_for_affine():
     m = euclidean(1)
     obj = _single_branch(m, lambda p: 3.0 * p.coords[0], lambda p: Tangent(p, [3.0]))
     pts = [Point(m, [x]) for x in np.linspace(-2, 2, 9)]
-    assert estimate_sup_lipschitz(obj, pts) == pytest.approx(0.0, abs=1e-14)
+    assert estimate_sup_lipschitz(obj, _rows(pts)) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_estimate_quadratic_hits_curvature_with_safety():
@@ -475,7 +566,7 @@ def test_estimate_quadratic_hits_curvature_with_safety():
         m, lambda p: 0.5 * p.coords[0] ** 2, lambda p: Tangent(p, [p.coords[0]])
     )
     pts = [Point(m, [x]) for x in np.linspace(-2, 2, 9)]
-    assert estimate_sup_lipschitz(obj, pts) == pytest.approx(1.1, rel=1e-12)
+    assert estimate_sup_lipschitz(obj, _rows(pts)) == pytest.approx(1.1, rel=1e-12)
 
 
 def test_estimate_respects_declared_bound():
@@ -488,12 +579,12 @@ def test_estimate_respects_declared_bound():
         lipschitz_bound=0.25,
     )
     pts = [Point(m, [x]) for x in np.linspace(-2, 2, 9)]
-    assert estimate_sup_lipschitz(obj, pts) == 0.25
+    assert estimate_sup_lipschitz(obj, _rows(pts)) == 0.25
 
 
 def test_estimate_needs_two_samples(log_example):
     with pytest.raises(ValueError):
-        estimate_sup_lipschitz(log_example.objective, [_pt(1.0)])
+        estimate_sup_lipschitz(log_example.objective, _rows([_pt(1.0)]))
 
 
 def test_estimate_on_log_example_tracks_analytic_slope(log_example):
@@ -504,7 +595,7 @@ def test_estimate_on_log_example_tracks_analytic_slope(log_example):
     assert est >= 1.1 * 0.95 * SUP_CHART_SLOPE
     # dense chart grid closes the gap to the analytic stationary value
     dense = [_pt(float(x)) for x in np.exp(np.linspace(np.log(0.13), np.log(3.99), 600))]
-    est_dense = estimate_sup_lipschitz(log_example.objective, dense)
+    est_dense = estimate_sup_lipschitz(log_example.objective, _rows(dense))
     assert est_dense == pytest.approx(1.1 * SUP_CHART_SLOPE, rel=1e-4)
 
 
@@ -531,7 +622,7 @@ def _wavy(manifold):
 def test_estimate_matches_reference_loop_in_one_dimension(manifold, rng):
     obj = _wavy(manifold)
     z = rng.uniform(-1.5, 1.5, 40)
-    pts = [Point(manifold, [np.exp(v) if manifold is LP1 else v]) for v in z]
+    pts = _rows([Point(manifold, [np.exp(v) if manifold is LP1 else v]) for v in z])
     got = estimate_sup_lipschitz(obj, pts)
     assert got > 0.0
     assert got == _reference_sup_lipschitz(obj, pts)
@@ -547,7 +638,7 @@ def test_estimate_within_ulps_of_reference_loop_in_higher_dimensions():
         assert abs(got - ref) <= 4 * eps * abs(ref)
     m = euclidean(3)
     obj = _wavy(m)
-    pts = [Point(m, row) for row in np.random.default_rng(3).uniform(-1.5, 1.5, (40, 3))]
+    pts = _rows([Point(m, row) for row in np.random.default_rng(3).uniform(-1.5, 1.5, (40, 3))])
     got = estimate_sup_lipschitz(obj, pts)
     ref = _reference_sup_lipschitz(obj, pts)
     assert ref > 0.0
@@ -556,20 +647,20 @@ def test_estimate_within_ulps_of_reference_loop_in_higher_dimensions():
 
 def test_estimate_skips_repeated_samples():
     obj = _wavy(LP1)
-    distinct = [_pt(x) for x in (0.5, 0.9, 1.7)]
+    distinct = _rows([_pt(x) for x in (0.5, 0.9, 1.7)])
     # every pair here has zero distance or repeats a pair of distinct, in order
-    repeated = [_pt(x) for x in (0.5, 0.5, 0.9, 0.9, 0.9, 1.7)]
+    repeated = _rows([_pt(x) for x in (0.5, 0.5, 0.9, 0.9, 0.9, 1.7)])
     want = estimate_sup_lipschitz(obj, distinct)
     assert want > 0.0
     assert estimate_sup_lipschitz(obj, repeated) == want
     assert _reference_sup_lipschitz(obj, repeated) == want
-    same = [_pt(0.9)] * 5
+    same = _rows([_pt(0.9)] * 5)
     assert estimate_sup_lipschitz(obj, same) == 0.0
     assert _reference_sup_lipschitz(obj, same) == 0.0
     # a gradient jump between points 1e-15 apart would give a 1e15 quotient
     m = euclidean(1)
     step = _single_branch(m, lambda p: 0.0, lambda p: Tangent(p, [float(p.coords[0] > 0.0)]))
-    near = [Point(m, [x]) for x in (0.0, 1e-15, 1.0)]
+    near = _rows([Point(m, [x]) for x in (0.0, 1e-15, 1.0)])
     assert estimate_sup_lipschitz(step, near) == pytest.approx(1.1, rel=1e-12)
     assert estimate_sup_lipschitz(step, near) == _reference_sup_lipschitz(step, near)
 
@@ -577,21 +668,21 @@ def test_estimate_skips_repeated_samples():
 def test_estimate_ignores_nan_quotient_from_underflow():
     # p_j**2 underflows to 0 at p_j = 1e-200, so the zero difference gives 0/0
     obj = _single_branch(LP1, lambda p: 0.0, lambda p: Tangent(p, [0.0]))
-    pts = [_pt(1.0), _pt(1e-200)]
+    pts = _rows([_pt(1.0), _pt(1e-200)])
     with np.errstate(invalid="ignore"):
         assert estimate_sup_lipschitz(obj, pts) == 0.0
         assert _reference_sup_lipschitz(obj, pts) == 0.0
 
 
 def test_estimate_rejects_out_of_domain_sample(log_example):
-    pts = [_pt(0.5), _pt(1.0), _pt(0.1)]
+    pts = _rows([_pt(0.5), _pt(1.0), _pt(0.1)])
     with pytest.raises(DomainError):
         estimate_sup_lipschitz(log_example.objective, pts)
 
 
 def test_estimate_rejects_gradient_at_wrong_base():
     obj = _single_branch(LP1, lambda p: 0.0, lambda p: Tangent(_pt(1.0), [0.0]))
-    pts = [_pt(0.5), _pt(2.0)]
+    pts = _rows([_pt(0.5), _pt(2.0)])
     with pytest.raises(MismatchError):
         estimate_sup_lipschitz(obj, pts)
     with pytest.raises(MismatchError):

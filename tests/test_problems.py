@@ -107,7 +107,7 @@ def test_builtin_gradients_match_finite_differences(rng):
     for name in BUILTIN_NAMES:
         prob = make_problem(name)
         obj = prob.objective
-        pts = region_samples(prob, 12, rng)
+        pts = [Point(obj.manifold, x) for x in region_samples(prob, 12, rng)]
         for tau in obj.params.values:
             for p in pts:
                 if abs(p.coords[0]) < 0.05 and name == "abs":
@@ -120,7 +120,7 @@ def test_builtin_gradients_match_finite_differences(rng):
 def test_region_samples_one_dim(log_example):
     pts = region_samples(log_example, 10)
     assert len(pts) == 10
-    xs = [p.coords[0] for p in pts]
+    xs = [x[0] for x in pts]
     assert all(0.125 < x < 4.0 for x in xs)
     assert xs == sorted(xs)
 
@@ -131,5 +131,25 @@ def test_region_samples_multi_dim_needs_rng():
         region_samples(prob, 10)
     pts = region_samples(prob, 10, np.random.default_rng(0))
     assert len(pts) == 10
-    for p in pts:
-        assert prob.objective.in_domain(p)
+    for x in pts:
+        assert prob.objective.in_domain(Point(prob.objective.manifold, x))
+
+
+@pytest.mark.parametrize(
+    "request_",
+    ["paper_example", "abs", {"name": "paper_example_product", "n": 2},
+     {"name": "paper_example_product", "n": 4}],
+    ids=["paper", "abs", "prod2", "prod4"],
+)
+def test_region_samples_match_per_sample_points(request_, reference_region_samples):
+    prob = make_problem(request_)
+    m = prob.objective.manifold
+    for seed in (0, 7):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        X = region_samples(prob, 64, rng)
+        ref = reference_region_samples(prob, 64, ref_rng)
+        assert X.shape == (64, m.dim)
+        assert not X.flags.writeable
+        assert X.tobytes() == np.stack([p.coords for p in ref]).tobytes()
+        # the row draw leaves the generator where the per-sample draws did
+        assert rng.random() == ref_rng.random()

@@ -25,6 +25,7 @@ from proxmax import (
 )
 from proxmax.oracle import GridSpec, grid_minimize
 from proxmax.problems import region_samples
+from proxmax.prox import inner_solve
 
 LP1 = log_positive(1)
 
@@ -316,6 +317,28 @@ def test_solve_reports_inner_cap_as_error():
     # the failed step's last inner iterate and its certificate survive
     assert dist(trace.best, prob.start) > 0.0
     assert trace.best_residual > ProxConfig().inner_tol
+
+
+def test_inner_solve_stops_at_a_step_below_float_resolution():
+    # at 1e300 the unit step of abs rounds away: z - 1 == z, so the state never changes
+    prob = make_problem("abs")
+    start = Point(prob.objective.manifold, [1e300])
+    with pytest.raises(InnerCapError, match="below the floating-point resolution") as info:
+        inner_solve(prob.objective, start, 1.0, 0.0, ProxConfig())
+    err = info.value
+    assert err.iterations == 1
+    assert err.best.coords.tolist() == [1e300]
+    assert err.certificate == 1.0
+
+
+def test_solve_names_a_non_finite_branch_gradient(log_example):
+    # x**2 overflows in the gradient of either branch at x = 1e200
+    sched = LambdaSchedule(lower=0.34, upper=1e6, constant=0.51)
+    with np.errstate(over="ignore"):
+        trace = solve(log_example.objective, _pt(1e200), sched, ProxConfig())
+    assert trace.termination.kind == "error"
+    assert trace.termination.message == "DomainError: branch gradient is non-finite at [1e+200]"
+    assert trace.iterations == 0
 
 
 def test_successful_solve_carries_no_best_iterate(log_example):
