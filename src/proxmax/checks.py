@@ -7,7 +7,7 @@ samples and applies its own bound.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -21,13 +21,19 @@ from .manifold import (
     grad_half_sq_dist,
     inner,
     log_rows,
-    norm,
     norm_rows,
     point_coords,
     transport_rows,
 )
 from .objective import MaxObjective, eval_f, eval_f_many, gen_dir_derivative, with_prox_term
-from .oracle import ConvexityReport, GridSpec, fd_gradient, geodesic_convexity_test, grid_minimize
+from .oracle import (
+    ArrayField,
+    ConvexityReport,
+    GridSpec,
+    fd_gradient,
+    geodesic_convexity_test,
+    grid_minimize,
+)
 from .problems import BuiltinProblem
 from .prox import ProxConfig, prox_step
 
@@ -70,10 +76,18 @@ def geometry_deviation(m: ManifoldKind, p, q, r, v: np.ndarray) -> float:
     return float(np.max(deviations))
 
 
-def gradient_error(field: Callable[[Point], float], exact: Tangent) -> float:
-    """Relative error of exact, the gradient of field at its base, against fd_gradient."""
-    p = exact.base
-    return norm(p, exact - fd_gradient(field, p)) / max(1.0, norm(p, exact))
+def gradient_error(field: ArrayField, m: ManifoldKind, X, exact: np.ndarray) -> np.ndarray:
+    """Relative errors (N, ...) of exact, field's gradients at the rows X, against fd_gradient.
+
+    field maps rows (N, n) to values (N, ...), and exact holds their
+    gradients as tangent coordinates (N, ..., n).  Each error is relative to
+    max(1, |exact|), and a NaN propagates.
+    """
+    X = point_coords(m, X, rows=True)
+    # one base row per gradient, broadcast over the value axes
+    base = X.reshape((len(X),) + (1,) * (exact.ndim - 2) + (m.dim,))
+    error = norm_rows(m, base, exact - fd_gradient(field, m, X))
+    return error / np.maximum(1.0, norm_rows(m, base, exact))
 
 
 def shifted_convexity(

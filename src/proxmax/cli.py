@@ -23,7 +23,6 @@ import numpy as np
 from . import checks, oracle
 from .manifold import (
     Point,
-    Tangent,
     dist_rows,
     from_chart_rows,
     random_unit_coords,
@@ -390,14 +389,9 @@ def _check_geometry(prep: _Prepared, rng: np.random.Generator) -> tuple[bool, st
 def _check_fd_gradient(prep: _Prepared, rng: np.random.Generator) -> tuple[bool, str]:
     obj = prep.problem.objective
     X = region_samples(prep.problem, 100, rng)
-    pts = [Point(obj.manifold, x) for x in X]
-    grads = branch_grads(obj, X)
-    worst = 0.0
-    for i, tau in enumerate(obj.params):
-        for k, p in enumerate(pts):
-            exact = Tangent(p, grads[k, i])
-            err = checks.gradient_error(lambda x, t=float(tau): obj.phi(x, t), exact)
-            worst = max(worst, err)
+    errors = checks.gradient_error(obj.phi, obj.manifold, X, branch_grads(obj, X))
+    # np.max keeps a NaN, which fails the bound
+    worst = float(np.max(errors))
     return worst <= 1e-6, f"worst relative error {worst:.3e} (bound 1e-6)"
 
 

@@ -1,9 +1,11 @@
 """Pointwise-maximum objectives and their generalized derivative machinery.
 
 An objective is f(p) = max over a finite parameter grid of smooth branches
-phi(p, tau).  The generalized directional derivative at p along v is the
-largest metric pairing <g, v> over gradients of branches active at p, and
-the generalized subdifferential is the convex hull of those gradients.
+phi(p, tau), given as row forms: one call takes every branch value, or
+every branch gradient, at many points.  The generalized directional
+derivative at p along v is the largest metric pairing <g, v> over gradients
+of branches active at p, and the generalized subdifferential is the convex
+hull of those gradients.
 
 simplex_qp minimizes |w @ G|^2 / (2c) - w @ h over the unit simplex exactly,
 in finitely many steps.  With h = 0 it gives min_norm_subgradient, which is
@@ -24,9 +26,7 @@ from .manifold import (
     Point,
     Tangent,
     chart_scale_rows,
-    dist,
     dist_rows,
-    grad_half_sq_dist,
     inner,
     log_rows,
     norm,
@@ -95,38 +95,27 @@ CoordsMap = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class MaxObjective:
-    """f(p) = max_{tau in params} phi(p, tau).
+    """f(p) = max over tau in params of phi(p, tau), with every branch taken at once.
 
-    grad_phi must return the Riemannian gradient of phi(., tau) at p as a
-    Tangent based at p; converting flat derivatives through the metric is
-    the problem definition's job, not this module's.  lipschitz_bound, when
-    given, is either a single bound on all branch-gradient Lipschitz
-    constants or a callable tau -> bound.
+    phi maps point coordinates X of shape (N, n) to every branch value at
+    every row, shape (N, m), columns in params order.  grad_phi maps the
+    same rows to every branch's Riemannian gradient as tangent coordinates,
+    shape (N, m, n), branches in params order; converting flat derivatives
+    through the metric is the problem definition's job, not this module's.
+    lipschitz_bound, when given, is either a single bound on all
+    branch-gradient Lipschitz constants or a callable tau -> bound.
 
     domain_guard marks the open admissible region; None means the whole
     manifold.  It maps point coordinates of shape (..., n) to a bool array
     of shape (...,), so one call checks a single point or many rows.
-
-    branch_values, when given, maps point coordinates X of shape (N, n) to
-    every branch value at every row, shape (N, m), columns in params order.
-    It must agree with phi; eval_f_many uses it to evaluate many points in
-    one array pass, and falls back to calling phi when it is None.
-
-    branch_gradients, when given, maps the same rows to every branch's
-    gradient tangent coordinates, shape (N, m, n), branches in params order;
-    entry [k, i] is grad_phi(X[k], params[i]).coords.  branch_grads uses it
-    to take all gradients in one array pass, and falls back to calling
-    grad_phi when it is None.
     """
 
     manifold: ManifoldKind
     params: ParamSet
-    phi: Callable[[Point, float], float]
-    grad_phi: Callable[[Point, float], Tangent]
+    phi: CoordsMap
+    grad_phi: CoordsMap
     lipschitz_bound: LipschitzBound = None
     domain_guard: Optional[CoordsMap] = None
-    branch_values: Optional[CoordsMap] = None
-    branch_gradients: Optional[CoordsMap] = None
 
     def check_domain(self, p: Point) -> None:
         if p.manifold != self.manifold:
@@ -171,11 +160,8 @@ def default_active_tol(f_value: float) -> float:
 
 def eval_f(obj: MaxObjective, p: Point) -> tuple[float, np.ndarray]:
     """Objective value at p together with every parameter attaining it exactly."""
-    obj.check_domain(p)
-    vals = np.array([obj.phi(p, t) for t in obj.params], dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise DomainError(f"branch value is non-finite at {p.coords.tolist()}")
-    fmax = float(np.max(vals))
+    vals = _branch_values(obj, _point_row(obj, p))[0]
+    fmax = float(vals.max())
     return fmax, obj.params.values[vals == fmax].copy()
 
 
@@ -192,9 +178,8 @@ def eval_branches(obj: MaxObjective, X) -> np.ndarray:
 
     Columns follow params.  Runs eval_f's checks on every row: each must be
     a valid point of the manifold (InvalidPointError), lie in the domain and
-    give finite branch values (DomainError).  Evaluates all rows in one
-    branch_values call, or row by row through phi when the objective has
-    none.
+    give finite branch values (DomainError).  Evaluates all rows in one phi
+    call.
     """
     return _branch_values(obj, _admissible_rows(obj, X))
 
@@ -202,10 +187,9 @@ def eval_branches(obj: MaxObjective, X) -> np.ndarray:
 def branch_grads(obj: MaxObjective, X) -> np.ndarray:
     """Every branch gradient (N, m, n) at the points stored as rows of X (N, n).
 
-    Entry [k, i] holds the tangent coordinates of grad_phi(X[k], params[i]).
-    Checks the rows as eval_branches does, then takes one branch_gradients
-    call, or calls grad_phi row by row when the objective has none (a
-    tangent at another base raises MismatchError).  Raises DomainError
+    Entry [k, i] holds the tangent coordinates of the gradient of branch
+    params[i] at X[k].  Checks the rows as eval_branches does, then takes one
+    grad_phi call and checks its shape (ValueError).  Raises DomainError
     naming the first row with a non-finite gradient entry.
     """
     return _branch_gradients(obj, _admissible_rows(obj, X))
@@ -236,37 +220,16 @@ def _require_finite(arr: np.ndarray, X: np.ndarray, what: str) -> np.ndarray:
 
 def _branch_values(obj: MaxObjective, X: np.ndarray) -> np.ndarray:
     """eval_branches on rows that _admissible_rows has checked."""
-    if obj.branch_values is not None:
-        vals = np.asarray(obj.branch_values(X), dtype=float)
-    else:
-        vals = np.array(
-            [[obj.phi(Point(obj.manifold, x), t) for t in obj.params] for x in X], dtype=float
-        ).reshape(len(X), len(obj.params))
-    return _require_finite(vals, X, "branch value")
+    return _require_finite(np.asarray(obj.phi(X), dtype=float), X, "branch value")
 
 
 def _branch_gradients(obj: MaxObjective, X: np.ndarray) -> np.ndarray:
     """branch_grads on rows that _admissible_rows has checked."""
-    m = obj.manifold
-    shape = (len(X), len(obj.params), m.dim)
-    if obj.branch_gradients is not None:
-        grads = np.asarray(obj.branch_gradients(X), dtype=float)
-        if grads.shape != shape:
-            raise ValueError(f"branch_gradients returned shape {grads.shape}, expected {shape}")
-    else:
-        grads = np.empty(shape)
-        for k, x in enumerate(X):
-            p = Point(m, x)
-            for i, t in enumerate(obj.params):
-                grads[k, i] = _branch_grad(obj, p, t).coords
+    grads = np.asarray(obj.grad_phi(X), dtype=float)
+    shape = (len(X), len(obj.params), obj.manifold.dim)
+    if grads.shape != shape:
+        raise ValueError(f"grad_phi returned shape {grads.shape}, expected {shape}")
     return _require_finite(grads, X, "branch gradient")
-
-
-def _branch_grad(obj: MaxObjective, p: Point, tau: float) -> Tangent:
-    g = obj.grad_phi(p, float(tau))
-    if g.base is not p and not np.array_equal(g.base.coords, p.coords):
-        raise MismatchError("grad_phi returned a tangent at the wrong base point")
-    return g
 
 
 def _point_row(obj: MaxObjective, p: Point) -> np.ndarray:
@@ -451,37 +414,24 @@ def with_prox_term(obj: MaxObjective, pbar: Point, lam: float) -> MaxObjective:
     """The objective with (lam/2) d(., pbar)^2 added to every branch.
 
     Branch order and active sets are preserved because the added term does
-    not depend on the branch parameter.  branch_values, when obj has it,
-    adds the same term through dist_rows, in the same order as phi, and
-    branch_gradients adds lam times the gradient of d(., pbar)^2 / 2 through
-    log_rows, in the same order as grad_phi.
+    not depend on the branch parameter.  phi adds the term through dist_rows
+    and grad_phi adds lam times the gradient of d(., pbar)^2 / 2 through
+    log_rows.
     """
     if pbar.manifold != obj.manifold:
         raise MismatchError("prox center lives on a different manifold")
     lam = float(lam)
 
-    def phi(p: Point, tau: float) -> float:
-        return obj.phi(p, tau) + 0.5 * lam * dist(p, pbar) ** 2
+    def phi(X: np.ndarray) -> np.ndarray:
+        # float_power is the C pow of a float's ** 2; np.power squares instead,
+        # and the two can differ in the last bit
+        sq = np.float_power(dist_rows(obj.manifold, X, pbar.coords), 2.0)
+        return obj.phi(X) + (0.5 * lam * sq)[:, None]
 
-    def grad_phi(p: Point, tau: float) -> Tangent:
-        return obj.grad_phi(p, tau) + lam * grad_half_sq_dist(p, pbar)
-
-    branch_values = None
-    if obj.branch_values is not None:
-
-        def branch_values(X: np.ndarray) -> np.ndarray:
-            # float_power calls the C pow that phi's float ** 2 calls; np.power
-            # squares instead, and the two can differ in the last bit
-            sq = np.float_power(dist_rows(obj.manifold, X, pbar.coords), 2.0)
-            return obj.branch_values(X) + (0.5 * lam * sq)[:, None]
-
-    branch_gradients = None
-    if obj.branch_gradients is not None:
-
-        def branch_gradients(X: np.ndarray) -> np.ndarray:
-            # grad_half_sq_dist(p, pbar) is -log_map(p, pbar)
-            pull = lam * -log_rows(obj.manifold, X, pbar.coords)
-            return obj.branch_gradients(X) + pull[:, None, :]
+    def grad_phi(X: np.ndarray) -> np.ndarray:
+        # the gradient of d(., pbar)^2 / 2 is -log_map(., pbar)
+        pull = lam * -log_rows(obj.manifold, X, pbar.coords)
+        return obj.grad_phi(X) + pull[:, None, :]
 
     return MaxObjective(
         manifold=obj.manifold,
@@ -490,6 +440,4 @@ def with_prox_term(obj: MaxObjective, pbar: Point, lam: float) -> MaxObjective:
         grad_phi=grad_phi,
         lipschitz_bound=None,
         domain_guard=obj.domain_guard,
-        branch_values=branch_values,
-        branch_gradients=branch_gradients,
     )

@@ -8,12 +8,13 @@ and the generalized directional derivative from sampled difference
 quotients.  Agreement between these and the fast paths is the evidence the
 test suite leans on.
 
-The grid search and the convexity test take an array field, mapping point
-coordinates (N, n) to values (N,).  The grid search evaluates the grid in
-chunks of GRID_CHUNK nodes, so a 5001-node grid costs one field call rather
-than 5001; the convexity test makes one call for all chord endpoints and
-one for all points along the chords.  fd_gradient takes a scalar field on
-Points, and usc_sampler an objective.
+The grid search, the convexity test and fd_gradient take an array field on
+point coordinates (N, n).  The grid search evaluates the grid in chunks of
+GRID_CHUNK nodes, so a 5001-node grid costs one field call rather than
+5001; the convexity test makes one call for all chord endpoints and one for
+all points along the chords; fd_gradient differentiates a field with values
+(N, ...), such as every branch value, at all rows in 2n calls.  usc_sampler
+takes an objective.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ GRID_CHUNK = 65_536
 GOLDEN_WIDTH = 1e-10
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-ScalarField = Callable[[Point], float]
 ArrayField = Callable[[np.ndarray], np.ndarray]
 
 
@@ -96,26 +96,33 @@ class GridSpec:
         return int(self.lower.size)
 
 
-def fd_gradient(field: ScalarField, p: Point) -> Tangent:
-    """Central-difference gradient of a scalar field at p.
+def fd_gradient(field: ArrayField, manifold: ManifoldKind, X) -> np.ndarray:
+    """Central-difference gradients (N, ..., n) of an array field at the point rows X (N, n).
 
-    Differences are taken through exp_map along each tangent coordinate
-    direction, with steps sqrt(eps) * max(1, |coordinate|), then converted
-    to a gradient with the metric (the sharp of the estimated differential).
-    Out-of-domain evaluations propagate.
+    field maps rows (N, n) to values (N, ...), and entry [k, ..., i] of the
+    result belongs to value [k, ...] and coordinate i.  Differences are taken
+    through exp_rows along each tangent coordinate direction, with steps
+    sqrt(eps) * max(1, |coordinate|), then converted to gradients with the
+    metric (the sharp of the estimated differential).  Shifted rows that are
+    not valid points raise InvalidPointError, and out-of-domain evaluations
+    propagate.
     """
-    dim = p.manifold.dim
-    steps = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(p.coords))
-    diffs = np.empty(dim)
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = steps[i]
-        f_plus = field(exp_map(p, Tangent(p, e)))
-        f_minus = field(exp_map(p, Tangent(p, -e)))
-        diffs[i] = (f_plus - f_minus) / (2.0 * steps[i])
-    if p.manifold.geometry is Geometry.LOG_POSITIVE:
-        diffs = diffs * p.coords**2
-    return Tangent(p, diffs)
+    X = point_coords(manifold, X, rows=True)
+    steps = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(X))
+    sharp = X**2 if manifold.geometry is Geometry.LOG_POSITIVE else np.ones_like(X)
+
+    def values(shift: np.ndarray) -> np.ndarray:
+        moved = point_coords(manifold, exp_rows(manifold, X, shift), rows=True)
+        return np.asarray(field(moved), dtype=float)
+
+    columns = []
+    for i in range(manifold.dim):
+        e = np.zeros_like(X)
+        e[:, i] = steps[:, i]
+        # transposed, the rows run along the last axis and meet steps and sharp there
+        diff = (values(e) - values(-e)).T
+        columns.append((diff / (2.0 * steps[:, i]) * sharp[:, i]).T)
+    return np.stack(columns, axis=-1)
 
 
 def _golden_refine(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:

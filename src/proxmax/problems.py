@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .manifold import Point, Tangent, euclidean, from_chart_rows, log_positive, point_coords
+from .manifold import Point, euclidean, from_chart_rows, log_positive, point_coords
 from .objective import MaxObjective, ParamSet
 
 __all__ = [
@@ -59,27 +59,17 @@ def paper_example(epsilon: float = 0.125) -> BuiltinProblem:
     m = log_positive(1)
     params = ParamSet(np.array([0.0, 1.0]))
 
-    def phi(p: Point, tau: float) -> float:
-        f1, f2 = _log_example_branches(p.coords)
-        return float((1.0 - tau) * f1[0] + tau * f2[0])
-
-    def branch_values(X: np.ndarray) -> np.ndarray:
+    def phi(X: np.ndarray) -> np.ndarray:
         f1, f2 = _log_example_branches(X)
         tau = params.values
         return (1.0 - tau) * f1 + tau * f2
 
-    def gradients(X: np.ndarray, tau: np.ndarray) -> np.ndarray:
-        # (N, 1) rows and (k,) parameters -> (N, k, 1)
+    def grad_phi(X: np.ndarray) -> np.ndarray:
+        # (N, 1) rows -> (N, 2, 1)
+        tau = params.values[:, None]
         X = X[:, None, :]
         d1, d2 = _log_example_branch_derivs(X)
-        flat = (1.0 - tau[:, None]) * d1 + tau[:, None] * d2
-        return X**2 * flat
-
-    def branch_gradients(X: np.ndarray) -> np.ndarray:
-        return gradients(X, params.values)
-
-    def grad_phi(p: Point, tau: float) -> Tangent:
-        return Tangent(p, gradients(p.coords[None], np.array([tau], dtype=float))[0, 0])
+        return X**2 * ((1.0 - tau) * d1 + tau * d2)
 
     def guard(x: np.ndarray) -> np.ndarray:
         # ndarray.all skips np.all's wrapper, which dominates a one-point check
@@ -92,8 +82,6 @@ def paper_example(epsilon: float = 0.125) -> BuiltinProblem:
         grad_phi=grad_phi,
         lipschitz_bound=None,
         domain_guard=guard,
-        branch_values=branch_values,
-        branch_gradients=branch_gradients,
     )
     q = 0.3125
     c = float(-np.log(0.75) + np.exp(-1.5) - np.exp(-2.0))
@@ -130,32 +118,18 @@ def paper_example_product(n: int = 2, epsilon: float = 0.125) -> BuiltinProblem:
     # row t holds the bits of parameter t
     all_bits = (np.arange(2**n)[:, None] // 2 ** np.arange(n)) % 2
 
-    def bits_of(tau: float) -> np.ndarray:
-        return all_bits[int(tau)]
-
-    def phi(p: Point, tau: float) -> float:
-        b = bits_of(tau)
-        f1, f2 = _log_example_branches(p.coords)
-        return float(np.sum(np.where(b == 1, f2, f1)))
-
-    def branch_values(X: np.ndarray) -> np.ndarray:
+    def phi(X: np.ndarray) -> np.ndarray:
         f1, f2 = _log_example_branches(X)
         return np.sum(np.where(all_bits == 1, f2[:, None, :], f1[:, None, :]), axis=2)
 
-    def gradients(X: np.ndarray, bits: np.ndarray) -> np.ndarray:
-        # (N, n) rows and (k, n) branch bits -> (N, k, n): x**2 * flat, multiplied
-        # in place so the (N, 2^n, n) array exists once
+    def grad_phi(X: np.ndarray) -> np.ndarray:
+        # (N, n) rows -> (N, 2^n, n): x**2 * flat, multiplied in place so the
+        # (N, 2^n, n) array exists once
         X = X[:, None, :]
         d1, d2 = _log_example_branch_derivs(X)
-        flat = np.where(bits == 1, d2, d1)
+        flat = np.where(all_bits == 1, d2, d1)
         flat *= X**2
         return flat
-
-    def branch_gradients(X: np.ndarray) -> np.ndarray:
-        return gradients(X, all_bits)
-
-    def grad_phi(p: Point, tau: float) -> Tangent:
-        return Tangent(p, gradients(p.coords[None], bits_of(tau)[None])[0, 0])
 
     def guard(x: np.ndarray) -> np.ndarray:
         # ndarray.all skips np.all's wrapper, which dominates a one-point check
@@ -168,8 +142,6 @@ def paper_example_product(n: int = 2, epsilon: float = 0.125) -> BuiltinProblem:
         grad_phi=grad_phi,
         lipschitz_bound=None,
         domain_guard=guard,
-        branch_values=branch_values,
-        branch_gradients=branch_gradients,
     )
     return BuiltinProblem(
         name="paper_example_product",
@@ -190,21 +162,13 @@ def abs_value() -> BuiltinProblem:
     m = euclidean(1)
     params = ParamSet(np.array([0.0, 1.0]))
 
-    def phi(p: Point, tau: float) -> float:
-        return float((1.0 - 2.0 * tau) * p.coords[0])
+    slopes = 1.0 - 2.0 * params.values
 
-    def branch_values(X: np.ndarray) -> np.ndarray:
-        return (1.0 - 2.0 * params.values) * X
+    def phi(X: np.ndarray) -> np.ndarray:
+        return slopes * X
 
-    def gradients(X: np.ndarray, tau: np.ndarray) -> np.ndarray:
-        # (N, 1) rows and (k,) parameters -> (N, k, 1)
-        return np.tile((1.0 - 2.0 * tau)[:, None], (len(X), 1, 1))
-
-    def branch_gradients(X: np.ndarray) -> np.ndarray:
-        return gradients(X, params.values)
-
-    def grad_phi(p: Point, tau: float) -> Tangent:
-        return Tangent(p, gradients(p.coords[None], np.array([tau], dtype=float))[0, 0])
+    def grad_phi(X: np.ndarray) -> np.ndarray:
+        return np.tile(slopes[:, None], (len(X), 1, 1))
 
     obj = MaxObjective(
         manifold=m,
@@ -213,8 +177,6 @@ def abs_value() -> BuiltinProblem:
         grad_phi=grad_phi,
         lipschitz_bound=0.0,
         domain_guard=None,
-        branch_values=branch_values,
-        branch_gradients=branch_gradients,
     )
     return BuiltinProblem(
         name="abs",
@@ -235,18 +197,13 @@ def quadratic() -> BuiltinProblem:
     """
     m = euclidean(1)
 
-    def phi(p: Point, tau: float) -> float:
-        return float(0.5 * p.coords[0] ** 2)
-
-    def branch_values(X: np.ndarray) -> np.ndarray:
-        # the C pow of phi's ** 2, which np.power would replace by a square
+    def phi(X: np.ndarray) -> np.ndarray:
+        # float_power is the C pow of a float's ** 2, which np.power would
+        # replace by a square
         return 0.5 * np.float_power(X, 2.0)
 
-    def branch_gradients(X: np.ndarray) -> np.ndarray:
+    def grad_phi(X: np.ndarray) -> np.ndarray:
         return X[:, None, :].copy()
-
-    def grad_phi(p: Point, tau: float) -> Tangent:
-        return Tangent(p, branch_gradients(p.coords[None])[0, 0])
 
     obj = MaxObjective(
         manifold=m,
@@ -255,8 +212,6 @@ def quadratic() -> BuiltinProblem:
         grad_phi=grad_phi,
         lipschitz_bound=0.0,
         domain_guard=None,
-        branch_values=branch_values,
-        branch_gradients=branch_gradients,
     )
     return BuiltinProblem(
         name="quadratic",

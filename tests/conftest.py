@@ -5,6 +5,7 @@ from proxmax import (
     DomainError,
     Point,
     SubdiffHull,
+    Tangent,
     dist,
     eval_f,
     exp_map,
@@ -54,9 +55,9 @@ def hull_distance():
     return _hull_distance
 
 
-# The per-point convexity test and verify checks that the array passes
-# replaced, kept verbatim as references.  Tests reach them via the fixtures
-# below, so no test module imports another.
+# The per-point convexity test, fd_gradient and verify checks that the
+# array passes replaced, kept verbatim as references.  Tests reach them via
+# the fixtures below, so no test module imports another.
 
 
 def _reference_geodesic_convexity_test(
@@ -117,6 +118,25 @@ def _reference_geodesic_convexity_test(
             if gap > slack:
                 n_violations += 1
     return ConvexityReport(samples, n_checks, n_violations, float(worst), modulus, slack)
+
+
+def _reference_fd_gradient(field, p):
+    """The per-point fd_gradient the row form replaced, kept verbatim.
+
+    field is a scalar field on Points; the result is a Tangent at p.
+    """
+    dim = p.manifold.dim
+    steps = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(p.coords))
+    diffs = np.empty(dim)
+    for i in range(dim):
+        e = np.zeros(dim)
+        e[i] = steps[i]
+        f_plus = field(exp_map(p, Tangent(p, e)))
+        f_minus = field(exp_map(p, Tangent(p, -e)))
+        diffs[i] = (f_plus - f_minus) / (2.0 * steps[i])
+    if p.manifold.geometry is Geometry.LOG_POSITIVE:
+        diffs = diffs * p.coords**2
+    return Tangent(p, diffs)
 
 
 def _reference_check_geometry(prep, rng):
@@ -203,6 +223,12 @@ def _reference_region_samples(problem, count=64, rng=None):
 def reference_region_samples():
     """The per-sample region_samples: Points drawn one at a time."""
     return _reference_region_samples
+
+
+@pytest.fixture
+def reference_fd_gradient():
+    """The per-point fd_gradient: a scalar field on Points, one Tangent at p."""
+    return _reference_fd_gradient
 
 
 @pytest.fixture

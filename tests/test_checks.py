@@ -23,14 +23,10 @@ def test_geometry_deviation_flags_a_wrong_transport(monkeypatch, rng):
 
 def test_gradient_error_flags_a_wrong_gradient(log_example):
     obj = log_example.objective
-    p = Point(obj.manifold, [0.5])
-    exact = obj.grad_phi(p, 1.0)
-
-    def field(x):
-        return obj.phi(x, 1.0)
-
-    assert checks.gradient_error(field, exact) <= 1e-6
-    assert checks.gradient_error(field, 2.0 * exact) > 0.1
+    X = np.array([[0.5]])
+    exact = obj.grad_phi(X)
+    assert checks.gradient_error(obj.phi, obj.manifold, X, exact).max() <= 1e-6
+    assert checks.gradient_error(obj.phi, obj.manifold, X, 2.0 * exact).max() > 0.1
 
 
 def test_sum_rule_mismatch_flags_a_wrong_weight(log_example):

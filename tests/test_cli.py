@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -16,6 +17,7 @@ from proxmax.cli import (
     run,
     verify,
 )
+from proxmax.problems import region_samples
 
 
 def _write(tmp_path, name, payload):
@@ -313,6 +315,35 @@ def test_geometry_check_fails_on_a_nan_deviation(monkeypatch):
     passed, detail = cli._check_geometry(_geometry_prep(log_positive(1)), np.random.default_rng(0))
     assert not passed
     assert detail == "worst deviation nan (bound 1e-10)"
+
+
+def test_fd_gradient_check_fails_on_a_nan_error(tmp_path, monkeypatch):
+    # fd_gradient passes a NaN field value on to the error; Python's
+    # max(0.0, nan) is 0.0 and would drop it, np.max keeps it
+    build = cli.make_problem
+    x0 = float(region_samples(make_problem("paper_example"), 100)[50, 0])
+
+    def problem_with_a_nan(request):
+        problem = build(request)
+        obj = problem.objective
+        phi = obj.phi
+
+        def nan_above_x0(X):
+            # NaN at the upward shift of sample x0, which only the fd check evaluates
+            vals = phi(X)
+            vals[(X[:, 0] > x0) & (X[:, 0] < x0 * (1.0 + 1e-6))] = np.nan
+            return vals
+
+        return dataclasses.replace(
+            problem, objective=dataclasses.replace(obj, phi=nan_above_x0)
+        )
+
+    monkeypatch.setattr(cli, "make_problem", problem_with_a_nan)
+    assert verify(parse_config({"problem": "paper_example"}), out_dir=tmp_path / "v") == 3
+    with open(tmp_path / "v" / "verify.json") as fh:
+        by_name = {c["name"]: c for c in json.load(fh)["checks"]}
+    assert by_name["fd_gradient"]["status"] == "fail"
+    assert by_name["fd_gradient"]["detail"] == "worst relative error nan (bound 1e-6)"
 
 
 def test_verify_is_byte_deterministic(tmp_path):

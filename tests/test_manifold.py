@@ -295,12 +295,12 @@ def test_grad_half_sq_dist_matches_finite_differences(rng):
     from proxmax.oracle import fd_gradient
 
     m = log_positive(3)
-    for _ in range(20):
-        q = Point(m, np.exp(rng.uniform(-2, 2, 3)))
-        center = Point(m, np.exp(rng.uniform(-2, 2, 3)))
-        exact = grad_half_sq_dist(q, center)
-        approx = fd_gradient(lambda x: 0.5 * dist(x, center) ** 2, q)
-        assert norm(q, exact - approx) <= 1e-6 * max(1.0, norm(q, exact))
+    # per row: q, then the center
+    Q, C = (np.exp(z) for z in np.split(rng.uniform(-2, 2, (20, 6)), 2, axis=1))
+    exact = np.stack([grad_half_sq_dist(Point(m, q), Point(m, c)).coords for q, c in zip(Q, C)])
+    approx = fd_gradient(lambda X: 0.5 * np.float_power(dist_rows(m, X, C), 2.0), m, Q)
+    bound = 1e-6 * np.maximum(1.0, norm_rows(m, Q, exact))
+    assert np.all(norm_rows(m, Q, exact - approx) <= bound)
 
 
 def test_differential_exp_matches_finite_differences(rng):

@@ -24,6 +24,7 @@ from proxmax.oracle import (
     grid_minimize,
     usc_sampler,
 )
+from proxmax.problems import region_samples
 
 LP1 = log_positive(1)
 E1 = euclidean(1)
@@ -52,30 +53,50 @@ def _objective_fields(obj):
 
 def test_fd_gradient_log_branch(log_example):
     obj = log_example.objective
-    p = _pt(1.0)
-    g = fd_gradient(lambda q: obj.phi(q, 1.0), p)
-    assert_allclose(g.coords, [-1.0 - 2.0 * np.exp(-2.0)], rtol=1e-6)
+    g = fd_gradient(obj.phi, LP1, [[1.0]])
+    assert g.shape == (1, 2, 1)
+    assert_allclose(g[0, 1], [-1.0 - 2.0 * np.exp(-2.0)], rtol=1e-6)
 
 
 def test_fd_gradient_applies_metric_sharp():
     # gradient of ln x under the inverse-square metric is x itself
-    p = _pt(2.0)
-    g = fd_gradient(lambda q: np.log(q.coords[0]), p)
-    assert_allclose(g.coords, [2.0], rtol=1e-7)
+    g = fd_gradient(lambda X: np.log(X[:, 0]), LP1, [[2.0]])
+    assert_allclose(g[0], [2.0], rtol=1e-7)
 
 
 def test_fd_gradient_euclidean():
     m = euclidean(2)
-    p = Point(m, [1.0, 2.0])
-    g = fd_gradient(lambda q: 0.5 * float(q.coords @ q.coords), p)
-    assert_allclose(g.coords, [1.0, 2.0], rtol=1e-7)
+    g = fd_gradient(lambda X: 0.5 * np.sum(X * X, axis=1), m, [[1.0, 2.0]])
+    assert_allclose(g[0], [1.0, 2.0], rtol=1e-7)
 
 
 def test_fd_gradient_propagates_domain_error(log_example):
     obj = log_example.objective
-    p = _pt(0.125 + 1e-9)
     with pytest.raises(DomainError):
-        fd_gradient(lambda q: eval_f(obj, q)[0], p)
+        fd_gradient(lambda X: eval_f_many(obj, X), LP1, [[0.125 + 1e-9]])
+
+
+@pytest.mark.parametrize(
+    "request_",
+    ["paper_example", {"name": "paper_example_product", "n": 2},
+     {"name": "paper_example_product", "n": 4}],
+    ids=["paper", "prod2", "prod4"],
+)
+def test_fd_gradient_matches_per_point_reference(request_, reference_fd_gradient):
+    prob = make_problem(request_)
+    obj = prob.objective
+    m = obj.manifold
+    X = region_samples(prob, 20, np.random.default_rng(4))
+    got = fd_gradient(obj.phi, m, X)
+    want = [
+        [
+            reference_fd_gradient(lambda q, i=i: obj.phi(q.coords[None])[0, i], Point(m, x)).coords
+            for i in range(len(obj.params))
+        ]
+        for x in X
+    ]
+    assert got.shape == (len(X), len(obj.params), m.dim)
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 # grid minimization

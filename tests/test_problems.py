@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from proxmax import Point, eval_f, log_positive, make_problem, norm
+from proxmax import Point, eval_f, log_positive, make_problem
+from proxmax.manifold import norm_rows
 from proxmax.oracle import fd_gradient
 from proxmax.problems import BUILTIN_NAMES, region_samples
 
@@ -54,13 +55,18 @@ def test_log_example_shape(log_example):
 
 
 def test_log_example_interpolates_branches(log_example):
-    # the parameter mixes the two branches affinely, so interior values
-    # never exceed the endpoint maximum
-    obj = log_example.objective
-    p = Point(log_positive(1), [2.0])
-    v0 = obj.phi(p, 0.0)
-    v1 = obj.phi(p, 1.0)
-    assert obj.phi(p, 0.25) == pytest.approx(0.75 * v0 + 0.25 * v1, rel=1e-14)
+    # the two columns are the branches ln x and -ln x + e^(-2x) - e^(-2); the
+    # parameter mixes them affinely, so interior values never exceed the
+    # endpoint maximum
+    x = 2.0
+    v0, v1 = log_example.objective.phi(np.array([[x]]))[0]
+    f1 = np.log(x)
+    f2 = -np.log(x) + np.exp(-2.0 * x) - np.exp(-2.0)
+    assert v0 == pytest.approx(f1, rel=1e-14)
+    assert v1 == pytest.approx(f2, rel=1e-14)
+    mix = 0.75 * v0 + 0.25 * v1
+    assert mix == pytest.approx(0.75 * f1 + 0.25 * f2, rel=1e-14)
+    assert mix <= max(v0, v1)
 
 
 def test_product_problem_sums_coordinates():
@@ -107,14 +113,15 @@ def test_builtin_gradients_match_finite_differences(rng):
     for name in BUILTIN_NAMES:
         prob = make_problem(name)
         obj = prob.objective
-        pts = [Point(obj.manifold, x) for x in region_samples(prob, 12, rng)]
-        for tau in obj.params.values:
-            for p in pts:
-                if abs(p.coords[0]) < 0.05 and name == "abs":
-                    continue  # kink of the branch itself
-                exact = obj.grad_phi(p, float(tau))
-                approx = fd_gradient(lambda q, t=float(tau): obj.phi(q, t), p)
-                assert norm(p, exact - approx) <= 1e-5 * max(1.0, norm(p, exact))
+        m = obj.manifold
+        X = region_samples(prob, 12, rng)
+        if name == "abs":
+            X = X[np.abs(X[:, 0]) >= 0.05]  # kink of the branch itself
+        exact = obj.grad_phi(X)
+        approx = fd_gradient(obj.phi, m, X)
+        base = X[:, None, :]
+        bound = 1e-5 * np.maximum(1.0, norm_rows(m, base, exact))
+        assert np.all(norm_rows(m, base, exact - approx) <= bound)
 
 
 def test_region_samples_one_dim(log_example):
