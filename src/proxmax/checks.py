@@ -14,12 +14,10 @@ import numpy as np
 from .manifold import (
     ManifoldKind,
     Point,
-    Tangent,
     dist,
     dist_rows,
     exp_rows,
-    grad_half_sq_dist,
-    inner,
+    inner_rows,
     log_rows,
     norm_rows,
     point_coords,
@@ -112,12 +110,17 @@ def shifted_convexity(
 
 
 def sum_rule_mismatch(
-    obj: MaxObjective, shifted: MaxObjective, center: Point, lam: float, p: Point, v: Tangent
-) -> float:
-    """How far shifted, meant as with_prox_term(obj, center, lam), breaks the sum rule at p, v."""
-    lhs = gen_dir_derivative(shifted, p, v)
-    rhs = gen_dir_derivative(obj, p, v) + lam * inner(p, grad_half_sq_dist(p, center), v)
-    return abs(lhs - rhs)
+    obj: MaxObjective, shifted: MaxObjective, center: Point, lam: float, X, V
+) -> np.ndarray:
+    """How far shifted, meant as with_prox_term(obj, center, lam), breaks the sum rule.
+
+    One mismatch (N,) per point row of X and tangent row of V, both (N, n);
+    a NaN propagates.  The gradient of d(., center)^2 / 2 is -log_map(., center).
+    """
+    lhs = gen_dir_derivative(shifted, X, V)
+    m, X, V = obj.manifold, np.asarray(X, dtype=float), np.asarray(V, dtype=float)
+    pull = inner_rows(m, X, -log_rows(m, X, center.coords), V)
+    return np.abs(lhs - (gen_dir_derivative(obj, X, V) + lam * pull))
 
 
 def prox_grid_gaps(

@@ -34,6 +34,7 @@ from .objective import (
     clarke_subdiff,
     estimate_sup_lipschitz,
     eval_f,
+    eval_f_many,
     min_norm_subgradient,
     with_prox_term,
 )
@@ -410,11 +411,11 @@ def _check_sum_rule(prep: _Prepared, rng: np.random.Generator) -> tuple[bool, st
     obj = prep.problem.objective
     lam = max(prep.lam, 1.0)
     shifted = with_prox_term(obj, prep.start, lam)
-    worst = 0.0
-    for x in region_samples(prep.problem, 100, rng):
-        p = Point(obj.manifold, x)
-        v = rng.uniform(0.5, 2.0) * random_unit_tangent(p, rng)
-        worst = max(worst, checks.sum_rule_mismatch(obj, shifted, prep.start, lam, p, v))
+    X = region_samples(prep.problem, 100, rng)
+    # speed, then direction, one sample at a time: this order fixes the draws and so the report
+    V = np.array([rng.uniform(0.5, 2.0) * random_unit_coords(obj.manifold, x, rng) for x in X])
+    # np.max keeps a NaN, which fails the bound
+    worst = float(np.max(checks.sum_rule_mismatch(obj, shifted, prep.start, lam, X, V)))
     return worst <= 1e-8, f"worst mismatch {worst:.3e} (bound 1e-8)"
 
 
@@ -479,20 +480,14 @@ def _check_subgrad_floor(
     m = obj.manifold
     f_q, _ = eval_f(obj, Point(m, [meta["q"]]))
     c, delta = meta["c"], meta["delta"]
-    floor = np.inf
-    checked = 0
-    for x in region_samples(prep.problem, 400):
-        p = Point(m, x)
-        f_p, _ = eval_f(obj, p)
-        if not (c < f_p <= f_q):
-            continue
-        _, gn = min_norm_subgradient(clarke_subdiff(obj, p))
-        floor = min(floor, gn)
-        checked += 1
-    if checked == 0:
+    X = region_samples(prep.problem, 400)
+    f = eval_f_many(obj, X)
+    band = X[(c < f) & (f <= f_q)]
+    if len(band) == 0:
         return False, "no grid point landed in the level band"
+    floor = min(min_norm_subgradient(clarke_subdiff(obj, Point(m, x)))[1] for x in band)
     return floor > delta, (
-        f"min subgradient norm {floor:.6f} over {checked} band points (must exceed {delta})"
+        f"min subgradient norm {floor:.6f} over {len(band)} band points (must exceed {delta})"
     )
 
 
@@ -588,7 +583,8 @@ def sweep(configs_dir, out_root=None, jobs: int = 1) -> int:
     root.mkdir(parents=True, exist_ok=True)
     tasks = [(str(p), str(root / p.stem)) for p in paths]
     if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool starts all its workers at the first submit: no more than one per config
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(_sweep_one, tasks))
     else:
         results = [_sweep_one(t) for t in tasks]

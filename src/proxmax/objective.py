@@ -4,8 +4,8 @@ An objective is f(p) = max over a finite parameter grid of smooth branches
 phi(p, tau), given as row forms: one call takes every branch value, or
 every branch gradient, at many points.  The generalized directional
 derivative at p along v is the largest metric pairing <g, v> over gradients
-of branches active at p, and the generalized subdifferential is the convex
-hull of those gradients.
+of branches active at p, taken at many rows at once; the generalized
+subdifferential is the convex hull of those gradients, held as one array.
 
 simplex_qp minimizes |w @ G|^2 / (2c) - w @ h over the unit simplex exactly,
 in finitely many steps.  With h = 0 it gives min_norm_subgradient, which is
@@ -16,7 +16,7 @@ prox-linear inner step in prox.py.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -27,9 +27,8 @@ from .manifold import (
     Tangent,
     chart_scale_rows,
     dist_rows,
-    inner,
+    inner_rows,
     log_rows,
-    norm,
     norm_rows,
     point_coords,
     transport_rows,
@@ -41,7 +40,6 @@ __all__ = [
     "ParamSet",
     "MaxObjective",
     "SubdiffHull",
-    "default_active_tol",
     "eval_f",
     "eval_f_many",
     "eval_branches",
@@ -87,7 +85,6 @@ class ParamSet:
         return iter(self.values)
 
 
-LipschitzBound = Union[float, Callable[[float], float], None]
 # coordinates (..., n) -> admissibility (...,); or rows (N, n) -> branch values
 # (N, m) or branch gradients (N, m, n)
 CoordsMap = Callable[[np.ndarray], np.ndarray]
@@ -102,8 +99,8 @@ class MaxObjective:
     same rows to every branch's Riemannian gradient as tangent coordinates,
     shape (N, m, n), branches in params order; converting flat derivatives
     through the metric is the problem definition's job, not this module's.
-    lipschitz_bound, when given, is either a single bound on all
-    branch-gradient Lipschitz constants or a callable tau -> bound.
+    lipschitz_bound, when given, bounds every branch-gradient Lipschitz
+    constant.
 
     domain_guard marks the open admissible region; None means the whole
     manifold.  It maps point coordinates of shape (..., n) to a bool array
@@ -114,7 +111,7 @@ class MaxObjective:
     params: ParamSet
     phi: CoordsMap
     grad_phi: CoordsMap
-    lipschitz_bound: LipschitzBound = None
+    lipschitz_bound: Optional[float] = None
     domain_guard: Optional[CoordsMap] = None
 
     def check_domain(self, p: Point) -> None:
@@ -129,33 +126,26 @@ class MaxObjective:
         return self.domain_guard is None or bool(self.domain_guard(p.coords))
 
     def declared_sup_lipschitz(self) -> Optional[float]:
-        if self.lipschitz_bound is None:
-            return None
-        if callable(self.lipschitz_bound):
-            return float(max(self.lipschitz_bound(t) for t in self.params))
-        return float(self.lipschitz_bound)
+        return None if self.lipschitz_bound is None else float(self.lipschitz_bound)
 
 
 @dataclass(frozen=True)
 class SubdiffHull:
-    """Convex hull of branch gradients at a base point."""
+    """Convex hull of branch gradients at a base point.
+
+    generators holds their tangent coordinates at base as rows (k >= 1, n),
+    kept as a read-only view of the array given.
+    """
 
     base: Point
-    generators: tuple[Tangent, ...]
+    generators: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.generators:
-            raise ValueError("hull needs at least one generator")
-        for g in self.generators:
-            if g.base.manifold != self.base.manifold or not np.array_equal(
-                g.base.coords, self.base.coords
-            ):
-                raise MismatchError("hull generator is not attached at the base point")
-
-
-def default_active_tol(f_value: float) -> float:
-    """Activation tolerance used when none is supplied."""
-    return 1e-12 * max(1.0, abs(f_value))
+        gens = np.asarray(self.generators, dtype=float).view()
+        if gens.ndim != 2 or len(gens) == 0 or gens.shape[1] != self.base.manifold.dim:
+            raise ValueError(f"hull needs generator rows (k >= 1, base dim), got {gens.shape}")
+        gens.flags.writeable = False
+        object.__setattr__(self, "generators", gens)
 
 
 def eval_f(obj: MaxObjective, p: Point) -> tuple[float, np.ndarray]:
@@ -239,10 +229,10 @@ def _point_row(obj: MaxObjective, p: Point) -> np.ndarray:
 
 
 def _active_mask(vals: np.ndarray, eta: Optional[float]) -> np.ndarray:
-    fmax = float(vals.max())
+    fmax = vals.max(axis=-1, keepdims=True)
     if eta is None:
-        eta = default_active_tol(fmax)
-    if eta < 0:
+        eta = 1e-12 * np.maximum(1.0, np.abs(fmax))
+    elif eta < 0:
         raise ValueError(f"activation tolerance must be >= 0, got {eta}")
     return vals >= fmax - eta
 
@@ -260,16 +250,22 @@ def clarke_subdiff(obj: MaxObjective, p: Point, eta: Optional[float] = None) -> 
     """
     X = _point_row(obj, p)
     active = _active_mask(_branch_values(obj, X)[0], eta)
-    grads = _branch_gradients(obj, X)[0]
-    return SubdiffHull(p, tuple(Tangent(p, g) for g in grads[active]))
+    return SubdiffHull(p, _branch_gradients(obj, X)[0][active])
 
 
-def gen_dir_derivative(
-    obj: MaxObjective, p: Point, v: Tangent, eta: Optional[float] = None
-) -> float:
-    """Generalized directional derivative of f at p along v."""
-    hull = clarke_subdiff(obj, p, eta)
-    return max(inner(p, g, v) for g in hull.generators)
+def gen_dir_derivative(obj: MaxObjective, X, V, eta: Optional[float] = None) -> np.ndarray:
+    """Generalized directional derivatives (N,) at point rows X (N, n) along tangent rows V (N, n).
+
+    Entry k pairs V[k] with each eta-active branch gradient at X[k] and takes the largest.
+    One phi and one grad_phi call, with the checks of eval_branches and branch_grads.
+    """
+    X = _admissible_rows(obj, X)
+    V = np.asarray(V, dtype=float)
+    if V.shape != X.shape or not np.isfinite(V).all():
+        raise ValueError(f"tangent rows must be finite, shape {X.shape}; got shape {V.shape}")
+    active = _active_mask(_branch_values(obj, X), eta)
+    pairs = inner_rows(obj.manifold, X[:, None], _branch_gradients(obj, X), V[:, None])
+    return np.where(active, pairs, -np.inf).max(axis=1)
 
 
 def _affine_minimizer(G: np.ndarray, h: np.ndarray, c: float):
@@ -363,16 +359,17 @@ def min_norm_subgradient(hull: SubdiffHull) -> tuple[Tangent, float]:
     metric is Euclidean.  When n + 1 generators keep weight, their affine
     hull is the whole tangent space and the element is the origin itself.
     """
-    base = hull.base
+    base, m = hull.base, hull.base.manifold
     if len(hull.generators) == 1:
-        return hull.generators[0], norm(base, hull.generators[0])
-    scale = chart_scale_rows(base.manifold, base.coords)
-    G = np.stack([g.coords for g in hull.generators]) / scale
-    w = simplex_qp(G)
-    if np.count_nonzero(w) > base.manifold.dim:
-        return zero_tangent(base), 0.0
-    g = Tangent(base, (w @ G) * scale)
-    return g, norm(base, g)
+        g = hull.generators[0]
+    else:
+        scale = chart_scale_rows(m, base.coords)
+        G = hull.generators / scale
+        w = simplex_qp(G)
+        if np.count_nonzero(w) > m.dim:
+            return zero_tangent(base), 0.0
+        g = (w @ G) * scale
+    return Tangent(base, g), float(norm_rows(m, base.coords, g))
 
 
 def estimate_sup_lipschitz(obj: MaxObjective, samples) -> float:

@@ -14,7 +14,7 @@ GRID_CHUNK nodes, so a 5001-node grid costs one field call rather than
 5001; the convexity test makes one call for all chord endpoints and one for
 all points along the chords; fd_gradient differentiates a field with values
 (N, ...), such as every branch value, at all rows in 2n calls.  usc_sampler
-takes an objective.
+takes an objective and evaluates all its samples in one call.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import numpy as np
 from .manifold import (
     Geometry,
     ManifoldKind,
-    MismatchError,
     Point,
     Tangent,
     dist_rows,
@@ -39,8 +38,10 @@ from .manifold import (
     log_map,
     log_rows,
     point_coords,
+    random_unit_coords,
     random_unit_tangent,
-    transport,
+    transport_rows,
+    _require_at,
 )
 from .objective import CoordsMap, DomainError, MaxObjective, eval_f, gen_dir_derivative
 
@@ -315,32 +316,35 @@ def usc_sampler(
     Builds a sequence (p_k, v_k) -> (p, v) with d(p_k, p) = 1/k, v_k the
     transport of v plus a random tangent of norm 0.25/k, and compares the
     largest tail value (final tenth) of the directional derivative against
-    its value at (p, v).
+    its value at (p, v).  Step k draws the direction at p, then the kick at
+    p_k if p_k is admissible; one gen_dir_derivative call takes every row.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    obj.check_domain(p)
+    _require_at(p, v)
+    m, x, u = obj.manifold, p.coords, v.coords
     rng = np.random.default_rng(seed)
-    reference = gen_dir_derivative(obj, p, v)
-    values = np.full(n, -np.inf)
-    discarded = 0
+    kept = [(0, x, u)]  # (k, p_k, v_k) rows, with (p, v) as step 0
     for k in range(1, n + 1):
-        direction = random_unit_tangent(p, rng)
-        p_k = exp_map(p, (1.0 / k) * direction)
-        if not obj.in_domain(p_k):
-            discarded += 1
-            continue
-        v_k = transport(p, p_k, v) + (_USC_PERT_SCALE / k) * random_unit_tangent(p_k, rng)
-        values[k - 1] = gen_dir_derivative(obj, p_k, v_k)
+        p_k = point_coords(m, exp_rows(m, x, (1.0 / k) * random_unit_coords(m, x, rng)))
+        if obj.domain_guard is None or obj.domain_guard(p_k):
+            kick = (_USC_PERT_SCALE / k) * random_unit_coords(m, p_k, rng)
+            kept.append((k, p_k, transport_rows(m, x, p_k, u) + kick))
+    steps, X, V = zip(*kept)
+    values = np.full(n + 1, -np.inf)  # entry k for step k, discarded steps at -inf
+    values[list(steps)] = gen_dir_derivative(obj, X, V)
+    reference, discarded = float(values[0]), n + 1 - len(steps)
     tail_start = max((9 * n) // 10, 1)
-    tail = values[tail_start - 1 :]
+    tail = values[tail_start:]
     tail = tail[np.isfinite(tail)]
     if tail.size == 0:
         raise DomainError("every tail sample fell outside the admissible region")
     tail_max = float(np.max(tail))
     return UscReport(
-        reference=float(reference),
+        reference=reference,
         tail_max=tail_max,
-        gap=tail_max - float(reference),
+        gap=tail_max - reference,
         tolerance=float(tolerance),
         n=n,
         tail_start=tail_start,
@@ -355,8 +359,7 @@ def differential_exp(p: Point, w: Tangent, u: Tangent) -> Tangent:
     shipped geometries because both are flat.
     """
     at = exp_map(p, w)
-    if u.base.manifold != p.manifold or not np.array_equal(u.base.coords, p.coords):
-        raise MismatchError("tangent is not attached at the expected point")
+    _require_at(p, u)
     if p.manifold.geometry is Geometry.LOG_POSITIVE:
         return Tangent(at, np.exp(w.coords / p.coords) * u.coords)
     return Tangent(at, u.coords.copy())

@@ -6,10 +6,13 @@ from proxmax import (
     Point,
     SubdiffHull,
     Tangent,
+    clarke_subdiff,
     dist,
     eval_f,
     exp_map,
     geodesic,
+    grad_half_sq_dist,
+    inner,
     log_map,
     log_positive,
     make_problem,
@@ -20,7 +23,8 @@ from proxmax import (
 )
 from proxmax import checks
 from proxmax.manifold import Geometry, from_chart, random_unit_tangent
-from proxmax.oracle import ConvexityReport
+from proxmax.oracle import _USC_PERT_SCALE, ConvexityReport, UscReport
+from proxmax.problems import region_samples
 
 
 @pytest.fixture
@@ -40,9 +44,9 @@ def log_point():
 
 
 def _hull_distance(hull, w):
-    """Metric distance from the tangent w to the hull."""
-    shifted = SubdiffHull(hull.base, tuple(g - w for g in hull.generators))
-    _, d = min_norm_subgradient(shifted)
+    """Metric distance from the tangent w, attached at the hull's base, to the hull."""
+    assert np.array_equal(w.base.coords, hull.base.coords)
+    _, d = min_norm_subgradient(SubdiffHull(hull.base, hull.generators - w.coords))
     return d
 
 
@@ -55,9 +59,10 @@ def hull_distance():
     return _hull_distance
 
 
-# The per-point convexity test, fd_gradient and verify checks that the
-# array passes replaced, kept verbatim as references.  Tests reach them via
-# the fixtures below, so no test module imports another.
+# The per-point convexity test, fd_gradient, generalized derivative,
+# semicontinuity sampler and verify checks that the array passes replaced,
+# kept verbatim as references.  Tests reach them via the fixtures below, so
+# no test module imports another.
 
 
 def _reference_geodesic_convexity_test(
@@ -137,6 +142,97 @@ def _reference_fd_gradient(field, p):
     if p.manifold.geometry is Geometry.LOG_POSITIVE:
         diffs = diffs * p.coords**2
     return Tangent(p, diffs)
+
+
+def _reference_gen_dir_derivative(obj, p, v, eta=None):
+    """The per-point gen_dir_derivative the row form replaced: one Tangent per generator."""
+    hull = clarke_subdiff(obj, p, eta)
+    return max(inner(p, Tangent(p, g), v) for g in hull.generators)
+
+
+def _reference_usc_sampler(obj, p, v, n, seed=42, tolerance=1e-3):
+    """The per-point usc_sampler loop the row form replaced, kept verbatim."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    rng = np.random.default_rng(seed)
+    reference = _reference_gen_dir_derivative(obj, p, v)
+    values = np.full(n, -np.inf)
+    discarded = 0
+    for k in range(1, n + 1):
+        direction = random_unit_tangent(p, rng)
+        p_k = exp_map(p, (1.0 / k) * direction)
+        if not obj.in_domain(p_k):
+            discarded += 1
+            continue
+        v_k = transport(p, p_k, v) + (_USC_PERT_SCALE / k) * random_unit_tangent(p_k, rng)
+        values[k - 1] = _reference_gen_dir_derivative(obj, p_k, v_k)
+    tail_start = max((9 * n) // 10, 1)
+    tail = values[tail_start - 1 :]
+    tail = tail[np.isfinite(tail)]
+    if tail.size == 0:
+        raise DomainError("every tail sample fell outside the admissible region")
+    tail_max = float(np.max(tail))
+    return UscReport(
+        reference=float(reference),
+        tail_max=tail_max,
+        gap=tail_max - float(reference),
+        tolerance=float(tolerance),
+        n=n,
+        tail_start=tail_start,
+        discarded=discarded,
+    )
+
+
+def _reference_sum_rule_mismatch(obj, shifted, center, lam, p, v):
+    lhs = _reference_gen_dir_derivative(shifted, p, v)
+    rhs = _reference_gen_dir_derivative(obj, p, v) + lam * inner(
+        p, grad_half_sq_dist(p, center), v
+    )
+    return abs(lhs - rhs)
+
+
+def _reference_check_sum_rule(prep, rng):
+    obj = prep.problem.objective
+    lam = max(prep.lam, 1.0)
+    shifted = with_prox_term(obj, prep.start, lam)
+    worst = 0.0
+    for x in region_samples(prep.problem, 100, rng):
+        p = Point(obj.manifold, x)
+        v = rng.uniform(0.5, 2.0) * random_unit_tangent(p, rng)
+        worst = max(worst, _reference_sum_rule_mismatch(obj, shifted, prep.start, lam, p, v))
+    return worst <= 1e-8, f"worst mismatch {worst:.3e} (bound 1e-8)"
+
+
+def _reference_check_usc(prep, rng):
+    obj = prep.problem.objective
+    v = random_unit_tangent(prep.start, rng)
+    report = _reference_usc_sampler(obj, prep.start, v, n=1000, seed=int(rng.integers(2**31)))
+    return report.passed, f"tail gap {report.gap:.3e} (bound {report.tolerance})"
+
+
+def _reference_check_subgrad_floor(prep, rng):
+    meta = prep.problem.metadata
+    if not {"q", "c", "delta"} <= set(meta):
+        return None, "no level-band metadata on this problem"
+    obj = prep.problem.objective
+    m = obj.manifold
+    f_q, _ = eval_f(obj, Point(m, [meta["q"]]))
+    c, delta = meta["c"], meta["delta"]
+    floor = np.inf
+    checked = 0
+    for x in region_samples(prep.problem, 400):
+        p = Point(m, x)
+        f_p, _ = eval_f(obj, p)
+        if not (c < f_p <= f_q):
+            continue
+        _, gn = min_norm_subgradient(clarke_subdiff(obj, p))
+        floor = min(floor, gn)
+        checked += 1
+    if checked == 0:
+        return False, "no grid point landed in the level band"
+    return floor > delta, (
+        f"min subgradient norm {floor:.6f} over {checked} band points (must exceed {delta})"
+    )
 
 
 def _reference_check_geometry(prep, rng):
@@ -238,10 +334,25 @@ def reference_convexity_test():
 
 
 @pytest.fixture
+def reference_gen_dir_derivative():
+    """The per-point gen_dir_derivative: a float at one Point along one Tangent."""
+    return _reference_gen_dir_derivative
+
+
+@pytest.fixture
+def reference_usc_sampler():
+    """The per-point usc_sampler loop: one hull per sample."""
+    return _reference_usc_sampler
+
+
+@pytest.fixture
 def reference_checks():
     """The per-point verify checks, by their name in cli._CHECKS."""
     return {
         "geometry_roundtrip": _reference_check_geometry,
         "strong_convexity": _reference_check_strong_convexity,
+        "sum_rule": _reference_check_sum_rule,
+        "usc_sampler": _reference_check_usc,
         "dist_convexity": _reference_check_dist_convexity,
+        "subgrad_floor": _reference_check_subgrad_floor,
     }

@@ -32,12 +32,11 @@ def test_gradient_error_flags_a_wrong_gradient(log_example):
 def test_sum_rule_mismatch_flags_a_wrong_weight(log_example):
     obj = log_example.objective
     center = Point(obj.manifold, [0.7])
-    p = Point(obj.manifold, [2.0])
-    v = Tangent(p, [1.0])
+    X, V = np.array([[2.0]]), np.array([[1.0]])
     right = with_prox_term(obj, center, 1.3)
     wrong = with_prox_term(obj, center, 1.5)
-    assert checks.sum_rule_mismatch(obj, right, center, 1.3, p, v) <= 1e-8
-    assert checks.sum_rule_mismatch(obj, wrong, center, 1.3, p, v) > 0.1
+    assert checks.sum_rule_mismatch(obj, right, center, 1.3, X, V)[0] <= 1e-8
+    assert checks.sum_rule_mismatch(obj, wrong, center, 1.3, X, V)[0] > 0.1
 
 
 def test_prox_grid_gaps_flag_a_moved_prox_point(monkeypatch, log_example):

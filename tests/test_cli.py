@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import json
@@ -317,6 +318,22 @@ def test_geometry_check_fails_on_a_nan_deviation(monkeypatch):
     assert detail == "worst deviation nan (bound 1e-10)"
 
 
+def test_sum_rule_check_fails_on_a_nan_mismatch(monkeypatch):
+    # Python's max(0.0, nan) is 0.0 and would drop the NaN row; np.max keeps it
+    mismatch = checks.sum_rule_mismatch
+
+    def mismatch_with_a_nan(*args):
+        out = mismatch(*args).copy()
+        out[42] = np.nan
+        return out
+
+    monkeypatch.setattr(checks, "sum_rule_mismatch", mismatch_with_a_nan)
+    prep = cli._prepare(parse_config({"problem": "paper_example"}), validate_schedule=False)
+    passed, detail = cli._check_sum_rule(prep, np.random.default_rng(3))
+    assert not passed
+    assert detail == "worst mismatch nan (bound 1e-8)"
+
+
 def test_fd_gradient_check_fails_on_a_nan_error(tmp_path, monkeypatch):
     # fd_gradient passes a NaN field value on to the error; Python's
     # max(0.0, nan) is 0.0 and would drop it, np.max keeps it
@@ -397,3 +414,43 @@ def test_sweep_propagates_worst_exit(tmp_path):
     _write(configs, "bad.json", {"problem": "nope"})
     assert main(["sweep", "--configs", str(configs), "--out", str(tmp_path / "s")]) == 1
     assert main(["sweep", "--configs", str(tmp_path / "empty"), "--out", str(tmp_path)]) == 1
+
+
+def _two_configs(tmp_path):
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    _write(configs, "one.json", {"problem": "abs", "lambda": 1.0})
+    _write(configs, "two.json", {"problem": "quadratic", "lambda": 1.0})
+    return configs
+
+
+def test_sweep_asks_for_no_more_workers_than_configs(tmp_path, monkeypatch):
+    # a stand-in pool that runs the tasks in this process and records its size
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    argv = ["sweep", "--configs", str(_two_configs(tmp_path)), "--out", str(tmp_path / "s")]
+    assert main(argv + ["--jobs", "64"]) == 0
+    assert asked == [2]
+
+
+def test_sweep_in_two_workers_matches_one(tmp_path):
+    configs = _two_configs(tmp_path)
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["sweep", "--configs", str(configs), "--out", str(out), "--jobs", jobs]) == 0
+    one = (tmp_path / "jobs1" / "sweep_summary.json").read_bytes()
+    assert (tmp_path / "jobs2" / "sweep_summary.json").read_bytes() == one

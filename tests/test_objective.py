@@ -257,42 +257,97 @@ def test_active_set_rejects_negative_band(log_example):
 def test_clarke_hull_at_kink(log_example):
     hull = clarke_subdiff(log_example.objective, _pt(1.0))
     assert len(hull.generators) == 2
-    assert_allclose(hull.generators[0].coords, [1.0], rtol=1e-15)
-    assert_allclose(hull.generators[1].coords, [G2_AT_ONE], rtol=1e-15)
+    assert hull.generators.shape == (2, 1) and not hull.generators.flags.writeable
+    assert_allclose(hull.generators[0], [1.0], rtol=1e-15)
+    assert_allclose(hull.generators[1], [G2_AT_ONE], rtol=1e-15)
 
 
-def test_hull_generators_share_base(log_example):
-    p = _pt(1.0)
-    hull = clarke_subdiff(log_example.objective, p)
-    q = _pt(2.0)
-    with pytest.raises(Exception):
-        SubdiffHull(base=q, generators=hull.generators)
+def test_subdiff_hull_checks_generator_rows():
+    p = Point(euclidean(2), [0.0, 0.0])
+    for bad in (np.empty((0, 2)), np.ones((2, 3)), np.ones(2), [[1.0]]):
+        with pytest.raises(ValueError, match="generator rows"):
+            SubdiffHull(base=p, generators=bad)
+    # the hull holds a read-only view: the caller's array stays writeable
+    raw = np.array([[1.0, 2.0]])
+    hull = SubdiffHull(base=p, generators=raw)
+    assert raw.flags.writeable and not hull.generators.flags.writeable
+    assert np.shares_memory(hull.generators, raw)
 
 
 # generalized directional derivative
 
 
+def _gdd(obj, p, v):
+    """gen_dir_derivative at one Point along one Tangent, as a float."""
+    return float(gen_dir_derivative(obj, p.coords[None], v.coords[None])[0])
+
+
 def test_gdd_at_kink_both_directions(log_example):
-    p = _pt(1.0)
-    assert gen_dir_derivative(log_example.objective, p, Tangent(p, [1.0])) == pytest.approx(1.0)
-    assert gen_dir_derivative(log_example.objective, p, Tangent(p, [-1.0])) == pytest.approx(
-        -G2_AT_ONE
-    )
+    got = gen_dir_derivative(log_example.objective, [[1.0], [1.0]], [[1.0], [-1.0]])
+    assert got.shape == (2,)
+    assert got[0] == pytest.approx(1.0)
+    assert got[1] == pytest.approx(-G2_AT_ONE)
 
 
 def test_gdd_at_smooth_point(log_example):
-    p = _pt(0.3125)
-    got = gen_dir_derivative(log_example.objective, p, Tangent(p, [1.0]))
+    got = _gdd(log_example.objective, _pt(0.3125), Tangent(_pt(0.3125), [1.0]))
     assert got == pytest.approx(-4.270522857037981, rel=1e-14)
+
+
+def test_gdd_checks_tangent_rows(log_example):
+    obj = log_example.objective
+    for bad in ([[1.0]], [[1.0], [np.nan]], [1.0, 2.0]):
+        with pytest.raises(ValueError, match="tangent rows"):
+            gen_dir_derivative(obj, [[0.5], [2.0]], bad)
+    with pytest.raises(DomainError):
+        gen_dir_derivative(obj, [[0.5], [0.05]], [[1.0], [1.0]])
+    with pytest.raises(ValueError, match="activation tolerance"):
+        gen_dir_derivative(obj, [[0.5]], [[1.0]], eta=-1e-3)
+
+
+def test_gdd_default_tolerance_is_per_row():
+    # branch 1 trails branch 0 by 1e-7: within 1e-12 * |f| at f = 1e6, not at f = 1
+    obj = MaxObjective(
+        manifold=euclidean(1),
+        params=ParamSet([0.0, 1.0]),
+        phi=lambda X: np.hstack([X, X - 1e-7]),
+        grad_phi=lambda X: np.broadcast_to([[1.0], [-1.0]], (len(X), 2, 1)),
+    )
+    got = gen_dir_derivative(obj, [[1e6], [1.0]], [[-1.0], [-1.0]])
+    assert got.tolist() == [1.0, -1.0]
+
+
+@pytest.mark.parametrize(
+    "request_",
+    ["paper_example", "abs", {"name": "paper_example_product", "n": 2},
+     {"name": "paper_example_product", "n": 4}],
+    ids=["paper", "abs", "prod2", "prod4"],
+)
+def test_gdd_rows_equal_per_point_reference(request_, reference_gen_dir_derivative):
+    prob = make_problem(request_)
+    obj = prob.objective
+    m = obj.manifold
+    rng = np.random.default_rng(7)
+    X = region_samples(prob, 40, rng)
+    # kinks too: the start, and every coordinate at 1 (or 0 on abs), where branches tie
+    X = np.vstack([X, prob.start.coords, np.full(m.dim, 0.0 if request_ == "abs" else 1.0)])
+    V = rng.uniform(-2.0, 2.0, X.shape)
+    shifted = with_prox_term(obj, prob.start, 1.7)
+    for o in (obj, shifted):
+        got = gen_dir_derivative(o, X, V)
+        want = [
+            reference_gen_dir_derivative(o, Point(m, x), Tangent(Point(m, x), v))
+            for x, v in zip(X, V)
+        ]
+        assert got.tolist() == want
 
 
 @given(st.floats(-1.8, 1.3), st.floats(-2.0, 2.0), st.floats(0.1, 5.0))
 def test_gdd_positively_homogeneous(z, a, t):
     prob = make_problem("paper_example")
-    p = _pt(float(np.exp(z)))
-    v = Tangent(p, [a])
-    lhs = gen_dir_derivative(prob.objective, p, t * v)
-    rhs = t * gen_dir_derivative(prob.objective, p, v)
+    x = float(np.exp(z))
+    lhs, unscaled = gen_dir_derivative(prob.objective, [[x], [x]], [[t * a], [a]])
+    rhs = t * unscaled
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
 
@@ -303,23 +358,31 @@ def test_gdd_positively_homogeneous(z, a, t):
 )
 def test_gdd_subadditive(z, a, b):
     prob = make_problem({"name": "paper_example_product", "n": 2})
-    p = Point(prob.objective.manifold, np.exp(np.asarray(z)))
-    u, v = Tangent(p, np.asarray(a)), Tangent(p, np.asarray(b))
-    lhs = gen_dir_derivative(prob.objective, p, u + v)
-    rhs = gen_dir_derivative(prob.objective, p, u) + gen_dir_derivative(prob.objective, p, v)
-    assert lhs <= rhs + 1e-10
+    x = np.exp(np.asarray(z))
+    u, v = np.asarray(a), np.asarray(b)
+    lhs, gu, gv = gen_dir_derivative(prob.objective, [x, x, x], [u + v, u, v])
+    assert lhs <= gu + gv + 1e-10
+
+
+def _draw_rows(rng, count):
+    """count points x = e^z, z ~ U[-1.8, 1.3], each drawn before its tangent v ~ U[-2, 2]."""
+    X, V = np.empty((count, 1)), np.empty((count, 1))
+    for i in range(count):
+        X[i] = np.exp(rng.uniform(-1.8, 1.3))
+        V[i] = rng.uniform(-2, 2, 1)
+    return X, V
 
 
 def test_gdd_dominates_every_generator(log_example, rng):
     obj = log_example.objective
-    for _ in range(50):
-        p = _pt(float(np.exp(rng.uniform(-1.8, 1.3))))
-        v = Tangent(p, rng.uniform(-2, 2, 1))
+    X, V = _draw_rows(rng, 50)
+    got = gen_dir_derivative(obj, X, V)
+    for x, v, g_x in zip(X, V, got):
+        p = Point(LP1, x)
         hull = clarke_subdiff(obj, p)
-        pairings = [inner(p, g, v) for g in hull.generators]
-        got = gen_dir_derivative(obj, p, v)
-        assert got >= max(pairings) - 1e-12
-        assert got == pytest.approx(max(pairings), abs=1e-12)
+        pairings = [inner(p, Tangent(p, g), Tangent(p, v)) for g in hull.generators]
+        assert g_x >= max(pairings) - 1e-12
+        assert g_x == pytest.approx(max(pairings), abs=1e-12)
 
 
 # minimum-norm element
@@ -328,7 +391,7 @@ def test_gdd_dominates_every_generator(log_example, rng):
 def test_min_norm_single_generator():
     m = euclidean(2)
     p = Point(m, [0.0, 0.0])
-    hull = SubdiffHull(base=p, generators=(Tangent(p, [3.0, 4.0]),))
+    hull = SubdiffHull(base=p, generators=np.array([[3.0, 4.0]]))
     g, n = min_norm_subgradient(hull)
     assert_allclose(g.coords, [3.0, 4.0])
     assert n == pytest.approx(5.0)
@@ -344,7 +407,7 @@ def test_min_norm_interval_straddles_zero(log_example):
 def test_min_norm_one_sided_interval():
     m = euclidean(1)
     p = Point(m, [0.0])
-    hull = SubdiffHull(base=p, generators=(Tangent(p, [5.0]), Tangent(p, [2.0])))
+    hull = SubdiffHull(base=p, generators=np.array([[5.0], [2.0]]))
     g, n = min_norm_subgradient(hull)
     assert_allclose(g.coords, [2.0])
     assert n == pytest.approx(2.0)
@@ -353,12 +416,12 @@ def test_min_norm_one_sided_interval():
 def test_min_norm_two_generators_closed_form():
     m = euclidean(2)
     p = Point(m, [0.0, 0.0])
-    hull = SubdiffHull(base=p, generators=(Tangent(p, [1.0, 0.0]), Tangent(p, [0.0, 1.0])))
+    hull = SubdiffHull(base=p, generators=np.array([[1.0, 0.0], [0.0, 1.0]]))
     g, n = min_norm_subgradient(hull)
     assert_allclose(g.coords, [0.5, 0.5], atol=1e-14)
     assert n == pytest.approx(np.sqrt(0.5), rel=1e-14)
 
-    hull = SubdiffHull(base=p, generators=(Tangent(p, [2.0, 0.0]), Tangent(p, [0.0, 4.0])))
+    hull = SubdiffHull(base=p, generators=np.array([[2.0, 0.0], [0.0, 4.0]]))
     g, n = min_norm_subgradient(hull)
     assert_allclose(g.coords, [1.6, 0.8], rtol=1e-12)
     assert n == pytest.approx(1.788854381999832, rel=1e-12)
@@ -366,7 +429,7 @@ def test_min_norm_two_generators_closed_form():
 
 def test_min_norm_metric_weighted_interval():
     p = Point(LP1, [2.0])
-    hull = SubdiffHull(base=p, generators=(Tangent(p, [4.0]), Tangent(p, [2.0])))
+    hull = SubdiffHull(base=p, generators=np.array([[4.0], [2.0]]))
     g, n = min_norm_subgradient(hull)
     assert_allclose(g.coords, [2.0])
     assert n == pytest.approx(1.0)  # ambient 2 over coordinate 2
@@ -404,7 +467,7 @@ def test_min_norm_matches_face_enumeration(rng):
     p = Point(m, np.zeros(3))
     for _ in range(50):
         raw = rng.uniform(-2, 2, (3, 3))
-        hull = SubdiffHull(base=p, generators=tuple(Tangent(p, row) for row in raw))
+        hull = SubdiffHull(base=p, generators=raw)
         _, n = min_norm_subgradient(hull)
         assert n == pytest.approx(_exact_min_norm_3(raw), abs=1e-8)
 
@@ -414,7 +477,7 @@ def test_min_norm_result_stays_in_hull(rng, hull_distance):
     p = Point(m, np.zeros(4))
     for _ in range(20):
         raw = rng.uniform(-1, 1, (5, 4))
-        hull = SubdiffHull(base=p, generators=tuple(Tangent(p, row) for row in raw))
+        hull = SubdiffHull(base=p, generators=raw)
         g, n = min_norm_subgradient(hull)
         # distance from g back to the hull must vanish
         assert hull_distance(hull, g) <= 1e-8
@@ -716,7 +779,7 @@ def test_with_prox_term_value_and_derivative(log_example):
     h, _ = eval_f(shifted, p)
     assert h == pytest.approx(2.0, rel=1e-14)  # f(e)=1 plus (2/2)*1^2
     v = Tangent(p, [np.e])
-    assert gen_dir_derivative(shifted, p, v) == pytest.approx(3.0, rel=1e-13)
+    assert _gdd(shifted, p, v) == pytest.approx(3.0, rel=1e-13)
 
 
 def test_with_prox_term_sum_rule(log_example, rng):
@@ -724,12 +787,12 @@ def test_with_prox_term_sum_rule(log_example, rng):
     center = _pt(0.7)
     lam = 1.7
     shifted = with_prox_term(obj, center, lam)
-    for _ in range(40):
-        p = _pt(float(np.exp(rng.uniform(-1.8, 1.3))))
-        v = Tangent(p, rng.uniform(-2, 2, 1))
-        lhs = gen_dir_derivative(shifted, p, v)
-        rhs = gen_dir_derivative(obj, p, v) + lam * inner(p, grad_half_sq_dist(p, center), v)
-        assert lhs == pytest.approx(rhs, abs=1e-10)
+    X, V = _draw_rows(rng, 40)
+    lhs = gen_dir_derivative(shifted, X, V)
+    for x, v, lhs_x, f_x in zip(X, V, lhs, gen_dir_derivative(obj, X, V)):
+        p = Point(LP1, x)
+        rhs = f_x + lam * inner(p, grad_half_sq_dist(p, center), Tangent(p, v))
+        assert lhs_x == pytest.approx(rhs, abs=1e-10)
 
 
 def test_with_prox_term_is_minimized_off_center_kink(log_example):

@@ -16,7 +16,7 @@ from proxmax import (
     with_prox_term,
 )
 from proxmax import oracle
-from proxmax.manifold import Geometry, dist_rows
+from proxmax.manifold import Geometry, MismatchError, dist_rows
 from proxmax.oracle import (
     GridSpec,
     fd_gradient,
@@ -407,6 +407,36 @@ def test_usc_near_boundary_discards_but_passes(log_example):
     report = usc_sampler(obj, p, Tangent(p, [0.13]), n=1000, seed=42)
     assert report.discarded > 0
     assert report.passed
+
+
+@pytest.mark.parametrize(
+    "request_, points",
+    [
+        # a kink, a smooth point, and one near the boundary where draws are discarded
+        ("paper_example", [[1.0], [0.3125], [0.13]]),
+        ("abs", [[0.0], [-2.5]]),
+        ({"name": "paper_example_product", "n": 2}, [[1.0, 1.0], [0.6, 1.0]]),
+        ({"name": "paper_example_product", "n": 4}, [[1.0] * 4, [0.5, 1.0, 2.0, 1.5]]),
+    ],
+    ids=["paper", "abs", "prod2", "prod4"],
+)
+def test_usc_sampler_equals_per_point_reference(request_, points, reference_usc_sampler):
+    obj = make_problem(request_).objective
+    rng = np.random.default_rng(3)
+    for x in points:
+        p = Point(obj.manifold, x)
+        v = Tangent(p, rng.uniform(-2.0, 2.0, obj.manifold.dim))
+        for n in (7, 1000):
+            want = reference_usc_sampler(obj, p, v, n=n, seed=5)
+            # every field, the floats bit for bit
+            assert usc_sampler(obj, p, v, n=n, seed=5) == want
+
+
+def test_usc_rejects_tangent_at_another_point(log_example):
+    with pytest.raises(MismatchError):
+        usc_sampler(log_example.objective, _pt(1.0), Tangent(_pt(2.0), [1.0]), n=10)
+    with pytest.raises(DomainError):
+        usc_sampler(log_example.objective, _pt(0.05), Tangent(_pt(0.05), [1.0]), n=10)
 
 
 def test_usc_respects_tolerance_override(log_example):
