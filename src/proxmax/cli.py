@@ -26,7 +26,6 @@ from .manifold import (
     dist_rows,
     from_chart_rows,
     random_unit_coords,
-    random_unit_tangent,
     to_chart,
 )
 from .objective import (
@@ -198,6 +197,8 @@ def parse_config(raw: dict, source_path: Optional[Path] = None) -> RunConfig:
     )
     _require(cfg.max_outer >= 1, "field 'max_outer' must be at least 1")
     _require(cfg.max_inner >= 1, "field 'max_inner' must be at least 1")
+    # np.random.default_rng rejects a negative seed
+    _require(cfg.seed >= 0, "field 'seed' must be a non-negative integer")
     _require(
         cfg.output_dir is None or isinstance(cfg.output_dir, str),
         "field 'output_dir' must be a string",
@@ -421,7 +422,7 @@ def _check_sum_rule(prep: _Prepared, rng: np.random.Generator) -> tuple[bool, st
 
 def _check_usc(prep: _Prepared, rng: np.random.Generator) -> tuple[bool, str]:
     obj = prep.problem.objective
-    v = random_unit_tangent(prep.start, rng)
+    v = random_unit_coords(obj.manifold, prep.start.coords, rng)
     # the 1e-3 bound is calibrated to the 1/k approach scale at n=1000
     report = oracle.usc_sampler(obj, prep.start, v, n=1000, seed=int(rng.integers(2**31)))
     return report.passed, f"tail gap {report.gap:.3e} (bound {report.tolerance})"

@@ -7,12 +7,14 @@ operation below has an exact closed form and nothing is integrated
 numerically.
 
 Points and tangents are immutable after construction; all operations are
-pure functions, so values can be shared freely across threads.  The closed
-forms of inner, norm, dist, exp_map, log_map and transport live in row
-kernels (inner_rows, norm_rows, dist_rows, exp_rows, log_rows,
-transport_rows) on coordinate arrays of shape (..., n); the Point/Tangent
-functions validate their operands and call these kernels, so a batch of
-rows gets the same arithmetic as one point.
+pure functions, so values can be shared freely across threads.  Each closed
+form has one implementation, a row kernel on coordinate arrays of shape
+(..., n): inner_rows, norm_rows, dist_rows, exp_rows, log_rows and
+transport_rows.  The solver and the checks call these kernels on rows.
+Point and Tangent are validated containers for the API edge: inner, norm
+and dist check their operands and run the kernel on one row.  exp_map,
+log_map and transport do the same but have no caller in the library; the
+benchmark's tracer (perfbench/spans.py) looks them up by name.
 """
 
 from __future__ import annotations
@@ -36,12 +38,10 @@ __all__ = [
     "point_coords",
     "euclidean",
     "log_positive",
-    "zero_tangent",
     "from_chart",
     "from_chart_rows",
     "to_chart",
     "chart_scale_rows",
-    "random_unit_tangent",
     "random_unit_coords",
     "inner",
     "inner_rows",
@@ -55,8 +55,6 @@ __all__ = [
     "log_rows",
     "transport",
     "transport_rows",
-    "grad_half_sq_dist",
-    "geodesic",
 ]
 
 # |exponent| beyond this overflows float64
@@ -171,34 +169,8 @@ class Tangent:
         arr = _freeze(self.coords, self.base.manifold.dim, "tangent coordinates")
         object.__setattr__(self, "coords", arr)
 
-    def _check_same_base(self, other: "Tangent") -> None:
-        if other.base.manifold != self.base.manifold or not np.array_equal(
-            other.base.coords, self.base.coords
-        ):
-            raise MismatchError("tangent bases differ")
-
-    def __add__(self, other: "Tangent") -> "Tangent":
-        self._check_same_base(other)
-        return Tangent(self.base, self.coords + other.coords)
-
-    def __sub__(self, other: "Tangent") -> "Tangent":
-        self._check_same_base(other)
-        return Tangent(self.base, self.coords - other.coords)
-
-    def __neg__(self) -> "Tangent":
-        return Tangent(self.base, -self.coords)
-
-    def __mul__(self, scalar: float) -> "Tangent":
-        return Tangent(self.base, float(scalar) * self.coords)
-
-    __rmul__ = __mul__
-
     def __repr__(self) -> str:
         return f"Tangent(at {self.base.coords.tolist()}, {self.coords.tolist()})"
-
-
-def zero_tangent(p: Point) -> Tangent:
-    return Tangent(p, np.zeros(p.manifold.dim))
 
 
 def _is_log(m: ManifoldKind) -> bool:
@@ -342,16 +314,6 @@ def transport(p: Point, q: Point, v: Tangent) -> Tangent:
     return Tangent(q, transport_rows(p.manifold, p.coords, q.coords, v.coords))
 
 
-def grad_half_sq_dist(q: Point, pbar: Point) -> Tangent:
-    """Gradient of p -> d(p, pbar)^2 / 2 evaluated at q."""
-    return -log_map(q, pbar)
-
-
-def geodesic(p: Point, v: Tangent, t: float) -> Point:
-    """Point at parameter t on the geodesic through p with velocity v."""
-    return exp_map(p, float(t) * v)
-
-
 def random_unit_coords(
     manifold: ManifoldKind, p: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
@@ -366,8 +328,3 @@ def random_unit_coords(
         if n > 1e-12:
             return (1.0 / n) * g
     raise RuntimeError("failed to draw a non-degenerate tangent direction")
-
-
-def random_unit_tangent(p: Point, rng: np.random.Generator) -> Tangent:
-    """A unit-norm tangent at p with rotation-invariant random direction."""
-    return Tangent(p, random_unit_coords(p.manifold, p.coords, rng))

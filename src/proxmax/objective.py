@@ -24,7 +24,6 @@ from .manifold import (
     ManifoldKind,
     MismatchError,
     Point,
-    Tangent,
     chart_scale_rows,
     dist_rows,
     inner_rows,
@@ -32,7 +31,6 @@ from .manifold import (
     norm_rows,
     point_coords,
     transport_rows,
-    zero_tangent,
 )
 
 __all__ = [
@@ -119,11 +117,6 @@ class MaxObjective:
             raise MismatchError("point does not live on the objective's manifold")
         if self.domain_guard is not None and not self.domain_guard(p.coords):
             raise DomainError(f"point {p.coords.tolist()} is outside the admissible region")
-
-    def in_domain(self, p: Point) -> bool:
-        if p.manifold != self.manifold:
-            return False
-        return self.domain_guard is None or bool(self.domain_guard(p.coords))
 
     def declared_sup_lipschitz(self) -> Optional[float]:
         return None if self.lipschitz_bound is None else float(self.lipschitz_bound)
@@ -352,12 +345,13 @@ def simplex_qp(G: np.ndarray, h: Optional[np.ndarray] = None, c: float = 1.0) ->
         w[corral] = ws
 
 
-def min_norm_subgradient(hull: SubdiffHull) -> tuple[Tangent, float]:
-    """Minimum-norm element of the hull and its norm, exact for every hull.
+def min_norm_subgradient(hull: SubdiffHull) -> tuple[np.ndarray, float]:
+    """Minimum-norm element of the hull, as tangent coordinates (n,) at its base, and its norm.
 
-    Runs simplex_qp on the generators' flat-chart components, where the
-    metric is Euclidean.  When n + 1 generators keep weight, their affine
-    hull is the whole tangent space and the element is the origin itself.
+    Exact for every hull: runs simplex_qp on the generators' flat-chart
+    components, where the metric is Euclidean.  When n + 1 generators keep
+    weight, their affine hull is the whole tangent space and the element is
+    the origin itself.
     """
     base, m = hull.base, hull.base.manifold
     if len(hull.generators) == 1:
@@ -367,9 +361,9 @@ def min_norm_subgradient(hull: SubdiffHull) -> tuple[Tangent, float]:
         G = hull.generators / scale
         w = simplex_qp(G)
         if np.count_nonzero(w) > m.dim:
-            return zero_tangent(base), 0.0
+            return np.zeros(m.dim), 0.0
         g = (w @ G) * scale
-    return Tangent(base, g), float(norm_rows(m, base.coords, g))
+    return g, float(norm_rows(m, base.coords, g))
 
 
 def estimate_sup_lipschitz(obj: MaxObjective, samples) -> float:

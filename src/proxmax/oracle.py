@@ -1,12 +1,12 @@
-"""Slow, independent verification oracles.
+"""Slow verification oracles.
 
-Everything here deliberately avoids the closed forms used by the library
-proper: gradients come from central differences pushed through the
-exponential map, minimizers from dense grids with a golden-section polish,
-convexity from random chord checks, semicontinuity from seeded sampling,
-and the generalized directional derivative from sampled difference
-quotients.  Agreement between these and the fast paths is the evidence the
-test suite leans on.
+What is independent here is the method: gradients come from central
+differences, minimizers from dense grids with a golden-section polish,
+convexity from random chord checks, and semicontinuity from seeded
+sampling.  The geometry is not: the steps of fd_gradient, the chords of the
+convexity test and the samples of usc_sampler run through the library's own
+row kernels (exp_rows, log_rows, dist_rows, transport_rows).  The geometry
+tests check those kernels against their closed forms.
 
 The grid search, the convexity test and fd_gradient take an array field on
 point coordinates (N, n).  The grid search evaluates the grid in chunks of
@@ -20,9 +20,8 @@ takes an objective and evaluates all its samples in one call.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -30,20 +29,15 @@ from .manifold import (
     Geometry,
     ManifoldKind,
     Point,
-    Tangent,
     dist_rows,
-    exp_map,
     exp_rows,
     from_chart_rows,
-    log_map,
     log_rows,
     point_coords,
     random_unit_coords,
-    random_unit_tangent,
     transport_rows,
-    _require_at,
 )
-from .objective import CoordsMap, DomainError, MaxObjective, eval_f, gen_dir_derivative
+from .objective import CoordsMap, DomainError, MaxObjective, gen_dir_derivative
 
 __all__ = [
     "GridSpec",
@@ -309,21 +303,24 @@ _USC_PERT_SCALE = 0.25
 
 
 def usc_sampler(
-    obj: MaxObjective, p: Point, v: Tangent, n: int, seed: int = 42, tolerance: float = 1e-3
+    obj: MaxObjective, p: Point, v, n: int, seed: int = 42, tolerance: float = 1e-3
 ) -> UscReport:
     """Sampled upper-semicontinuity check of the directional derivative.
 
-    Builds a sequence (p_k, v_k) -> (p, v) with d(p_k, p) = 1/k, v_k the
-    transport of v plus a random tangent of norm 0.25/k, and compares the
-    largest tail value (final tenth) of the directional derivative against
-    its value at (p, v).  Step k draws the direction at p, then the kick at
-    p_k if p_k is admissible; one gen_dir_derivative call takes every row.
+    v holds the direction's tangent coordinates (n,) at p.  Builds a
+    sequence (p_k, v_k) -> (p, v) with d(p_k, p) = 1/k, v_k the transport
+    of v plus a random tangent of norm 0.25/k, and compares the largest tail
+    value (final tenth) of the directional derivative against its value at
+    (p, v).  Step k draws the direction at p, then the kick at p_k if p_k is
+    admissible; one gen_dir_derivative call takes every row, and rejects a
+    non-finite v.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     obj.check_domain(p)
-    _require_at(p, v)
-    m, x, u = obj.manifold, p.coords, v.coords
+    m, x, u = obj.manifold, p.coords, np.asarray(v, dtype=float)
+    if u.shape != x.shape:
+        raise ValueError(f"direction must have shape {x.shape}, got {u.shape}")
     rng = np.random.default_rng(seed)
     kept = [(0, x, u)]  # (k, p_k, v_k) rows, with (p, v) as step 0
     for k in range(1, n + 1):
@@ -350,68 +347,3 @@ def usc_sampler(
         tail_start=tail_start,
         discarded=discarded,
     )
-
-
-def differential_exp(p: Point, w: Tangent, u: Tangent) -> Tangent:
-    """Differential of the exponential map at p, taken at w and applied to u.
-
-    The result is attached at exp_map(p, w).  Closed forms exist for both
-    shipped geometries because both are flat.
-    """
-    at = exp_map(p, w)
-    _require_at(p, u)
-    if p.manifold.geometry is Geometry.LOG_POSITIVE:
-        return Tangent(at, np.exp(w.coords / p.coords) * u.coords)
-    return Tangent(at, u.coords.copy())
-
-
-def gd_sampling_estimate(
-    obj: MaxObjective,
-    p: Point,
-    v: Tangent,
-    radius_seq: Sequence[float],
-    step_seq: Sequence[float],
-) -> float:
-    """Sampling estimate of the generalized directional derivative.
-
-    Draws base points q near p, carries v to q through the differential of
-    the exponential map, and takes the largest forward difference quotient
-    over all drawn pairs and step sizes, with 20 bases per radius drawn
-    from seed 42.  Verification aid only; quotients whose evaluation
-    leaves the admissible region are discarded and counted in a warning.
-    """
-    radii = [float(r) for r in radius_seq]
-    steps = [float(t) for t in step_seq]
-    if not radii or any(r <= 0 for r in radii):
-        raise ValueError("radius_seq must be non-empty and positive")
-    if not steps or any(t <= 0 for t in steps):
-        raise ValueError("step_seq must be non-empty and positive")
-    rng = np.random.default_rng(42)
-
-    bases = [p]
-    for r in radii:
-        for _ in range(20):
-            direction = random_unit_tangent(p, rng)
-            bases.append(exp_map(p, (r * rng.uniform(0.0, 1.0)) * direction))
-
-    best = -np.inf
-    discarded = 0
-    for q in bases:
-        if not obj.in_domain(q):
-            discarded += 1
-            continue
-        u_q = differential_exp(p, log_map(p, q), v)
-        f_q, _ = eval_f(obj, q)
-        for t in steps:
-            try:
-                target = exp_map(q, t * u_q)
-                f_t, _ = eval_f(obj, target)
-            except (DomainError, ValueError):
-                discarded += 1
-                continue
-            best = max(best, (f_t - f_q) / t)
-    if discarded:
-        warnings.warn(f"gd_sampling_estimate discarded {discarded} out-of-domain samples")
-    if not np.isfinite(best):
-        raise DomainError("every sampled quotient left the admissible region")
-    return float(best)

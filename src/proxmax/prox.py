@@ -26,8 +26,6 @@ from .manifold import (
     chart_scale_rows,
     dist,
     from_chart_rows,
-    log_map,
-    norm,
     to_chart,
 )
 from .objective import (
@@ -50,7 +48,6 @@ __all__ = [
     "Termination",
     "IterationRecord",
     "Trace",
-    "residual",
     "inner_solve",
     "prox_step",
     "solve",
@@ -208,13 +205,6 @@ class Trace:
 
     def final_f(self) -> Optional[float]:
         return self.records[-1].f_value if self.records else None
-
-
-def residual(p_next: Point, p_k: Point, lam: float) -> float:
-    """Norm of the stationarity certificate lam * log_map(p_next, p_k)."""
-    if lam <= 0:
-        raise LambdaBoundError(f"weight must be positive, got {lam}")
-    return norm(p_next, float(lam) * log_map(p_next, p_k))
 
 
 def inner_solve(

@@ -1,28 +1,23 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from proxmax import (
     DomainError,
+    MismatchError,
     Point,
     SubdiffHull,
     Tangent,
     clarke_subdiff,
-    dist,
     eval_f,
-    exp_map,
-    geodesic,
-    grad_half_sq_dist,
-    inner,
-    log_map,
     log_positive,
     make_problem,
     min_norm_subgradient,
-    norm,
-    transport,
     with_prox_term,
 )
 from proxmax import checks
-from proxmax.manifold import Geometry, from_chart, random_unit_tangent
+from proxmax.manifold import Geometry, from_chart
 from proxmax.oracle import _USC_PERT_SCALE, ConvexityReport, UscReport
 from proxmax.problems import region_samples
 
@@ -44,9 +39,8 @@ def log_point():
 
 
 def _hull_distance(hull, w):
-    """Metric distance from the tangent w, attached at the hull's base, to the hull."""
-    assert np.array_equal(w.base.coords, hull.base.coords)
-    _, d = min_norm_subgradient(SubdiffHull(hull.base, hull.generators - w.coords))
+    """Metric distance from the tangent coordinates w (n,) at the hull's base to the hull."""
+    _, d = min_norm_subgradient(SubdiffHull(hull.base, hull.generators - np.asarray(w)))
     return d
 
 
@@ -59,10 +53,131 @@ def hull_distance():
     return _hull_distance
 
 
+# Closed forms of the two flat geometries on coordinates (n,), written out
+# here so that the references below never call the geometry they check:
+# exp x*exp(v/x), log x*ln(y/x), transport v*y/x and the metric sum u*v/x^2
+# on the log-positive orthant; x + v, y - x, v and the dot product on
+# Euclidean space.  Each uses the arithmetic of the library's kernels, so
+# a reference reproduces the library's bits wherever its operations do.
+
+
+def _is_log(m):
+    return m.geometry is Geometry.LOG_POSITIVE
+
+
+def _exp(m, x, v):
+    return x * np.exp(v / x) if _is_log(m) else x + v
+
+
+def _log(m, x, y):
+    return x * np.log(y / x) if _is_log(m) else y - x
+
+
+def _transport(m, x, y, v):
+    return v * y / x if _is_log(m) else v.copy()
+
+
+def _inner(m, x, u, v):
+    return float(np.sum(u * v / x**2)) if _is_log(m) else float(np.dot(u, v))
+
+
+def _norm(m, x, v):
+    return float(np.sqrt(_inner(m, x, v, v)))
+
+
+def _dist(m, x, y):
+    chord = np.log(x / y) if _is_log(m) else x - y
+    return float(np.sqrt(np.dot(chord, chord)))
+
+
+def _random_unit(m, x, rng):
+    """A unit tangent at x: a standard normal draw scaled by its metric norm."""
+    while True:
+        g = rng.standard_normal(m.dim)
+        n = _norm(m, x, g)
+        if n > 1e-12:
+            return (1.0 / n) * g
+
+
+def _admissible(obj, x):
+    return obj.domain_guard is None or bool(obj.domain_guard(x))
+
+
+def _differential_exp(p, w, u):
+    """Differential of the exponential map at p, taken at w and applied to u.
+
+    w and u are Tangents at p; the result is a Tangent at exp_p(w).  Closed
+    forms exist for both shipped geometries because both are flat.
+    """
+    if not (np.array_equal(w.base.coords, p.coords) and np.array_equal(u.base.coords, p.coords)):
+        raise MismatchError("tangent is not attached at the expected point")
+    m, x = p.manifold, p.coords
+    at = Point(m, _exp(m, x, w.coords))
+    return Tangent(at, np.exp(w.coords / x) * u.coords if _is_log(m) else u.coords.copy())
+
+
+def _gd_sampling_estimate(obj, p, v, radius_seq, step_seq):
+    """Sampling estimate of the generalized directional derivative along the Tangent v at p.
+
+    Draws base points q near p, carries v to q through the differential of
+    the exponential map, and takes the largest forward difference quotient
+    over all drawn pairs and step sizes, with 20 bases per radius drawn
+    from seed 42.  Quotients whose evaluation leaves the admissible region
+    are discarded and counted in a warning.
+    """
+    radii = [float(r) for r in radius_seq]
+    steps = [float(t) for t in step_seq]
+    if not radii or any(r <= 0 for r in radii):
+        raise ValueError("radius_seq must be non-empty and positive")
+    if not steps or any(t <= 0 for t in steps):
+        raise ValueError("step_seq must be non-empty and positive")
+    rng = np.random.default_rng(42)
+    m, x = p.manifold, p.coords
+
+    bases = [x]
+    for r in radii:
+        for _ in range(20):
+            direction = _random_unit(m, x, rng)
+            bases.append(_exp(m, x, (r * rng.uniform(0.0, 1.0)) * direction))
+
+    best = -np.inf
+    discarded = 0
+    for q in bases:
+        if not _admissible(obj, q):
+            discarded += 1
+            continue
+        u_q = _differential_exp(p, Tangent(p, _log(m, x, q)), v).coords
+        f_q, _ = eval_f(obj, Point(m, q))
+        for t in steps:
+            try:
+                f_t, _ = eval_f(obj, Point(m, _exp(m, q, t * u_q)))
+            except (DomainError, ValueError):
+                discarded += 1
+                continue
+            best = max(best, (f_t - f_q) / t)
+    if discarded:
+        warnings.warn(f"gd_sampling_estimate discarded {discarded} out-of-domain samples")
+    if not np.isfinite(best):
+        raise DomainError("every sampled quotient left the admissible region")
+    return float(best)
+
+
+@pytest.fixture
+def differential_exp():
+    """The differential of the exponential map, in closed form on Tangents."""
+    return _differential_exp
+
+
+@pytest.fixture
+def gd_sampling_estimate():
+    """The generalized directional derivative from sampled difference quotients."""
+    return _gd_sampling_estimate
+
+
 # The per-point convexity test, fd_gradient, generalized derivative,
 # semicontinuity sampler and verify checks that the array passes replaced,
-# kept verbatim as references.  Tests reach them via the fixtures below, so
-# no test module imports another.
+# kept as references with the geometry in the closed forms above.  Tests
+# reach them via the fixtures below, so no test module imports another.
 
 
 def _reference_geodesic_convexity_test(
@@ -76,7 +191,7 @@ def _reference_geodesic_convexity_test(
     slack=1e-8,
     domain=None,
 ):
-    """The per-point chord test the array version replaced, kept verbatim.
+    """The per-point chord test the array version replaced.
 
     field is a scalar field on Points and domain a predicate on Points.
     """
@@ -113,11 +228,11 @@ def _reference_geodesic_convexity_test(
     for _ in range(samples):
         p, q = draw(), draw()
         hp, hq = field(p), field(q)
-        d2 = dist(p, q) ** 2
-        v = log_map(p, q)
+        d2 = _dist(manifold, p.coords, q.coords) ** 2
+        v = _log(manifold, p.coords, q.coords)
         for t in ts:
             chord = (1.0 - t) * hp + t * hq - 0.5 * modulus * t * (1.0 - t) * d2
-            gap = field(geodesic(p, v, t)) - chord
+            gap = field(Point(manifold, _exp(manifold, p.coords, float(t) * v))) - chord
             n_checks += 1
             worst = max(worst, gap)
             if gap > slack:
@@ -126,18 +241,18 @@ def _reference_geodesic_convexity_test(
 
 
 def _reference_fd_gradient(field, p):
-    """The per-point fd_gradient the row form replaced, kept verbatim.
+    """The per-point fd_gradient the row form replaced.
 
     field is a scalar field on Points; the result is a Tangent at p.
     """
-    dim = p.manifold.dim
+    m, dim = p.manifold, p.manifold.dim
     steps = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(p.coords))
     diffs = np.empty(dim)
     for i in range(dim):
         e = np.zeros(dim)
         e[i] = steps[i]
-        f_plus = field(exp_map(p, Tangent(p, e)))
-        f_minus = field(exp_map(p, Tangent(p, -e)))
+        f_plus = field(Point(m, _exp(m, p.coords, e)))
+        f_minus = field(Point(m, _exp(m, p.coords, -e)))
         diffs[i] = (f_plus - f_minus) / (2.0 * steps[i])
     if p.manifold.geometry is Geometry.LOG_POSITIVE:
         diffs = diffs * p.coords**2
@@ -145,27 +260,27 @@ def _reference_fd_gradient(field, p):
 
 
 def _reference_gen_dir_derivative(obj, p, v, eta=None):
-    """The per-point gen_dir_derivative the row form replaced: one Tangent per generator."""
+    """The per-point gen_dir_derivative the row form replaced: v holds tangent coordinates at p."""
     hull = clarke_subdiff(obj, p, eta)
-    return max(inner(p, Tangent(p, g), v) for g in hull.generators)
+    return max(_inner(p.manifold, p.coords, g, v) for g in hull.generators)
 
 
 def _reference_usc_sampler(obj, p, v, n, seed=42, tolerance=1e-3):
-    """The per-point usc_sampler loop the row form replaced, kept verbatim."""
+    """The per-point usc_sampler loop the row form replaced; v holds tangent coordinates at p."""
     if n < 1:
         raise ValueError("n must be at least 1")
+    m, x = p.manifold, p.coords
     rng = np.random.default_rng(seed)
     reference = _reference_gen_dir_derivative(obj, p, v)
     values = np.full(n, -np.inf)
     discarded = 0
     for k in range(1, n + 1):
-        direction = random_unit_tangent(p, rng)
-        p_k = exp_map(p, (1.0 / k) * direction)
-        if not obj.in_domain(p_k):
+        x_k = _exp(m, x, (1.0 / k) * _random_unit(m, x, rng))
+        if not _admissible(obj, x_k):
             discarded += 1
             continue
-        v_k = transport(p, p_k, v) + (_USC_PERT_SCALE / k) * random_unit_tangent(p_k, rng)
-        values[k - 1] = _reference_gen_dir_derivative(obj, p_k, v_k)
+        v_k = _transport(m, x, x_k, v) + (_USC_PERT_SCALE / k) * _random_unit(m, x_k, rng)
+        values[k - 1] = _reference_gen_dir_derivative(obj, Point(m, x_k), v_k)
     tail_start = max((9 * n) // 10, 1)
     tail = values[tail_start - 1 :]
     tail = tail[np.isfinite(tail)]
@@ -184,11 +299,10 @@ def _reference_usc_sampler(obj, p, v, n, seed=42, tolerance=1e-3):
 
 
 def _reference_sum_rule_mismatch(obj, shifted, center, lam, p, v):
+    # the gradient of d(., center)^2 / 2 is -log_p(center)
+    pull = _inner(p.manifold, p.coords, -_log(p.manifold, p.coords, center.coords), v)
     lhs = _reference_gen_dir_derivative(shifted, p, v)
-    rhs = _reference_gen_dir_derivative(obj, p, v) + lam * inner(
-        p, grad_half_sq_dist(p, center), v
-    )
-    return abs(lhs - rhs)
+    return abs(lhs - (_reference_gen_dir_derivative(obj, p, v) + lam * pull))
 
 
 def _reference_check_sum_rule(prep, rng):
@@ -198,14 +312,14 @@ def _reference_check_sum_rule(prep, rng):
     worst = 0.0
     for x in region_samples(prep.problem, 100, rng):
         p = Point(obj.manifold, x)
-        v = rng.uniform(0.5, 2.0) * random_unit_tangent(p, rng)
+        v = rng.uniform(0.5, 2.0) * _random_unit(obj.manifold, x, rng)
         worst = max(worst, _reference_sum_rule_mismatch(obj, shifted, prep.start, lam, p, v))
     return worst <= 1e-8, f"worst mismatch {worst:.3e} (bound 1e-8)"
 
 
 def _reference_check_usc(prep, rng):
     obj = prep.problem.objective
-    v = random_unit_tangent(prep.start, rng)
+    v = _random_unit(obj.manifold, prep.start.coords, rng)
     report = _reference_usc_sampler(obj, prep.start, v, n=1000, seed=int(rng.integers(2**31)))
     return report.passed, f"tail gap {report.gap:.3e} (bound {report.tolerance})"
 
@@ -240,21 +354,19 @@ def _reference_check_geometry(prep, rng):
     worst = 0.0
     for _ in range(2000):
         z = rng.uniform(-2.0, 2.0, m.dim)
-        p = Point(m, np.exp(z)) if m.geometry.value == "log_positive" else Point(m, z)
+        p = np.exp(z) if _is_log(m) else z
         zq = rng.uniform(-2.0, 2.0, m.dim)
-        q = Point(m, np.exp(zq)) if m.geometry.value == "log_positive" else Point(m, zq)
-        v = rng.uniform(0.1, 3.0) * random_unit_tangent(p, rng)
-        back = log_map(p, exp_map(p, v))
-        scale = max(1.0, norm(p, v))
-        worst = max(worst, norm(p, back - v) / scale)
-        worst = max(worst, abs(norm(p, log_map(p, q)) - dist(p, q)) / max(1.0, dist(p, q)))
-        worst = max(
-            worst,
-            abs(norm(q, transport(p, q, v)) - norm(p, v)) / scale,
-        )
+        q = np.exp(zq) if _is_log(m) else zq
+        v = rng.uniform(0.1, 3.0) * _random_unit(m, p, rng)
+        back = _log(m, p, _exp(m, p, v))
+        scale = max(1.0, _norm(m, p, v))
+        worst = max(worst, _norm(m, p, back - v) / scale)
+        d_pq = _dist(m, p, q)
+        worst = max(worst, abs(_norm(m, p, _log(m, p, q)) - d_pq) / max(1.0, d_pq))
+        worst = max(worst, abs(_norm(m, q, _transport(m, p, q, v)) - _norm(m, p, v)) / scale)
         r_z = rng.uniform(-2.0, 2.0, m.dim)
-        r = Point(m, np.exp(r_z)) if m.geometry.value == "log_positive" else Point(m, r_z)
-        violation = dist(p, q) - (dist(p, r) + dist(r, q))
+        r = np.exp(r_z) if _is_log(m) else r_z
+        violation = d_pq - (_dist(m, p, r) + _dist(m, r, q))
         worst = max(worst, violation)
     return worst <= 1e-10, f"worst deviation {worst:.3e} (bound 1e-10)"
 
@@ -274,7 +386,7 @@ def _reference_check_strong_convexity(prep, rng):
         lower=prep.problem.region_lower,
         upper=prep.problem.region_upper,
         seed=int(rng.integers(2**31)),
-        domain=h_obj.in_domain,
+        domain=lambda p: _admissible(h_obj, p.coords),
     )
     return report.passed, (
         f"{report.n_violations} violations in {report.n_checks} checks, "
@@ -284,9 +396,9 @@ def _reference_check_strong_convexity(prep, rng):
 
 def _reference_check_dist_convexity(prep, rng):
     m = prep.problem.objective.manifold
-    center = prep.start
+    center = prep.start.coords
     report = _reference_geodesic_convexity_test(
-        lambda p: 0.5 * dist(p, center) ** 2,
+        lambda p: 0.5 * _dist(m, p.coords, center) ** 2,
         m,
         samples=200,
         modulus=1.0,
@@ -301,7 +413,7 @@ def _reference_check_dist_convexity(prep, rng):
 
 
 def _reference_region_samples(problem, count=64, rng=None):
-    """The per-sample region_samples the row form replaced, kept verbatim: a list of Points."""
+    """The per-sample region_samples the row form replaced: a list of Points."""
     m = problem.objective.manifold
     lo = problem.region_lower.astype(float)
     hi = problem.region_upper.astype(float)

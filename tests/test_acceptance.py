@@ -10,13 +10,11 @@ from proxmax import (
     LambdaSchedule,
     Point,
     ProxConfig,
-    Tangent,
     estimate_sup_lipschitz,
     euclidean,
     eval_f,
     eval_f_many,
     gen_dir_derivative,
-    grad_half_sq_dist,
     log_positive,
     make_problem,
     solve,
@@ -137,11 +135,9 @@ def test_criterion_04_geometry_suite(report):
     geometry_ok = worst <= 1e-10
 
     m = log_positive(2)
-    # per row: q, then the center
+    # per row: q, then the center; the gradient of d(., c)^2 / 2 at q is -log_q(c)
     q, center = np.split(np.exp(rng.uniform(-2, 2, (100, 4))), 2, axis=1)
-    exact = np.stack(
-        [grad_half_sq_dist(Point(m, a), Point(m, b)).coords for a, b in zip(q, center)]
-    )
+    exact = -q * np.log(center / q)
     errors = gradient_error(
         lambda X: 0.5 * np.float_power(dist_rows(m, X, center), 2.0), m, q, exact
     )
@@ -241,7 +237,7 @@ def test_criterion_09_usc_tail_bound(report, reference_run):
     worst = -np.inf
     ok = True
     for sign in (1.0, -1.0):
-        rep = usc_sampler(obj, p, Tangent(p, [sign]), n=1000, seed=42, tolerance=1e-3)
+        rep = usc_sampler(obj, p, [sign], n=1000, seed=42, tolerance=1e-3)
         ok = ok and rep.passed
         worst = max(worst, rep.gap)
     report(9, "usc-tail-bound", ok, f"worst tail gap {worst:.3e} (bound 1e-3), n=1000")

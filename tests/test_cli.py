@@ -209,6 +209,16 @@ def test_main_run_and_errors(tmp_path):
     assert main(["run", "--config", str(low), "--out", str(tmp_path / "o4")]) == 1
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
+    # np.random.default_rng rejects it, so it must not get past the config check
+    cfg = _write(tmp_path, "neg.json", {"problem": "paper_example", "seed": -1})
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "config error: field 'seed' must be a non-negative integer" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_main_capped_run_returns_two(tmp_path):
     capped = _write(
         tmp_path, "cap.json", {"problem": "quadratic", "lambda": 1.0, "max_outer": 2}

@@ -24,17 +24,13 @@ from proxmax import (
     eval_f,
     eval_f_many,
     gen_dir_derivative,
-    grad_half_sq_dist,
-    inner,
     log_positive,
     make_problem,
     min_norm_subgradient,
-    norm,
-    transport,
     with_prox_term,
 )
+from proxmax.manifold import Geometry
 from proxmax.objective import simplex_qp
-from proxmax.oracle import gd_sampling_estimate
 from proxmax.problems import region_samples
 
 LP1 = log_positive(1)
@@ -79,8 +75,8 @@ def test_eval_right_of_kink_first_branch_wins(log_example):
 def test_eval_outside_domain_raises(log_example):
     with pytest.raises(DomainError):
         eval_f(log_example.objective, _pt(0.1))
-    assert not log_example.objective.in_domain(_pt(0.1))
-    assert log_example.objective.in_domain(_pt(0.2))
+    guard = log_example.objective.domain_guard
+    assert not guard(np.array([0.1])) and guard(np.array([0.2]))
 
 
 def _eval_f_rows(obj, X):
@@ -187,8 +183,9 @@ def test_domain_guard_maps_rows_to_flags(log_example):
     ids=["paper_0.1", "paper_0.125", "paper_0.31", "abs", "quadratic", "prod2", "prod4", "prod8"],
 )
 def test_branch_grads_match_stacked_grad_phi_bit_for_bit(request_):
-    # grad_phi taken one row at a time, plus lam * grad_half_sq_dist at each
-    # point for the shifted objectives
+    # grad_phi taken one row at a time, plus lam times the gradient of
+    # d(., c)^2 / 2 at each point x for the shifted objectives: -log_x(c),
+    # which is -x ln(c/x) on the orthant and -(c - x) on the line
     prob = make_problem(request_)
     obj = prob.objective
     m = obj.manifold
@@ -200,7 +197,8 @@ def test_branch_grads_match_stacked_grad_phi_bit_for_bit(request_):
     assert got.tobytes() == raw.tobytes()
     for c, lam in zip(region_samples(prob, 2, rng), [0.6, 2.5]):
         center = Point(m, c)
-        pull = np.stack([(lam * grad_half_sq_dist(Point(m, x), center)).coords for x in X])
+        log = m.geometry is Geometry.LOG_POSITIVE
+        pull = np.stack([lam * -(x * np.log(c / x) if log else c - x) for x in X])
         got = branch_grads(with_prox_term(obj, center, lam), X)
         assert got.tobytes() == (raw + pull[:, None, :]).tobytes()
 
@@ -336,9 +334,7 @@ def test_gdd_rows_equal_per_point_reference(request_, reference_gen_dir_derivati
     for o in (obj, shifted):
         got = gen_dir_derivative(o, X, V)
         want = [
-            reference_gen_dir_derivative(o, Point(m, x), Tangent(Point(m, x), v))
-            for x, v in zip(X, V)
-        ]
+reference_gen_dir_derivative(o, Point(m, x), v) for x, v in zip(X, V)]
         assert got.tolist() == want
 
 
@@ -380,7 +376,8 @@ def test_gdd_dominates_every_generator(log_example, rng):
     for x, v, g_x in zip(X, V, got):
         p = Point(LP1, x)
         hull = clarke_subdiff(obj, p)
-        pairings = [inner(p, Tangent(p, g), Tangent(p, v)) for g in hull.generators]
+        # <g, v>_x = g v / x^2 on the half-line
+        pairings = [float(g[0] * v[0] / x[0] ** 2) for g in hull.generators]
         assert g_x >= max(pairings) - 1e-12
         assert g_x == pytest.approx(max(pairings), abs=1e-12)
 
@@ -393,7 +390,7 @@ def test_min_norm_single_generator():
     p = Point(m, [0.0, 0.0])
     hull = SubdiffHull(base=p, generators=np.array([[3.0, 4.0]]))
     g, n = min_norm_subgradient(hull)
-    assert_allclose(g.coords, [3.0, 4.0])
+    assert_allclose(g, [3.0, 4.0])
     assert n == pytest.approx(5.0)
 
 
@@ -401,7 +398,7 @@ def test_min_norm_interval_straddles_zero(log_example):
     hull = clarke_subdiff(log_example.objective, _pt(1.0))
     g, n = min_norm_subgradient(hull)
     assert n == 0.0
-    assert_allclose(g.coords, [0.0])
+    assert_allclose(g, [0.0])
 
 
 def test_min_norm_one_sided_interval():
@@ -409,7 +406,7 @@ def test_min_norm_one_sided_interval():
     p = Point(m, [0.0])
     hull = SubdiffHull(base=p, generators=np.array([[5.0], [2.0]]))
     g, n = min_norm_subgradient(hull)
-    assert_allclose(g.coords, [2.0])
+    assert_allclose(g, [2.0])
     assert n == pytest.approx(2.0)
 
 
@@ -418,12 +415,12 @@ def test_min_norm_two_generators_closed_form():
     p = Point(m, [0.0, 0.0])
     hull = SubdiffHull(base=p, generators=np.array([[1.0, 0.0], [0.0, 1.0]]))
     g, n = min_norm_subgradient(hull)
-    assert_allclose(g.coords, [0.5, 0.5], atol=1e-14)
+    assert_allclose(g, [0.5, 0.5], atol=1e-14)
     assert n == pytest.approx(np.sqrt(0.5), rel=1e-14)
 
     hull = SubdiffHull(base=p, generators=np.array([[2.0, 0.0], [0.0, 4.0]]))
     g, n = min_norm_subgradient(hull)
-    assert_allclose(g.coords, [1.6, 0.8], rtol=1e-12)
+    assert_allclose(g, [1.6, 0.8], rtol=1e-12)
     assert n == pytest.approx(1.788854381999832, rel=1e-12)
 
 
@@ -431,7 +428,7 @@ def test_min_norm_metric_weighted_interval():
     p = Point(LP1, [2.0])
     hull = SubdiffHull(base=p, generators=np.array([[4.0], [2.0]]))
     g, n = min_norm_subgradient(hull)
-    assert_allclose(g.coords, [2.0])
+    assert_allclose(g, [2.0])
     assert n == pytest.approx(1.0)  # ambient 2 over coordinate 2
 
 
@@ -546,9 +543,9 @@ def test_min_norm_of_box_vertices_is_the_origin():
 def test_hull_distance_examples(log_example, hull_distance):
     p = _pt(1.0)
     hull = clarke_subdiff(log_example.objective, p)
-    assert hull_distance(hull, Tangent(p, [1.0])) <= 1e-12
-    assert hull_distance(hull, Tangent(p, [2.0])) == pytest.approx(1.0, abs=1e-8)
-    inside = Tangent(p, [0.5 * (1.0 + G2_AT_ONE)])
+    assert hull_distance(hull, [1.0]) <= 1e-12
+    assert hull_distance(hull, [2.0]) == pytest.approx(1.0, abs=1e-8)
+    inside = [0.5 * (1.0 + G2_AT_ONE)]
     assert hull_distance(hull, inside) <= 1e-10
 
 
@@ -572,7 +569,12 @@ def _rows(pts):
 
 
 def _reference_sup_lipschitz(obj, region_samples, safety_factor=1.1):
-    """The scalar pair loop the library estimate must reproduce, on sample rows."""
+    """The scalar pair loop the library estimate must reproduce, on sample rows.
+
+    The geometry is written out: on the orthant d(x, y) = |ln(x / y)|,
+    transport scales a tangent by y / x and |v|_y^2 = sum v_i^2 / y_i^2; on
+    Euclidean space they are |x - y|, the identity and sum v_i^2.
+    """
     declared = obj.declared_sup_lipschitz()
     if declared is not None:
         return declared
@@ -581,16 +583,20 @@ def _reference_sup_lipschitz(obj, region_samples, safety_factor=1.1):
         raise ValueError("need at least two region samples to estimate a Lipschitz bound")
     for s in samples:
         obj.check_domain(s)
+    log = obj.manifold.geometry is Geometry.LOG_POSITIVE
     best = 0.0
     for b in range(len(obj.params)):
-        grads = [Tangent(s, obj.grad_phi(s.coords[None])[0, b]) for s in samples]
+        grads = [obj.grad_phi(s.coords[None])[0, b] for s in samples]
         for i in range(len(samples)):
             for j in range(i + 1, len(samples)):
-                d = dist(samples[i], samples[j])
+                x, y = samples[i].coords, samples[j].coords
+                chord = np.log(x / y) if log else x - y
+                d = float(np.sqrt(np.dot(chord, chord)))
                 if d <= 1e-14:
                     continue
-                moved = transport(samples[i], samples[j], grads[i])
-                best = max(best, norm(samples[j], grads[j] - moved) / d)
+                gap = grads[j] - (grads[i] * y / x if log else grads[i])
+                sq = np.sum(gap * gap / y**2) if log else np.dot(gap, gap)
+                best = max(best, float(np.sqrt(sq)) / d)
     return safety_factor * best
 
 
@@ -721,7 +727,7 @@ def test_estimate_rejects_out_of_domain_sample(log_example):
 # sampling estimate of the directional derivative
 
 
-def test_gd_sampling_near_kink(log_example):
+def test_gd_sampling_near_kink(log_example, gd_sampling_estimate):
     p = _pt(1.0)
     got = gd_sampling_estimate(
         log_example.objective,
@@ -733,7 +739,7 @@ def test_gd_sampling_near_kink(log_example):
     assert got == pytest.approx(1.0, abs=5e-3)
 
 
-def test_gd_sampling_smooth_point(log_example):
+def test_gd_sampling_smooth_point(log_example, gd_sampling_estimate):
     p = _pt(0.3125)
     got = gd_sampling_estimate(
         log_example.objective,
@@ -745,7 +751,7 @@ def test_gd_sampling_smooth_point(log_example):
     assert got == pytest.approx(-4.270522857037981, abs=5e-3)
 
 
-def test_gd_sampling_warns_on_partial_discard(log_example):
+def test_gd_sampling_warns_on_partial_discard(log_example, gd_sampling_estimate):
     p = _pt(0.14)
     with pytest.warns(UserWarning):
         gd_sampling_estimate(
@@ -757,7 +763,7 @@ def test_gd_sampling_warns_on_partial_discard(log_example):
         )
 
 
-def test_gd_sampling_raises_when_all_samples_leave_domain(log_example):
+def test_gd_sampling_raises_when_all_samples_leave_domain(log_example, gd_sampling_estimate):
     p = _pt(0.14)
     with pytest.raises(ValueError), pytest.warns(UserWarning):
         gd_sampling_estimate(
@@ -790,8 +796,9 @@ def test_with_prox_term_sum_rule(log_example, rng):
     X, V = _draw_rows(rng, 40)
     lhs = gen_dir_derivative(shifted, X, V)
     for x, v, lhs_x, f_x in zip(X, V, lhs, gen_dir_derivative(obj, X, V)):
-        p = Point(LP1, x)
-        rhs = f_x + lam * inner(p, grad_half_sq_dist(p, center), Tangent(p, v))
+        # the gradient of d(., c)^2 / 2 at x is -x ln(c / x), paired with v by the metric 1 / x^2
+        pull = -x[0] * np.log(center.coords[0] / x[0]) * v[0] / x[0] ** 2
+        rhs = f_x + lam * pull
         assert lhs_x == pytest.approx(rhs, abs=1e-10)
 
 
@@ -812,4 +819,5 @@ def test_norm_helper_consistency(log_example):
     p = _pt(0.3125)
     hull = clarke_subdiff(log_example.objective, p)
     g, n = min_norm_subgradient(hull)
-    assert n == pytest.approx(norm(p, g), rel=1e-14)
+    # |g|_x = |g| / x on the half-line
+    assert n == pytest.approx(abs(g[0]) / p.coords[0], rel=1e-14)

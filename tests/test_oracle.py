@@ -6,7 +6,6 @@ from proxmax import (
     DomainError,
     InvalidPointError,
     Point,
-    Tangent,
     dist,
     euclidean,
     eval_f,
@@ -16,7 +15,7 @@ from proxmax import (
     with_prox_term,
 )
 from proxmax import oracle
-from proxmax.manifold import Geometry, MismatchError, dist_rows
+from proxmax.manifold import Geometry, dist_rows
 from proxmax.oracle import (
     GridSpec,
     fd_gradient,
@@ -386,7 +385,7 @@ def test_usc_at_kink_both_directions(log_example):
     obj = log_example.objective
     p = _pt(1.0)
     for sign, ref in [(1.0, 1.0), (-1.0, 1.0 + 2.0 * np.exp(-2.0))]:
-        report = usc_sampler(obj, p, Tangent(p, [sign]), n=1000, seed=42)
+        report = usc_sampler(obj, p, [sign], n=1000, seed=42)
         assert report.reference == pytest.approx(ref, rel=1e-12)
         assert report.passed, f"gap {report.gap}"
         assert report.gap <= report.tolerance
@@ -395,7 +394,7 @@ def test_usc_at_kink_both_directions(log_example):
 def test_usc_at_smooth_point(log_example):
     obj = log_example.objective
     p = _pt(0.3125)
-    report = usc_sampler(obj, p, Tangent(p, [0.3125]), n=1000, seed=42)
+    report = usc_sampler(obj, p, [0.3125], n=1000, seed=42)
     assert report.passed
     assert report.tail_start == 900
     assert "not a proof" in report.note
@@ -404,7 +403,7 @@ def test_usc_at_smooth_point(log_example):
 def test_usc_near_boundary_discards_but_passes(log_example):
     obj = log_example.objective
     p = _pt(0.13)
-    report = usc_sampler(obj, p, Tangent(p, [0.13]), n=1000, seed=42)
+    report = usc_sampler(obj, p, [0.13], n=1000, seed=42)
     assert report.discarded > 0
     assert report.passed
 
@@ -425,23 +424,29 @@ def test_usc_sampler_equals_per_point_reference(request_, points, reference_usc_
     rng = np.random.default_rng(3)
     for x in points:
         p = Point(obj.manifold, x)
-        v = Tangent(p, rng.uniform(-2.0, 2.0, obj.manifold.dim))
+        v = rng.uniform(-2.0, 2.0, obj.manifold.dim)
         for n in (7, 1000):
             want = reference_usc_sampler(obj, p, v, n=n, seed=5)
             # every field, the floats bit for bit
             assert usc_sampler(obj, p, v, n=n, seed=5) == want
 
 
-def test_usc_rejects_tangent_at_another_point(log_example):
-    with pytest.raises(MismatchError):
-        usc_sampler(log_example.objective, _pt(1.0), Tangent(_pt(2.0), [1.0]), n=10)
+def test_usc_rejects_bad_direction_and_outside_point(log_example):
+    # the direction is tangent coordinates (n,) at p, and must be finite
+    for bad in ([1.0, 2.0], 1.0, [np.nan]):
+        with pytest.raises(ValueError, match="direction must have shape|must be finite"):
+            usc_sampler(log_example.objective, _pt(1.0), bad, n=10)
+    product = make_problem({"name": "paper_example_product", "n": 2}).objective
+    for bad in ([1.0], [1.0, 2.0, 3.0]):
+        with pytest.raises(ValueError, match="direction must have shape"):
+            usc_sampler(product, Point(product.manifold, [1.0, 1.0]), bad, n=10)
     with pytest.raises(DomainError):
-        usc_sampler(log_example.objective, _pt(0.05), Tangent(_pt(0.05), [1.0]), n=10)
+        usc_sampler(log_example.objective, _pt(0.05), [1.0], n=10)
 
 
 def test_usc_respects_tolerance_override(log_example):
     obj = log_example.objective
     p = _pt(1.0)
-    strict = usc_sampler(obj, p, Tangent(p, [1.0]), n=1000, seed=42, tolerance=1e-15)
+    strict = usc_sampler(obj, p, [1.0], n=1000, seed=42, tolerance=1e-15)
     assert strict.tolerance == 1e-15
     assert not strict.passed

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from proxmax import Point, eval_f, log_positive, make_problem
+from proxmax import Point, eval_f, make_problem
 from proxmax.manifold import norm_rows
 from proxmax.oracle import fd_gradient
 from proxmax.problems import BUILTIN_NAMES, region_samples
@@ -13,13 +13,13 @@ def test_builtin_registry():
     for name in BUILTIN_NAMES:
         prob = make_problem(name)
         assert prob.name == name
-        assert prob.objective.in_domain(prob.start)
+        prob.objective.check_domain(prob.start)
 
 
 def test_make_problem_accepts_dict_with_params():
     prob = make_problem({"name": "paper_example", "epsilon": 0.25})
     assert prob.metadata["epsilon"] == 0.25
-    assert not prob.objective.in_domain(Point(log_positive(1), [0.2]))
+    assert not prob.objective.domain_guard(np.array([0.2]))
 
 
 def test_make_problem_unknown_name_lists_builtins():
@@ -138,8 +138,7 @@ def test_region_samples_multi_dim_needs_rng():
         region_samples(prob, 10)
     pts = region_samples(prob, 10, np.random.default_rng(0))
     assert len(pts) == 10
-    for x in pts:
-        assert prob.objective.in_domain(Point(prob.objective.manifold, x))
+    assert prob.objective.domain_guard(pts).all()
 
 
 @pytest.mark.parametrize(
