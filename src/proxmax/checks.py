@@ -130,4 +130,4 @@ def prox_grid_gaps(
     p_next, _ = prox_step(obj, p_k, lam, cfg, lipschitz=lipschitz)
     h_obj = with_prox_term(obj, p_k, lam)
     g_pt, g_val = grid_minimize(lambda X: eval_f_many(h_obj, X), grid, obj.manifold)
-    return dist(p_next, g_pt), abs(eval_f(h_obj, p_next)[0] - g_val)
+    return dist(p_next, g_pt), abs(eval_f(h_obj, p_next) - g_val)

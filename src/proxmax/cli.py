@@ -140,8 +140,9 @@ def _check_point_list(raw: dict, key: str) -> Optional[list]:
     _require(
         isinstance(value, list)
         and value
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value),
-        f"field '{key}' must be a non-empty array of numbers",
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
+        and np.isfinite(value).all(),
+        f"field '{key}' must be a non-empty array of finite numbers",
     )
     return [float(x) for x in value]
 
@@ -285,7 +286,7 @@ def _prepare(cfg: RunConfig, validate_schedule: bool = True) -> _Prepared:
         max_outer=cfg.max_outer,
         max_inner=cfg.max_inner,
     )
-    lam = sched.at(0) if sched is not None else float(cfg.lam)
+    lam = sched.constant if sched is not None else float(cfg.lam)
     return _Prepared(problem, start, sched, pcfg, level, lipschitz, lam)
 
 
@@ -479,7 +480,7 @@ def _check_subgrad_floor(
         return None, "no level-band metadata on this problem"
     obj = prep.problem.objective
     m = obj.manifold
-    f_q, _ = eval_f(obj, Point(m, [meta["q"]]))
+    f_q = eval_f(obj, Point(m, [meta["q"]]))
     c, delta = meta["c"], meta["delta"]
     X = region_samples(prep.problem, 400)
     f = eval_f_many(obj, X)

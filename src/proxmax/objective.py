@@ -42,7 +42,6 @@ __all__ = [
     "eval_f_many",
     "eval_branches",
     "branch_grads",
-    "active_set",
     "clarke_subdiff",
     "gen_dir_derivative",
     "min_norm_subgradient",
@@ -118,9 +117,6 @@ class MaxObjective:
         if self.domain_guard is not None and not self.domain_guard(p.coords):
             raise DomainError(f"point {p.coords.tolist()} is outside the admissible region")
 
-    def declared_sup_lipschitz(self) -> Optional[float]:
-        return None if self.lipschitz_bound is None else float(self.lipschitz_bound)
-
 
 @dataclass(frozen=True)
 class SubdiffHull:
@@ -141,11 +137,9 @@ class SubdiffHull:
         object.__setattr__(self, "generators", gens)
 
 
-def eval_f(obj: MaxObjective, p: Point) -> tuple[float, np.ndarray]:
-    """Objective value at p together with every parameter attaining it exactly."""
-    vals = _branch_values(obj, _point_row(obj, p))[0]
-    fmax = float(vals.max())
-    return fmax, obj.params.values[vals == fmax].copy()
+def eval_f(obj: MaxObjective, p: Point) -> float:
+    """Objective value at p."""
+    return float(_branch_values(obj, _point_row(obj, p))[0].max())
 
 
 def eval_f_many(obj: MaxObjective, X) -> np.ndarray:
@@ -221,42 +215,33 @@ def _point_row(obj: MaxObjective, p: Point) -> np.ndarray:
     return p.coords[None]
 
 
-def _active_mask(vals: np.ndarray, eta: Optional[float]) -> np.ndarray:
+def _active_mask(vals: np.ndarray) -> np.ndarray:
+    """Which branch values (..., m) lie within 1e-12 * max(1, |f|) of their row's max f."""
     fmax = vals.max(axis=-1, keepdims=True)
-    if eta is None:
-        eta = 1e-12 * np.maximum(1.0, np.abs(fmax))
-    elif eta < 0:
-        raise ValueError(f"activation tolerance must be >= 0, got {eta}")
-    return vals >= fmax - eta
+    return vals >= fmax - 1e-12 * np.maximum(1.0, np.abs(fmax))
 
 
-def active_set(obj: MaxObjective, p: Point, eta: Optional[float] = None) -> np.ndarray:
-    """Parameters whose branch value comes within eta of the max at p."""
-    vals = _branch_values(obj, _point_row(obj, p))[0]
-    return obj.params.values[_active_mask(vals, eta)].copy()
-
-
-def clarke_subdiff(obj: MaxObjective, p: Point, eta: Optional[float] = None) -> SubdiffHull:
-    """Hull of gradients of the eta-active branches at p.
+def clarke_subdiff(obj: MaxObjective, p: Point) -> SubdiffHull:
+    """Hull of gradients of the active branches at p, as _active_mask picks them.
 
     Reads one row of branch values and one row of branch gradients.
     """
     X = _point_row(obj, p)
-    active = _active_mask(_branch_values(obj, X)[0], eta)
+    active = _active_mask(_branch_values(obj, X)[0])
     return SubdiffHull(p, _branch_gradients(obj, X)[0][active])
 
 
-def gen_dir_derivative(obj: MaxObjective, X, V, eta: Optional[float] = None) -> np.ndarray:
+def gen_dir_derivative(obj: MaxObjective, X, V) -> np.ndarray:
     """Generalized directional derivatives (N,) at point rows X (N, n) along tangent rows V (N, n).
 
-    Entry k pairs V[k] with each eta-active branch gradient at X[k] and takes the largest.
+    Entry k pairs V[k] with each active branch gradient at X[k] and takes the largest.
     One phi and one grad_phi call, with the checks of eval_branches and branch_grads.
     """
     X = _admissible_rows(obj, X)
     V = np.asarray(V, dtype=float)
     if V.shape != X.shape or not np.isfinite(V).all():
         raise ValueError(f"tangent rows must be finite, shape {X.shape}; got shape {V.shape}")
-    active = _active_mask(_branch_values(obj, X), eta)
+    active = _active_mask(_branch_values(obj, X))
     pairs = inner_rows(obj.manifold, X[:, None], _branch_gradients(obj, X), V[:, None])
     return np.where(active, pairs, -np.inf).max(axis=1)
 
@@ -380,9 +365,8 @@ def estimate_sup_lipschitz(obj: MaxObjective, samples) -> float:
     from one branch_grads call, (S, m, n), and the pair pass holds O(S^2 n)
     for S samples in dimension n (64 samples give 2016 pairs).
     """
-    declared = obj.declared_sup_lipschitz()
-    if declared is not None:
-        return declared
+    if obj.lipschitz_bound is not None:
+        return float(obj.lipschitz_bound)
     m = obj.manifold
     X = point_coords(m, samples, rows=True)
     if len(X) < 2:

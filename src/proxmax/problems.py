@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -32,102 +33,46 @@ class BuiltinProblem:
     metadata: dict = field(default_factory=dict)
 
 
-def _log_example_branches(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate branch values (ln x, -ln x + e^{-2x} - e^{-2})."""
-    f1 = np.log(x)
-    f2 = -np.log(x) + np.exp(-2.0 * x) - np.exp(-2.0)
-    return f1, f2
-
-
-def _log_example_branch_derivs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d1 = 1.0 / x
-    d2 = -1.0 / x - 2.0 * np.exp(-2.0 * x)
-    return d1, d2
-
-
-def paper_example(epsilon: float = 0.125) -> BuiltinProblem:
-    """Half-line instance: f(x) = max(ln x, -ln x + e^{-2x} - e^{-2}).
-
-    Lives on the log-metric positive half-line with admissible region
-    (epsilon, inf); the two branches cross at the minimizer x = 1 where f
-    vanishes.  Branch weights are affine in the parameter, so the grid
-    {0, 1} represents the whole family of convex combinations exactly.
-    """
-    epsilon = float(epsilon)
-    if not 0.0 < epsilon < 0.3125:
-        raise ValueError(f"epsilon must lie in (0, 0.3125), got {epsilon}")
-    m = log_positive(1)
-    params = ParamSet(np.array([0.0, 1.0]))
-
-    def phi(X: np.ndarray) -> np.ndarray:
-        f1, f2 = _log_example_branches(X)
-        tau = params.values
-        return (1.0 - tau) * f1 + tau * f2
-
-    def grad_phi(X: np.ndarray) -> np.ndarray:
-        # (N, 1) rows -> (N, 2, 1)
-        tau = params.values[:, None]
-        X = X[:, None, :]
-        d1, d2 = _log_example_branch_derivs(X)
-        return X**2 * ((1.0 - tau) * d1 + tau * d2)
-
-    def guard(x: np.ndarray) -> np.ndarray:
-        # ndarray.all skips np.all's wrapper, which dominates a one-point check
-        return (x > epsilon).all(axis=-1)
-
-    obj = MaxObjective(
-        manifold=m,
-        params=params,
-        phi=phi,
-        grad_phi=grad_phi,
-        lipschitz_bound=None,
-        domain_guard=guard,
-    )
-    q = 0.3125
-    c = float(-np.log(0.75) + np.exp(-1.5) - np.exp(-2.0))
-    return BuiltinProblem(
-        name="paper_example",
-        objective=obj,
-        start=Point(m, [q]),
-        region_lower=np.array([epsilon]),
-        region_upper=np.array([4.0]),
-        metadata={
-            "epsilon": epsilon,
-            "q": q,
-            "c": c,
-            "delta": 0.4,
-            "minimizer": [1.0],
-        },
-    )
+@functools.lru_cache(maxsize=None)
+def _second_branch_mask(n: int) -> np.ndarray:
+    """Read-only (2^n, n): row t marks the coordinates where parameter t takes the second branch."""
+    second = (np.arange(2**n)[:, None] // 2 ** np.arange(n)) % 2 == 1
+    second.flags.writeable = False
+    return second
 
 
 def paper_example_product(n: int = 2, epsilon: float = 0.125) -> BuiltinProblem:
-    """n-fold product of the half-line instance.
+    """n-fold product of the half-line instance on the log-metric orthant.
 
-    The objective is the sum over coordinates of the per-coordinate max,
-    written as a max over all 2^n branch assignments (one parameter per
-    bit pattern) so the hull machinery sees every locally active gradient.
+    The objective is the sum over coordinates of the per-coordinate max of
+    the branches ln x and -ln x + e^{-2x} - e^{-2}, written as a max over
+    all 2^n branch assignments (one parameter per bit pattern) so the hull
+    machinery sees every locally active gradient.  Each coordinate must
+    exceed epsilon.
     """
-    n = int(n)
+    # concrete types: the numbers ABCs add ~20 us to a build whose caches are cold
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if not 1 <= n <= _MAX_PRODUCT_DIM:
         raise ValueError(f"n must lie in [1, {_MAX_PRODUCT_DIM}], got {n}")
-    epsilon = float(epsilon)
+    if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float, np.integer, np.floating)):
+        raise ValueError(f"epsilon must be a real number, got {epsilon!r}")
+    n, epsilon = int(n), float(epsilon)
     if not 0.0 < epsilon < 0.3125:
         raise ValueError(f"epsilon must lie in (0, 0.3125), got {epsilon}")
     m = log_positive(n)
-    # row t holds the bits of parameter t
-    all_bits = (np.arange(2**n)[:, None] // 2 ** np.arange(n)) % 2
+    second = _second_branch_mask(n)
 
     def phi(X: np.ndarray) -> np.ndarray:
-        f1, f2 = _log_example_branches(X)
-        return np.sum(np.where(all_bits == 1, f2[:, None, :], f1[:, None, :]), axis=2)
+        f1 = np.log(X)
+        f2 = -np.log(X) + np.exp(-2.0 * X) - np.exp(-2.0)
+        return np.where(second, f2[:, None, :], f1[:, None, :]).sum(axis=2)
 
     def grad_phi(X: np.ndarray) -> np.ndarray:
         # (N, n) rows -> (N, 2^n, n): x**2 * flat, multiplied in place so the
         # (N, 2^n, n) array exists once
         X = X[:, None, :]
-        d1, d2 = _log_example_branch_derivs(X)
-        flat = np.where(all_bits == 1, d2, d1)
+        flat = np.where(second, -1.0 / X - 2.0 * np.exp(-2.0 * X), 1.0 / X)
         flat *= X**2
         return flat
 
@@ -150,6 +95,28 @@ def paper_example_product(n: int = 2, epsilon: float = 0.125) -> BuiltinProblem:
         region_lower=np.full(n, epsilon),
         region_upper=np.full(n, 4.0),
         metadata={"epsilon": epsilon, "n": n, "minimizer": [1.0] * n},
+    )
+
+
+def paper_example(epsilon: float = 0.125) -> BuiltinProblem:
+    """Half-line instance: f(x) = max(ln x, -ln x + e^{-2x} - e^{-2}), the n = 1 product.
+
+    Lives on the log-metric positive half-line with admissible region
+    (epsilon, inf); the two branches cross at the minimizer x = 1 where f
+    vanishes.  Branch weights are affine in the parameter, so the grid
+    {0, 1} represents the whole family of convex combinations exactly.
+    """
+    product = paper_example_product(1, epsilon)
+    return replace(
+        product,
+        name="paper_example",
+        metadata={
+            "epsilon": product.metadata["epsilon"],
+            "q": 0.3125,
+            "c": float(-np.log(0.75) + np.exp(-1.5) - np.exp(-2.0)),
+            "delta": 0.4,
+            "minimizer": [1.0],
+        },
     )
 
 

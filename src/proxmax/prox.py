@@ -86,17 +86,15 @@ class InnerCapError(RuntimeError):
 
 @dataclass(frozen=True)
 class LambdaSchedule:
-    """Per-step regularization weights, all inside (lower, upper].
+    """The regularization weight of every step, constant, inside (lower, upper].
 
-    lower is the Lipschitz estimate the weights must strictly exceed and
-    upper the finite cap keeping them bounded.  Exactly one of constant or
-    values must be given; a finite values sequence repeats its last entry.
+    lower is the Lipschitz estimate the weight must strictly exceed and
+    upper the finite cap keeping it bounded.
     """
 
     lower: float
     upper: float
-    constant: Optional[float] = None
-    values: Optional[tuple[float, ...]] = None
+    constant: float
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.lower) or self.lower < 0:
@@ -105,25 +103,10 @@ class LambdaSchedule:
             raise LambdaBoundError(
                 f"upper bound must be finite and exceed lower={self.lower}, got {self.upper}"
             )
-        if (self.constant is None) == (self.values is None):
-            raise LambdaBoundError("exactly one of constant or values is required")
-        if self.values is not None:
-            vals = tuple(float(v) for v in self.values)
-            if not vals:
-                raise LambdaBoundError("values sequence must be non-empty")
-            object.__setattr__(self, "values", vals)
-        else:
-            object.__setattr__(self, "constant", float(self.constant))
-        for lam in (self.values if self.values is not None else (self.constant,)):
-            if not (self.lower < lam <= self.upper):
-                raise LambdaBoundError(
-                    f"weight {lam} outside ({self.lower}, {self.upper}]"
-                )
-
-    def at(self, k: int) -> float:
-        if self.constant is not None:
-            return self.constant
-        return self.values[min(k, len(self.values) - 1)]
+        lam = float(self.constant)
+        object.__setattr__(self, "constant", lam)
+        if not (self.lower < lam <= self.upper):
+            raise LambdaBoundError(f"weight {lam} outside ({self.lower}, {self.upper}]")
 
     @staticmethod
     def default(lipschitz: float, upper: float) -> "LambdaSchedule":
@@ -307,24 +290,18 @@ def prox_step(
     p_k: Point,
     lam: float,
     cfg: ProxConfig,
-    lipschitz: Optional[float] = None,
+    lipschitz: float,
 ) -> tuple[Point, int]:
     """One proximal step from p_k with weight lam.
 
-    lam must strictly exceed the Lipschitz bound (passed explicitly or
-    declared on the objective); lam plus the bound weighs the quadratic of
-    the inner solver's first model.
+    lam must strictly exceed the Lipschitz bound lipschitz; lam plus the
+    bound weighs the quadratic of the inner solver's first model.
     """
-    lam = float(lam)
-    lip = lipschitz if lipschitz is not None else obj.declared_sup_lipschitz()
-    if lip is None:
-        raise LambdaBoundError(
-            "no Lipschitz bound available; pass lipschitz= or declare one on the objective"
-        )
+    lam, lip = float(lam), float(lipschitz)
     if lam <= lip:
         raise LambdaBoundError(f"weight {lam} must strictly exceed the Lipschitz bound {lip}")
     obj.check_domain(p_k)
-    return inner_solve(obj, p_k, lam, float(lip), cfg)
+    return inner_solve(obj, p_k, lam, lip, cfg)
 
 
 def solve(
@@ -347,10 +324,10 @@ def solve(
     trace.best_residual.
     """
     obj.check_domain(p0)
-    f_prev, _ = eval_f(obj, p0)
+    f_prev = eval_f(obj, p0)
     f_ref = None
     if level_ref is not None:
-        f_ref, _ = eval_f(obj, level_ref)
+        f_ref = eval_f(obj, level_ref)
         if f_prev > f_ref:
             raise LevelSetError(f"start value {f_prev} exceeds the reference level {f_ref}")
 
@@ -358,13 +335,13 @@ def solve(
     termination = Termination.max_iters()
     best = best_residual = None
     p = p0
+    lam = sched.constant
     for k in range(cfg.max_outer):
-        lam = sched.at(k)
         try:
             p_next, inner_iters = prox_step(obj, p, lam, cfg, lipschitz=sched.lower)
             step = dist(p_next, p)
             res = lam * step
-            f_next, _ = eval_f(obj, p_next)
+            f_next = eval_f(obj, p_next)
             _, sub_norm = min_norm_subgradient(clarke_subdiff(obj, p_next))
         except (InnerCapError, DomainError, GeometryError) as exc:
             termination = Termination.error(f"{type(exc).__name__}: {exc}")

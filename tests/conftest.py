@@ -147,10 +147,10 @@ def _gd_sampling_estimate(obj, p, v, radius_seq, step_seq):
             discarded += 1
             continue
         u_q = _differential_exp(p, Tangent(p, _log(m, x, q)), v).coords
-        f_q, _ = eval_f(obj, Point(m, q))
+        f_q = eval_f(obj, Point(m, q))
         for t in steps:
             try:
-                f_t, _ = eval_f(obj, Point(m, _exp(m, q, t * u_q)))
+                f_t = eval_f(obj, Point(m, _exp(m, q, t * u_q)))
             except (DomainError, ValueError):
                 discarded += 1
                 continue
@@ -259,9 +259,9 @@ def _reference_fd_gradient(field, p):
     return Tangent(p, diffs)
 
 
-def _reference_gen_dir_derivative(obj, p, v, eta=None):
+def _reference_gen_dir_derivative(obj, p, v):
     """The per-point gen_dir_derivative the row form replaced: v holds tangent coordinates at p."""
-    hull = clarke_subdiff(obj, p, eta)
+    hull = clarke_subdiff(obj, p)
     return max(_inner(p.manifold, p.coords, g, v) for g in hull.generators)
 
 
@@ -330,13 +330,13 @@ def _reference_check_subgrad_floor(prep, rng):
         return None, "no level-band metadata on this problem"
     obj = prep.problem.objective
     m = obj.manifold
-    f_q, _ = eval_f(obj, Point(m, [meta["q"]]))
+    f_q = eval_f(obj, Point(m, [meta["q"]]))
     c, delta = meta["c"], meta["delta"]
     floor = np.inf
     checked = 0
     for x in region_samples(prep.problem, 400):
         p = Point(m, x)
-        f_p, _ = eval_f(obj, p)
+        f_p = eval_f(obj, p)
         if not (c < f_p <= f_q):
             continue
         _, gn = min_norm_subgradient(clarke_subdiff(obj, p))
@@ -379,7 +379,7 @@ def _reference_check_strong_convexity(prep, rng):
         return False, reason
     h_obj = with_prox_term(obj, prep.start, lam)
     report = _reference_geodesic_convexity_test(
-        lambda p: eval_f(h_obj, p)[0],
+        lambda p: eval_f(h_obj, p),
         obj.manifold,
         samples=300,
         modulus=lam - lip,

@@ -87,7 +87,7 @@ def test_criterion_01_example_reproduction(report, reference_run):
 def test_criterion_02_certificate_and_step_vanishing(report, reference_run):
     prob, lip, sched, trace, _ = reference_run
     lam_min = min(rec.lam for rec in trace.records)
-    f0, _ = eval_f(prob.objective, prob.start)
+    f0 = eval_f(prob.objective, prob.start)
     sum_sq = sum(rec.step_dist**2 for rec in trace.records)
     bound = 2.0 * f0 / lam_min + 1e-6
     ok = trace.records[-1].residual <= 1e-8 and sum_sq <= bound
@@ -111,7 +111,7 @@ def test_criterion_03_closed_form_euclidean(report):
     p = quad.start
     quad_err = 0.0
     for k in range(1, 41):
-        p, _ = prox_step(quad.objective, p, 1.0, ProxConfig())
+        p, _ = prox_step(quad.objective, p, 1.0, ProxConfig(), lipschitz=0.0)
         quad_err = max(quad_err, abs(p.coords[0] - 2.0**-k))
     quad_ok = quad_err <= 1e-8
     report(

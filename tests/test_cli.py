@@ -145,8 +145,8 @@ def test_failed_run_reports_best_point(tmp_path):
     assert data["best_point"] != data["start_point"]
     assert data["best_residual"] > data["settings"]["inner_tol"]
     obj = make_problem(cfg.problem).objective
-    f_best, _ = eval_f(obj, Point(obj.manifold, data["best_point"]))
-    f_start, _ = eval_f(obj, Point(obj.manifold, data["start_point"]))
+    f_best = eval_f(obj, Point(obj.manifold, data["best_point"]))
+    f_start = eval_f(obj, Point(obj.manifold, data["start_point"]))
     assert f_best < f_start
     # the best point lives in summary.json only
     lines = (tmp_path / "out" / "trace.csv").read_text().splitlines()
@@ -216,6 +216,36 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "config error: field 'seed' must be a non-negative integer" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "problem, message",
+    [
+        ({"name": "paper_example_product", "n": 2.7}, "n must be an integer, got 2.7"),
+        ({"name": "paper_example_product", "n": True}, "n must be an integer, got True"),
+        ({"name": "paper_example", "epsilon": "0.2"}, "epsilon must be a real number"),
+    ],
+)
+def test_mistyped_problem_parameter_is_a_config_error(tmp_path, capsys, problem, message):
+    with pytest.raises(ConfigError, match=message):
+        run(parse_config({"problem": problem}), out_dir=tmp_path / "direct")
+    cfg = _write(tmp_path, "bad.json", {"problem": problem})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("key", ["start_point", "level_ref"])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_point_is_a_config_error(tmp_path, capsys, command, key, literal):
+    # Python's json reads these literals, and 1e400 overflows to inf
+    cfg = tmp_path / "nonfinite.json"
+    cfg.write_text(f'{{"problem": "paper_example", "{key}": [{literal}]}}')
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: field '{key}' must be a non-empty array of finite numbers" in err
     assert not (tmp_path / "o").exists()
 
 

@@ -15,7 +15,6 @@ from proxmax import (
     Point,
     SubdiffHull,
     Tangent,
-    active_set,
     branch_grads,
     clarke_subdiff,
     dist,
@@ -45,31 +44,37 @@ def _pt(x):
     return Point(LP1, [x])
 
 
+def _assert_active(obj, x, branches):
+    """clarke_subdiff at x holds exactly the gradients of the given branch indices."""
+    hull = clarke_subdiff(obj, _pt(x))
+    assert hull.generators.tolist() == branch_grads(obj, [[x]])[0][branches].tolist()
+
+
 # evaluation
 
 
 def test_eval_at_start_point(log_example):
-    f, act = eval_f(log_example.objective, _pt(0.3125))
+    f = eval_f(log_example.objective, _pt(0.3125))
     assert f == pytest.approx(1.5630769550880586, rel=1e-15)
-    assert_allclose(act, [1.0])
+    _assert_active(log_example.objective, 0.3125, [1])
 
 
 def test_eval_at_kink_both_branches_active(log_example):
-    f, act = eval_f(log_example.objective, _pt(1.0))
+    f = eval_f(log_example.objective, _pt(1.0))
     assert f == 0.0
-    assert_allclose(act, [0.0, 1.0])
+    _assert_active(log_example.objective, 1.0, [0, 1])
 
 
 def test_eval_upper_band_value(log_example):
-    f, act = eval_f(log_example.objective, _pt(0.75))
+    f = eval_f(log_example.objective, _pt(0.75))
     assert f == pytest.approx(0.375476949363598, rel=1e-15)
-    assert_allclose(act, [1.0])
+    _assert_active(log_example.objective, 0.75, [1])
 
 
 def test_eval_right_of_kink_first_branch_wins(log_example):
-    f, act = eval_f(log_example.objective, _pt(2.0))
+    f = eval_f(log_example.objective, _pt(2.0))
     assert f == pytest.approx(np.log(2.0), rel=1e-15)
-    assert_allclose(act, [0.0])
+    _assert_active(log_example.objective, 2.0, [0])
 
 
 def test_eval_outside_domain_raises(log_example):
@@ -80,7 +85,7 @@ def test_eval_outside_domain_raises(log_example):
 
 
 def _eval_f_rows(obj, X):
-    return np.array([eval_f(obj, Point(obj.manifold, x))[0] for x in X])
+    return np.array([eval_f(obj, Point(obj.manifold, x)) for x in X])
 
 
 def _prox_term_rows(m, X, center, lam):
@@ -237,19 +242,8 @@ def test_param_set_must_increase():
 
 
 def test_active_set_away_from_kink(log_example):
-    assert_allclose(active_set(log_example.objective, _pt(0.5)), [1.0])
-    assert_allclose(active_set(log_example.objective, _pt(2.0)), [0.0])
-
-
-def test_active_set_band_widens(log_example):
-    # at x=1.2 the branch gap is about 0.409
-    assert_allclose(active_set(log_example.objective, _pt(1.2)), [0.0])
-    assert_allclose(active_set(log_example.objective, _pt(1.2), eta=0.5), [0.0, 1.0])
-
-
-def test_active_set_rejects_negative_band(log_example):
-    with pytest.raises(ValueError):
-        active_set(log_example.objective, _pt(1.0), eta=-1e-3)
+    _assert_active(log_example.objective, 0.5, [1])
+    _assert_active(log_example.objective, 2.0, [0])
 
 
 def test_clarke_hull_at_kink(log_example):
@@ -299,8 +293,6 @@ def test_gdd_checks_tangent_rows(log_example):
             gen_dir_derivative(obj, [[0.5], [2.0]], bad)
     with pytest.raises(DomainError):
         gen_dir_derivative(obj, [[0.5], [0.05]], [[1.0], [1.0]])
-    with pytest.raises(ValueError, match="activation tolerance"):
-        gen_dir_derivative(obj, [[0.5]], [[1.0]], eta=-1e-3)
 
 
 def test_gdd_default_tolerance_is_per_row():
@@ -575,9 +567,8 @@ def _reference_sup_lipschitz(obj, region_samples, safety_factor=1.1):
     transport scales a tangent by y / x and |v|_y^2 = sum v_i^2 / y_i^2; on
     Euclidean space they are |x - y|, the identity and sum v_i^2.
     """
-    declared = obj.declared_sup_lipschitz()
-    if declared is not None:
-        return declared
+    if obj.lipschitz_bound is not None:
+        return float(obj.lipschitz_bound)
     samples = [Point(obj.manifold, x) for x in region_samples]
     if len(samples) < 2:
         raise ValueError("need at least two region samples to estimate a Lipschitz bound")
@@ -782,7 +773,7 @@ def test_with_prox_term_value_and_derivative(log_example):
     center = _pt(1.0)
     shifted = with_prox_term(log_example.objective, center, 2.0)
     p = _pt(np.e)
-    h, _ = eval_f(shifted, p)
+    h = eval_f(shifted, p)
     assert h == pytest.approx(2.0, rel=1e-14)  # f(e)=1 plus (2/2)*1^2
     v = Tangent(p, [np.e])
     assert _gdd(shifted, p, v) == pytest.approx(3.0, rel=1e-13)
@@ -806,12 +797,12 @@ def test_with_prox_term_is_minimized_off_center_kink(log_example):
     # the shifted objective at its own center equals f there
     center = _pt(0.5)
     shifted = with_prox_term(log_example.objective, center, 3.0)
-    h, _ = eval_f(shifted, center)
-    f, _ = eval_f(log_example.objective, center)
+    h = eval_f(shifted, center)
+    f = eval_f(log_example.objective, center)
     assert h == f
     away = _pt(1.5)
-    h_away, _ = eval_f(shifted, away)
-    f_away, _ = eval_f(log_example.objective, away)
+    h_away = eval_f(shifted, away)
+    f_away = eval_f(log_example.objective, away)
     assert h_away == pytest.approx(f_away + 1.5 * dist(away, center) ** 2, rel=1e-14)
 
 

@@ -44,7 +44,7 @@ def _half_sq_dist_fields(m, center):
 
 def _objective_fields(obj):
     """eval_f on Points and eval_f_many on rows, for the same objective."""
-    return lambda p: eval_f(obj, p)[0], lambda X: eval_f_many(obj, X)
+    return lambda p: eval_f(obj, p), lambda X: eval_f_many(obj, X)
 
 
 # finite-difference gradients

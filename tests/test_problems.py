@@ -40,6 +40,42 @@ def test_make_problem_rejects_bad_params():
         make_problem({"name": "paper_example", "bogus": 1.0})
 
 
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"name": "paper_example_product", "n": 2.7}, "n must be an integer"),
+        ({"name": "paper_example_product", "n": True}, "n must be an integer"),
+        ({"name": "paper_example_product", "n": "3"}, "n must be an integer"),
+        ({"name": "paper_example_product", "epsilon": "0.2"}, "epsilon must be a real number"),
+        ({"name": "paper_example", "epsilon": "0.2"}, "epsilon must be a real number"),
+        ({"name": "paper_example", "epsilon": True}, "epsilon must be a real number"),
+    ],
+)
+def test_make_problem_rejects_mistyped_size_and_epsilon(params, message):
+    with pytest.raises(ValueError, match=message):
+        make_problem(params)
+
+
+def test_make_problem_accepts_numpy_integer_size():
+    assert make_problem({"name": "paper_example_product", "n": np.int64(3)}).metadata["n"] == 3
+
+
+@pytest.mark.parametrize("epsilon", [0.125, 0.1001, 0.3124])
+def test_paper_example_is_the_one_dimensional_product(epsilon):
+    paper = make_problem({"name": "paper_example", "epsilon": epsilon})
+    product = make_problem({"name": "paper_example_product", "n": 1, "epsilon": epsilon})
+    X = np.exp(np.linspace(np.log(epsilon), np.log(50.0), 2001))[1:, None]
+    for field in ("phi", "grad_phi"):
+        got = getattr(paper.objective, field)(X)
+        assert got.tobytes() == getattr(product.objective, field)(X).tobytes()
+    assert paper.objective.params.values.tolist() == [0.0, 1.0]
+    assert paper.start.coords.tolist() == product.start.coords.tolist() == [0.3125]
+    assert paper.region_lower.tolist() == product.region_lower.tolist() == [epsilon]
+    assert list(paper.metadata) == ["epsilon", "q", "c", "delta", "minimizer"]
+    with pytest.raises(ValueError, match="bad parameters"):
+        make_problem({"name": "paper_example", "n": 1})
+
+
 def test_log_example_shape(log_example):
     obj = log_example.objective
     assert obj.manifold.dim == 1
@@ -77,9 +113,9 @@ def test_product_problem_sums_coordinates():
     m1 = prob1.objective.manifold
     for _ in range(20):
         x, y = np.exp(rng.uniform(-1.5, 1.2, 2))
-        f2, _ = eval_f(prob2.objective, Point(prob2.objective.manifold, [x, y]))
-        fx, _ = eval_f(prob1.objective, Point(m1, [x]))
-        fy, _ = eval_f(prob1.objective, Point(m1, [y]))
+        f2 = eval_f(prob2.objective, Point(prob2.objective.manifold, [x, y]))
+        fx = eval_f(prob1.objective, Point(m1, [x]))
+        fy = eval_f(prob1.objective, Point(m1, [y]))
         assert f2 == pytest.approx(fx + fy, rel=1e-13)
 
 
@@ -94,9 +130,9 @@ def test_abs_problem_values():
     prob = make_problem("abs")
     obj = prob.objective
     m = obj.manifold
-    assert obj.declared_sup_lipschitz() == 0.0
+    assert obj.lipschitz_bound == 0.0
     for x in (-2.5, 0.0, 3.0):
-        f, _ = eval_f(obj, Point(m, [x]))
+        f = eval_f(obj, Point(m, [x]))
         assert f == pytest.approx(abs(x))
 
 
@@ -104,8 +140,8 @@ def test_quadratic_problem_values():
     prob = make_problem("quadratic")
     obj = prob.objective
     m = obj.manifold
-    assert obj.declared_sup_lipschitz() == 0.0
-    f, _ = eval_f(obj, Point(m, [3.0]))
+    assert obj.lipschitz_bound == 0.0
+    f = eval_f(obj, Point(m, [3.0]))
     assert f == pytest.approx(4.5)
 
 
