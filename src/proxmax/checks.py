@@ -7,8 +7,6 @@ samples and applies its own bound.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .manifold import (
@@ -36,20 +34,12 @@ from .problems import BuiltinProblem
 from .prox import ProxConfig, prox_step
 
 __all__ = [
-    "weight_too_small",
     "geometry_deviation",
     "gradient_error",
     "shifted_convexity",
     "sum_rule_mismatch",
     "prox_grid_gaps",
 ]
-
-
-def weight_too_small(lam: float, lipschitz: float) -> Optional[str]:
-    """Why the weight cannot make the subproblem strongly convex, or None."""
-    if lam <= lipschitz:
-        return f"lambda {lam} does not exceed the Lipschitz estimate {lipschitz}"
-    return None
 
 
 def geometry_deviation(m: ManifoldKind, p, q, r, v: np.ndarray) -> float:

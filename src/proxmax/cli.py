@@ -22,6 +22,8 @@ import numpy as np
 
 from . import checks, oracle
 from .manifold import (
+    InvalidPointError,
+    ManifoldKind,
     Point,
     dist_rows,
     from_chart_rows,
@@ -233,52 +235,45 @@ def _resolve_out_dir(cfg: RunConfig, out_dir) -> Path:
 class _Prepared:
     problem: BuiltinProblem
     start: Point
-    sched: Optional[LambdaSchedule]
     pcfg: ProxConfig
     level_ref: Optional[Point]
     lipschitz: float
+    lambda_bar: float
+    # the requested weight, or the auto weight; the schedule may still reject it
     lam: float
 
+    def schedule(self) -> LambdaSchedule:
+        """The run's schedule; raises LambdaBoundError for a lam outside (lipschitz, lambda_bar]."""
+        return LambdaSchedule(lower=self.lipschitz, upper=self.lambda_bar, constant=self.lam)
 
-def _prepare(cfg: RunConfig, validate_schedule: bool = True) -> _Prepared:
+
+def _config_point(m: ManifoldKind, coords: Optional[list], key: str) -> Optional[Point]:
+    if coords is None:
+        return None
+    _require(len(coords) == m.dim, f"field '{key}' must have {m.dim} coordinates")
+    try:
+        return Point(m, coords)
+    except InvalidPointError as exc:
+        raise ConfigError(f"field '{key}': {exc}") from None
+
+
+def _prepare(cfg: RunConfig) -> _Prepared:
     try:
         problem = make_problem(cfg.problem)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     obj = problem.objective
-    m = obj.manifold
-
-    if cfg.start_point is not None:
-        _require(
-            len(cfg.start_point) == m.dim,
-            f"field 'start_point' must have {m.dim} coordinates",
-        )
-        start = Point(m, cfg.start_point)
-    else:
-        start = problem.start
+    start = _config_point(obj.manifold, cfg.start_point, "start_point") or problem.start
+    level = _config_point(obj.manifold, cfg.level_ref, "level_ref")
 
     rng = np.random.default_rng(cfg.seed)
     samples = region_samples(problem, 64, rng)
     lipschitz = estimate_sup_lipschitz(obj, samples)
 
     if cfg.lam == "auto":
-        sched = LambdaSchedule.default(lipschitz, cfg.lambda_bar)
-    elif validate_schedule:
-        sched = LambdaSchedule(lower=lipschitz, upper=cfg.lambda_bar, constant=cfg.lam)
+        lam = LambdaSchedule.auto_weight(lipschitz, cfg.lambda_bar)
     else:
-        # verify must still exercise an out-of-range lambda and report it
-        try:
-            sched = LambdaSchedule(lower=lipschitz, upper=cfg.lambda_bar, constant=cfg.lam)
-        except ValueError:
-            sched = None
-
-    level = None
-    if cfg.level_ref is not None:
-        _require(
-            len(cfg.level_ref) == m.dim,
-            f"field 'level_ref' must have {m.dim} coordinates",
-        )
-        level = Point(m, cfg.level_ref)
+        lam = float(cfg.lam)
 
     pcfg = ProxConfig(
         outer_tol=cfg.outer_tol,
@@ -286,8 +281,7 @@ def _prepare(cfg: RunConfig, validate_schedule: bool = True) -> _Prepared:
         max_outer=cfg.max_outer,
         max_inner=cfg.max_inner,
     )
-    lam = sched.constant if sched is not None else float(cfg.lam)
-    return _Prepared(problem, start, sched, pcfg, level, lipschitz, lam)
+    return _Prepared(problem, start, pcfg, level, lipschitz, cfg.lambda_bar, lam)
 
 
 def _format_float(x: float) -> str:
@@ -319,11 +313,12 @@ def _write_trace_csv(path: Path, trace: Trace, dim: int) -> None:
 def run(cfg: RunConfig, out_dir=None) -> RunSummary:
     """Execute a configured run and write trace.csv plus summary.json."""
     prep = _prepare(cfg)
+    sched = prep.schedule()
     out = _resolve_out_dir(cfg, out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    trace = solve(prep.problem.objective, prep.start, prep.sched, prep.pcfg, prep.level_ref)
+    trace = solve(prep.problem.objective, prep.start, sched, prep.pcfg, prep.level_ref)
     wall_ms = (time.perf_counter() - t0) * 1e3
 
     last = trace.records[-1] if trace.records else None
@@ -399,9 +394,7 @@ def _check_fd_gradient(prep: _Prepared, rng: np.random.Generator) -> tuple[bool,
 
 
 def _check_strong_convexity(prep: _Prepared, rng: np.random.Generator) -> tuple[bool, str]:
-    reason = checks.weight_too_small(prep.lam, prep.lipschitz)
-    if reason:
-        return False, reason
+    prep.schedule()  # raises LambdaBoundError for a weight the run refuses
     modulus = prep.lam - prep.lipschitz
     report = checks.shifted_convexity(
         prep.problem, prep.start, prep.lam, modulus, samples=300, seed=int(rng.integers(2**31))
@@ -436,9 +429,7 @@ def _check_prox_vs_grid(
     m = obj.manifold
     if m.dim != 1:
         return None, "grid cross-check runs on one-dimensional problems only"
-    reason = checks.weight_too_small(prep.lam, prep.lipschitz)
-    if reason:
-        return False, reason
+    prep.schedule()  # raises LambdaBoundError for a weight the run refuses
     lower, upper = prep.problem.region_lower, prep.problem.region_upper
     lo, hi = float(lower[0]), float(upper[0])
     z_lo, z_hi = to_chart(Point(m, lower)), to_chart(Point(m, upper))
@@ -495,11 +486,7 @@ def _check_subgrad_floor(
 
 def _check_solve_stationary(prep: _Prepared, rng: np.random.Generator) -> tuple[bool, str]:
     # the run the config describes: verify passes only configs that run passes
-    if prep.sched is None:
-        # the schedule rejected lambda: at or below the estimate, or above lambda_bar
-        reason = checks.weight_too_small(prep.lam, prep.lipschitz)
-        return False, reason or f"lambda {prep.lam} exceeds lambda_bar"
-    trace = solve(prep.problem.objective, prep.start, prep.sched, prep.pcfg, prep.level_ref)
+    trace = solve(prep.problem.objective, prep.start, prep.schedule(), prep.pcfg, prep.level_ref)
     term = trace.termination
     detail = f"{term.kind} after {trace.iterations} iterations"
     if term.message:
@@ -525,7 +512,7 @@ _STATUS_TAGS = {"pass": "pass", "fail": "FAIL", "skipped": "skip"}
 
 def verify(cfg: RunConfig, out_dir=None) -> int:
     """Run the verification battery for a config; returns 0 or 3."""
-    prep = _prepare(cfg, validate_schedule=False)
+    prep = _prepare(cfg)
     out = _resolve_out_dir(cfg, out_dir)
     out.mkdir(parents=True, exist_ok=True)
     results = []

@@ -109,14 +109,15 @@ class LambdaSchedule:
             raise LambdaBoundError(f"weight {lam} outside ({self.lower}, {self.upper}]")
 
     @staticmethod
-    def default(lipschitz: float, upper: float) -> "LambdaSchedule":
-        """Constant schedule at 1.5x the Lipschitz estimate, clipped to upper.
+    def auto_weight(lipschitz: float, upper: float) -> float:
+        """1.5x the Lipschitz estimate, clipped to upper; 1.0 for a zero
+        estimate, where any positive weight keeps the subproblem strongly convex."""
+        return float(min(1.5 * lipschitz if lipschitz > 0 else 1.0, upper))
 
-        Degenerates to 1.0 for a zero estimate, where any positive weight
-        keeps the subproblem strongly convex.
-        """
-        lam = 1.5 * lipschitz if lipschitz > 0 else 1.0
-        lam = min(lam, upper)
+    @staticmethod
+    def default(lipschitz: float, upper: float) -> "LambdaSchedule":
+        """Constant schedule at auto_weight(lipschitz, upper)."""
+        lam = LambdaSchedule.auto_weight(lipschitz, upper)
         return LambdaSchedule(lower=float(lipschitz), upper=float(upper), constant=lam)
 
 
@@ -128,10 +129,12 @@ class ProxConfig:
     max_inner: int = 1_000
 
     def __post_init__(self) -> None:
-        if self.outer_tol <= 0 or self.inner_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_outer < 1 or self.max_inner < 1:
-            raise ValueError("iteration caps must be at least 1")
+        for name, tol in (("outer_tol", self.outer_tol), ("inner_tol", self.inner_tol)):
+            if not (np.isfinite(tol) and tol > 0):
+                raise ValueError(f"{name} must be positive and finite, got {tol}")
+        for name, cap in (("max_outer", self.max_outer), ("max_inner", self.max_inner)):
+            if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {cap!r}")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from proxmax import (
     min_norm_subgradient,
     with_prox_term,
 )
-from proxmax import checks
 from proxmax.manifold import Geometry, from_chart
 from proxmax.oracle import _USC_PERT_SCALE, ConvexityReport, UscReport
 from proxmax.problems import region_samples
@@ -373,10 +372,8 @@ def _reference_check_geometry(prep, rng):
 
 def _reference_check_strong_convexity(prep, rng):
     obj = prep.problem.objective
-    lam, lip = prep.lam, prep.lipschitz
-    reason = checks.weight_too_small(prep.lam, prep.lipschitz)
-    if reason:
-        return False, reason
+    sched = prep.schedule()
+    lam, lip = sched.constant, sched.lower
     h_obj = with_prox_term(obj, prep.start, lam)
     report = _reference_geodesic_convexity_test(
         lambda p: eval_f(h_obj, p),

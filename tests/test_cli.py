@@ -238,14 +238,19 @@ def test_mistyped_problem_parameter_is_a_config_error(tmp_path, capsys, problem,
 
 @pytest.mark.parametrize("command", ["run", "verify"])
 @pytest.mark.parametrize("key", ["start_point", "level_ref"])
-@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "-1.0", "0.0"])
 def test_non_finite_point_is_a_config_error(tmp_path, capsys, command, key, literal):
-    # Python's json reads these literals, and 1e400 overflows to inf
+    # Python's json reads these literals, and 1e400 overflows to inf; -1.0
+    # and 0.0 are finite but not points of paper_example's half-line
     cfg = tmp_path / "nonfinite.json"
     cfg.write_text(f'{{"problem": "paper_example", "{key}": [{literal}]}}')
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert f"config error: field '{key}' must be a non-empty array of finite numbers" in err
+    if np.isfinite(float(literal)):  # numpy prints -1.0 as -1.
+        message = f"field '{key}': log-positive coordinates must exceed 1e-300: [{literal[:-1]}]"
+    else:
+        message = f"field '{key}' must be a non-empty array of finite numbers"
+    assert f"config error: {message}" in err
     assert not (tmp_path / "o").exists()
 
 
@@ -308,16 +313,27 @@ def test_verify_solve_check_agrees_with_run(tmp_path, problem):
         assert report["passed"] is False
 
 
-def test_verify_flags_weight_below_curvature(tmp_path):
-    cfg = parse_config({"problem": "paper_example", "lambda": 0.17})
-    code = verify(cfg, out_dir=tmp_path / "v")
-    assert code == 3
+@pytest.mark.parametrize(
+    "weight",
+    [{"lambda": 0.25}, {"lambda": 2.0, "lambda_bar": 1.0}, {"lambda_bar": 0.1}],
+    ids=["below-estimate", "above-cap", "auto-clipped-below-estimate"],
+)
+def test_verify_flags_weight_below_curvature(tmp_path, capsys, weight):
+    # every weight the schedule rejects: run refuses it, and verify fails the
+    # three checks that use it with the message run prints
+    cfg = _write(tmp_path, "c.json", {"problem": "paper_example", **weight})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+    assert not (tmp_path / "r").exists()
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: LambdaBoundError: ")
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 3
     with open(tmp_path / "v" / "verify.json") as fh:
         report = json.load(fh)
-    failed = {c["name"] for c in report["checks"] if not c["passed"]}
-    assert "strong_convexity" in failed
+    assert isinstance(report["lambda"], float)
     by_name = {c["name"]: c for c in report["checks"]}
-    assert by_name["solve_stationary"]["detail"] == by_name["strong_convexity"]["detail"]
+    for name in ("strong_convexity", "prox_vs_grid", "solve_stationary"):
+        assert by_name[name]["status"] == "fail"
+        assert by_name[name]["detail"] == err.removeprefix("error: ")
 
 
 def _geometry_prep(m):
@@ -368,7 +384,7 @@ def test_sum_rule_check_fails_on_a_nan_mismatch(monkeypatch):
         return out
 
     monkeypatch.setattr(checks, "sum_rule_mismatch", mismatch_with_a_nan)
-    prep = cli._prepare(parse_config({"problem": "paper_example"}), validate_schedule=False)
+    prep = cli._prepare(parse_config({"problem": "paper_example"}))
     passed, detail = cli._check_sum_rule(prep, np.random.default_rng(3))
     assert not passed
     assert detail == "worst mismatch nan (bound 1e-8)"

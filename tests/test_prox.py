@@ -56,6 +56,10 @@ def test_schedule_default_scales_lipschitz():
     assert LambdaSchedule.default(0.0, 1e6).constant == 1.0
     # the cap wins when the scaled weight would exceed it
     assert LambdaSchedule.default(10.0, 12.0).constant == 12.0
+    # default is the schedule at auto_weight
+    assert LambdaSchedule.auto_weight(0.34, 1e6) == s.constant
+    assert LambdaSchedule.auto_weight(0.0, 1e6) == 1.0
+    assert LambdaSchedule.auto_weight(10.0, 12.0) == 12.0
 
 
 def test_prox_config_validation():
@@ -63,6 +67,16 @@ def test_prox_config_validation():
         ProxConfig(outer_tol=-1.0)
     with pytest.raises(ValueError):
         ProxConfig(max_outer=0)
+    # a NaN tolerance never stops a run, an infinite one stops every inner
+    # solve after one step, and a float or bool cap is not a count
+    for field, value in [
+        ("outer_tol", float("nan")),
+        ("inner_tol", float("inf")),
+        ("max_outer", 2.5),
+        ("max_inner", True),
+    ]:
+        with pytest.raises(ValueError, match=field):
+            ProxConfig(**{field: value})
 
 
 # single proximal steps against closed forms
