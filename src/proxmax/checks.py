@@ -25,7 +25,6 @@ from .objective import MaxObjective, eval_f, eval_f_many, gen_dir_derivative, wi
 from .oracle import (
     ArrayField,
     ConvexityReport,
-    GridSpec,
     fd_gradient,
     geodesic_convexity_test,
     grid_minimize,
@@ -114,10 +113,22 @@ def sum_rule_mismatch(
 
 
 def prox_grid_gaps(
-    obj: MaxObjective, p_k: Point, lam: float, lipschitz: float, cfg: ProxConfig, grid: GridSpec
+    obj: MaxObjective,
+    p_k: Point,
+    lam: float,
+    lipschitz: float,
+    cfg: ProxConfig,
+    lower: float,
+    upper: float,
+    points: int,
 ) -> tuple[float, float]:
-    """Point and value gaps between the prox step from p_k and its subproblem's grid minimum."""
+    """Point and value gaps between the prox step from p_k and its subproblem's grid minimum.
+
+    The one-dimensional grid has points nodes on [lower, upper].
+    """
     p_next, _ = prox_step(obj, p_k, lam, cfg, lipschitz=lipschitz)
     h_obj = with_prox_term(obj, p_k, lam)
-    g_pt, g_val = grid_minimize(lambda X: eval_f_many(h_obj, X), grid, obj.manifold)
+    g_pt, g_val = grid_minimize(
+        lambda X: eval_f_many(h_obj, X), obj.manifold, lower, upper, points
+    )
     return dist(p_next, g_pt), abs(eval_f(h_obj, p_next) - g_val)

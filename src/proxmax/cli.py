@@ -9,7 +9,6 @@ verification check fails, 1 for any error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -206,6 +205,8 @@ def parse_config(raw: dict, source_path: Optional[Path] = None) -> RunConfig:
         cfg.output_dir is None or isinstance(cfg.output_dir, str),
         "field 'output_dir' must be a string",
     )
+    # an empty path would put the run's files in the current directory
+    _require(cfg.output_dir != "", "field 'output_dir' must not be empty")
     return cfg
 
 
@@ -433,14 +434,13 @@ def _check_prox_vs_grid(
     lower, upper = prep.problem.region_lower, prep.problem.region_upper
     lo, hi = float(lower[0]), float(upper[0])
     z_lo, z_hi = to_chart(Point(m, lower)), to_chart(Point(m, upper))
-    grid = oracle.GridSpec(lower=np.array([lo + 1e-9]), upper=np.array([hi]), points_per_dim=5001)
     worst_pt, worst_val = 0.0, 0.0
     for _ in range(10):
         coords = from_chart_rows(m, rng.uniform(z_lo, z_hi))
         # keep the subproblem minimizer well inside the search box
         coords = np.clip(coords, lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo))
         gap_pt, gap_val = checks.prox_grid_gaps(
-            obj, Point(m, coords), prep.lam, prep.lipschitz, prep.pcfg, grid
+            obj, Point(m, coords), prep.lam, prep.lipschitz, prep.pcfg, lo + 1e-9, hi, 5001
         )
         worst_pt, worst_val = max(worst_pt, gap_pt), max(worst_val, gap_val)
     ok = worst_pt <= 1e-4 and worst_val <= 1e-8
@@ -549,17 +549,16 @@ def verify(cfg: RunConfig, out_dir=None) -> int:
 # sweep
 
 
-def _sweep_one(args: tuple[str, str]) -> tuple[str, int, str]:
-    config_path, out_dir = args
+def _sweep_one(config_path: Path, out_dir: Path) -> tuple[str, int, str]:
     try:
         cfg = load_config(config_path)
         summary = run(cfg, out_dir=out_dir)
-        return Path(config_path).stem, exit_code_for(summary), summary.termination.kind
+        return config_path.stem, exit_code_for(summary), summary.termination.kind
     except Exception as exc:
-        return Path(config_path).stem, 1, f"{type(exc).__name__}: {exc}"
+        return config_path.stem, 1, f"{type(exc).__name__}: {exc}"
 
 
-def sweep(configs_dir, out_root=None, jobs: int = 1) -> int:
+def sweep(configs_dir, out_root=None) -> int:
     """Run every *.json config in a directory, each into its own subdirectory."""
     configs_dir = Path(configs_dir)
     paths = sorted(configs_dir.glob("*.json"))
@@ -570,13 +569,7 @@ def sweep(configs_dir, out_root=None, jobs: int = 1) -> int:
         os.environ.get(OUTPUT_ROOT_ENV, "proxmax_runs")
     ) / "sweep"
     root.mkdir(parents=True, exist_ok=True)
-    tasks = [(str(p), str(root / p.stem)) for p in paths]
-    if jobs > 1:
-        # the pool starts all its workers at the first submit: no more than one per config
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            results = list(pool.map(_sweep_one, tasks))
-    else:
-        results = [_sweep_one(t) for t in tasks]
+    results = [_sweep_one(p, root / p.stem) for p in paths]
     index = []
     for name, code, detail in results:
         print(f"{name}: exit {code} ({detail})")
@@ -609,7 +602,6 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", help="run every config in a directory")
     p_sweep.add_argument("--configs", required=True, help="directory of JSON configs")
     p_sweep.add_argument("--out", default=None, help="output root override")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
     args = parser.parse_args(argv)
     try:
@@ -625,7 +617,7 @@ def main(argv=None) -> int:
             return code
         if args.command == "verify":
             return verify(load_config(args.config), out_dir=args.out)
-        return sweep(args.configs, out_root=args.out, jobs=args.jobs)
+        return sweep(args.configs, out_root=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -6,13 +6,14 @@ The latter is globally isometric to flat space through z = ln(x), so every
 operation below has an exact closed form and nothing is integrated
 numerically.
 
-Points and tangents are immutable after construction; all operations are
-pure functions, so values can be shared freely across threads.  Each closed
-form has one implementation, a row kernel on coordinate arrays of shape
-(..., n): inner_rows, norm_rows, dist_rows, exp_rows, log_rows and
-transport_rows.  The solver and the checks call these kernels on rows.
-Point and Tangent are validated containers for the API edge: inner, norm
-and dist check their operands and run the kernel on one row.  exp_map,
+Points are immutable after construction; all operations are pure
+functions, so values can be shared freely across threads.  A tangent
+vector is its coordinates (n,) at a point the caller names; there is no
+tangent type.  Each closed form has one implementation, a row kernel on
+coordinate arrays of shape (..., n): inner_rows, norm_rows, dist_rows,
+exp_rows, log_rows and transport_rows.  The solver and the checks call
+these kernels on rows.  Point is the validated container for the API edge,
+and dist checks its operands and runs the kernel on one row.  exp_map,
 log_map and transport do the same but have no caller in the library; the
 benchmark's tracer (perfbench/spans.py) looks them up by name.
 """
@@ -34,18 +35,14 @@ __all__ = [
     "ExpOverflowError",
     "ManifoldKind",
     "Point",
-    "Tangent",
     "point_coords",
     "euclidean",
     "log_positive",
-    "from_chart",
     "from_chart_rows",
     "to_chart",
     "chart_scale_rows",
     "random_unit_coords",
-    "inner",
     "inner_rows",
-    "norm",
     "norm_rows",
     "dist",
     "dist_rows",
@@ -106,16 +103,6 @@ def log_positive(dim: int) -> ManifoldKind:
     return ManifoldKind(Geometry.LOG_POSITIVE, dim)
 
 
-def _freeze(values, dim: int, what: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(values, dtype=float)).copy()
-    if arr.shape != (dim,):
-        raise InvalidPointError(f"{what} must have shape ({dim},), got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise InvalidPointError(f"{what} has non-finite entries: {arr}")
-    arr.flags.writeable = False
-    return arr
-
-
 def point_coords(manifold: ManifoldKind, coords, rows: bool = False) -> np.ndarray:
     """Validated float coordinates of one point (dim,), or of points stacked as rows (N, dim).
 
@@ -158,21 +145,6 @@ class Point:
         return f"Point({self.manifold.geometry.value}, {self.coords.tolist()})"
 
 
-@dataclass(frozen=True, eq=False)
-class Tangent:
-    """A tangent vector attached to a base point."""
-
-    base: Point
-    coords: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = _freeze(self.coords, self.base.manifold.dim, "tangent coordinates")
-        object.__setattr__(self, "coords", arr)
-
-    def __repr__(self) -> str:
-        return f"Tangent(at {self.base.coords.tolist()}, {self.coords.tolist()})"
-
-
 def _is_log(m: ManifoldKind) -> bool:
     return m.geometry is Geometry.LOG_POSITIVE
 
@@ -180,11 +152,6 @@ def _is_log(m: ManifoldKind) -> bool:
 def _require_same_manifold(p: Point, q: Point) -> None:
     if p.manifold != q.manifold:
         raise MismatchError(f"points on different manifolds: {p.manifold} vs {q.manifold}")
-
-
-def _require_at(p: Point, v: Tangent) -> None:
-    if v.base.manifold != p.manifold or not np.array_equal(v.base.coords, p.coords):
-        raise MismatchError("tangent is not attached at the expected point")
 
 
 def from_chart_rows(manifold: ManifoldKind, z) -> np.ndarray:
@@ -196,13 +163,8 @@ def from_chart_rows(manifold: ManifoldKind, z) -> np.ndarray:
     return np.exp(z) if _is_log(manifold) else z
 
 
-def from_chart(manifold: ManifoldKind, z) -> Point:
-    """Map flat-chart coordinates to a point (identity on Euclidean space)."""
-    return Point(manifold, from_chart_rows(manifold, np.atleast_1d(z)))
-
-
 def to_chart(p: Point) -> np.ndarray:
-    """Flat-chart coordinates of a point (inverse of from_chart)."""
+    """Flat-chart coordinates of a point (inverse of from_chart_rows)."""
     if _is_log(p.manifold):
         return np.log(p.coords)
     return p.coords.copy()
@@ -234,12 +196,12 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def inner_rows(
     manifold: ManifoldKind, p: np.ndarray, u: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
-    """Closed form of inner on coordinate rows: u and v paired at p, all (..., n)."""
+    """Metric pairing of the tangents u and v at p, on coordinate rows, all (..., n)."""
     return np.sum(u * v / p**2, axis=-1) if _is_log(manifold) else _row_dots(u, v)
 
 
 def norm_rows(manifold: ManifoldKind, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Closed form of norm on coordinate rows: the length of v at p, both (..., n)."""
+    """Metric length of the tangent v at p, on coordinate rows, both (..., n)."""
     return np.sqrt(np.maximum(inner_rows(manifold, p, v, v), 0.0))
 
 
@@ -247,18 +209,6 @@ def dist_rows(manifold: ManifoldKind, p: np.ndarray, q: np.ndarray) -> np.ndarra
     """Closed form of dist on coordinate rows p and q (..., n), broadcast."""
     chord = np.log(p / q) if _is_log(manifold) else p - q
     return np.sqrt(_row_dots(chord, chord))
-
-
-def inner(p: Point, u: Tangent, v: Tangent) -> float:
-    """Metric pairing of two tangents at p."""
-    _require_at(p, u)
-    _require_at(p, v)
-    return float(inner_rows(p.manifold, p.coords, u.coords, v.coords))
-
-
-def norm(p: Point, v: Tangent) -> float:
-    _require_at(p, v)
-    return float(norm_rows(p.manifold, p.coords, v.coords))
 
 
 def dist(p: Point, q: Point) -> float:
@@ -295,23 +245,33 @@ def transport_rows(
     return v * q / p if _is_log(manifold) else v.copy()
 
 
-def exp_map(p: Point, v: Tangent) -> Point:
-    """Point reached after unit time along the geodesic leaving p with velocity v."""
-    _require_at(p, v)
-    return Point(p.manifold, exp_rows(p.manifold, p.coords, v.coords))
+def _tangent_coords(p: Point, v) -> np.ndarray:
+    """Validated float coordinates (n,) of a tangent at p."""
+    arr = np.atleast_1d(np.asarray(v, dtype=float))
+    if arr.shape != p.coords.shape:
+        raise InvalidPointError(
+            f"tangent coordinates must have shape {p.coords.shape}, got {arr.shape}"
+        )
+    if not np.isfinite(arr).all():
+        raise InvalidPointError(f"tangent coordinates has non-finite entries: {arr}")
+    return arr
 
 
-def log_map(p: Point, q: Point) -> Tangent:
-    """Initial velocity of the unit-time geodesic from p to q."""
+def exp_map(p: Point, v) -> Point:
+    """Point reached after unit time along the geodesic leaving p with velocity v (n,)."""
+    return Point(p.manifold, exp_rows(p.manifold, p.coords, _tangent_coords(p, v)))
+
+
+def log_map(p: Point, q: Point) -> np.ndarray:
+    """Initial velocity (n,) at p of the unit-time geodesic from p to q."""
     _require_same_manifold(p, q)
-    return Tangent(p, log_rows(p.manifold, p.coords, q.coords))
+    return log_rows(p.manifold, p.coords, q.coords)
 
 
-def transport(p: Point, q: Point, v: Tangent) -> Tangent:
-    """Parallel transport of v along the geodesic from p to q."""
+def transport(p: Point, q: Point, v) -> np.ndarray:
+    """Parallel transport of v (n,) at p along the geodesic to q: tangent coordinates at q."""
     _require_same_manifold(p, q)
-    _require_at(p, v)
-    return Tangent(q, transport_rows(p.manifold, p.coords, q.coords, v.coords))
+    return transport_rows(p.manifold, p.coords, q.coords, _tangent_coords(p, v))
 
 
 def random_unit_coords(

@@ -359,9 +359,9 @@ def estimate_sup_lipschitz(obj: MaxObjective, samples) -> float:
     one.  Otherwise takes the largest transported difference quotient of
     each branch gradient over all sample pairs and inflates it by
     LIPSCHITZ_SAFETY_FACTOR.  The quotient is
-    norm(p_j, g_j - transport(p_i, p_j, g_i)) / dist(p_i, p_j), evaluated
-    for every pair of one branch at once through the row kernels those
-    functions call; pairs closer than 1e-14 are skipped.  All gradients come
+    norm_rows(p_j, g_j - transport_rows(p_i, p_j, g_i)) / dist_rows(p_i, p_j),
+    evaluated for every pair of one branch at once; pairs closer than 1e-14
+    are skipped.  All gradients come
     from one branch_grads call, (S, m, n), and the pair pass holds O(S^2 n)
     for S samples in dimension n (64 samples give 2016 pairs).
     """

@@ -9,12 +9,13 @@ row kernels (exp_rows, log_rows, dist_rows, transport_rows).  The geometry
 tests check those kernels against their closed forms.
 
 The grid search, the convexity test and fd_gradient take an array field on
-point coordinates (N, n).  The grid search evaluates the grid in chunks of
-GRID_CHUNK nodes, so a 5001-node grid costs one field call rather than
-5001; the convexity test makes one call for all chord endpoints and one for
-all points along the chords; fd_gradient differentiates a field with values
-(N, ...), such as every branch value, at all rows in 2n calls.  usc_sampler
-takes an objective and evaluates all its samples in one call.
+point coordinates (N, n).  The grid search runs on one-dimensional
+manifolds and evaluates all its nodes in one field call, so a 5001-node
+grid costs one call rather than 5001; the convexity test makes one call for
+all chord endpoints and one for all points along the chords; fd_gradient
+differentiates a field with values (N, ...), such as every branch value, at
+all rows in 2n calls.  usc_sampler takes an objective and evaluates all its
+samples in one call.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .manifold import (
 from .objective import CoordsMap, DomainError, MaxObjective, gen_dir_derivative
 
 __all__ = [
-    "GridSpec",
     "fd_gradient",
     "grid_minimize",
     "ConvexityReport",
@@ -49,46 +49,10 @@ __all__ = [
     "usc_sampler",
 ]
 
-MAX_GRID_POINTS = 10_000_000
-# grid nodes per field call; bounds the search's memory for any grid size
-GRID_CHUNK = 65_536
 GOLDEN_WIDTH = 1e-10
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 ArrayField = Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Axis-aligned coordinate box with a fixed node count per axis."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-    points_per_dim: int
-
-    def __post_init__(self) -> None:
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float)).copy()
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=float)).copy()
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise ValueError("lower and upper must be 1-d arrays of equal length")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise ValueError("grid bounds must be finite")
-        if not np.all(lo < hi):
-            raise ValueError("need lower < upper in every coordinate")
-        if self.points_per_dim < 2:
-            raise ValueError("points_per_dim must be at least 2")
-        if self.points_per_dim ** lo.size > MAX_GRID_POINTS:
-            raise ValueError(
-                f"grid would exceed {MAX_GRID_POINTS:.0e} nodes; refuse to enumerate"
-            )
-        lo.flags.writeable = False
-        hi.flags.writeable = False
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-
-    @property
-    def dim(self) -> int:
-        return int(self.lower.size)
 
 
 def fd_gradient(field: ArrayField, manifold: ManifoldKind, X) -> np.ndarray:
@@ -149,53 +113,41 @@ def _field_values(field: ArrayField, X: np.ndarray) -> np.ndarray:
 
 
 def grid_minimize(
-    field: ArrayField, grid: GridSpec, manifold: ManifoldKind
+    field: ArrayField, manifold: ManifoldKind, lower: float, upper: float, points: int
 ) -> tuple[Point, float]:
-    """Brute-force minimizer of an array field over a coordinate box.
+    """Brute-force minimizer of an array field over the interval [lower, upper].
 
-    field maps node coordinates (N, n) to values (N,).  The full grid
-    (guarded against combinatorial blowups by GridSpec) is enumerated in
-    np.ndindex order, GRID_CHUNK nodes per field call, and every node must
-    be a valid point of the manifold.  The first minimal node wins, also
-    across chunks; NaN and +inf nodes never win, and RuntimeError is raised
-    when no node does.  In one dimension the best node is polished by
-    golden-section search between its neighbors, with field called on
-    (1, 1) arrays.
+    field maps node coordinates (N, 1) to values (N,).  The manifold must be
+    one-dimensional, and every one of the points evenly spaced nodes must be
+    a valid point of it.  The first minimal node wins; NaN and +inf nodes
+    never win, and RuntimeError is raised when no node does.  The best node
+    is then polished by golden-section search between its neighbors, with
+    field called on (1, 1) arrays.
     """
-    if grid.dim != manifold.dim:
-        raise ValueError(f"grid dim {grid.dim} does not match manifold dim {manifold.dim}")
-    axes = [
-        np.linspace(grid.lower[i], grid.upper[i], grid.points_per_dim)
-        for i in range(grid.dim)
-    ]
-    shape = (grid.points_per_dim,) * grid.dim
-    total = grid.points_per_dim**grid.dim
-    best_node = -1
-    best_val = np.inf
-    for start in range(0, total, GRID_CHUNK):
-        idx = np.unravel_index(np.arange(start, min(start + GRID_CHUNK, total)), shape)
-        coords = np.stack([a[i] for a, i in zip(axes, idx)], axis=1)
-        nodes = point_coords(manifold, coords, rows=True)
-        vals = _field_values(field, nodes)
-        k = int(np.argmin(np.where(np.isnan(vals), np.inf, vals)))
-        if vals[k] < best_val:
-            best_node, best_val, best_coords = start + k, float(vals[k]), nodes[k].copy()
-    if best_node < 0:
+    if manifold.dim != 1:
+        raise ValueError(f"grid search needs a one-dimensional manifold, got dim {manifold.dim}")
+    lower, upper = float(lower), float(upper)
+    if not (np.isfinite(lower) and np.isfinite(upper)):
+        raise ValueError("grid bounds must be finite")
+    if not lower < upper:
+        raise ValueError("need lower < upper")
+    if points < 2:
+        raise ValueError("points must be at least 2")
+    axis = np.linspace(lower, upper, points)
+    nodes = point_coords(manifold, axis[:, None], rows=True)
+    vals = _field_values(field, nodes)
+    k = int(np.argmin(np.where(np.isnan(vals), np.inf, vals)))
+    best_coords, best_val = nodes[k], float(vals[k])
+    if not best_val < np.inf:
         raise RuntimeError("no grid node has a value below +inf")
-
-    if grid.dim == 1:
-        axis = axes[0]
-        lo = axis[max(best_node - 1, 0)]
-        hi = axis[min(best_node + 1, axis.size - 1)]
-        x, val = _golden_refine(
-            lambda c: float(field(point_coords(manifold, [[c]], rows=True))[0]),
-            float(lo),
-            float(hi),
-        )
-        if val < best_val:
-            best_val = val
-            best_coords = np.array([x])
-    return Point(manifold, best_coords), float(best_val)
+    x, val = _golden_refine(
+        lambda c: float(field(point_coords(manifold, [[c]], rows=True))[0]),
+        float(axis[max(k - 1, 0)]),
+        float(axis[min(k + 1, points - 1)]),
+    )
+    if val < best_val:
+        best_coords, best_val = np.array([x]), val
+    return Point(manifold, best_coords), best_val
 
 
 @dataclass(frozen=True)

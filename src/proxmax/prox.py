@@ -9,7 +9,7 @@ makes lam * d(p_next, p_k) the natural stationarity residual.
 
 The inner solver takes prox-linear steps in the flat chart z (z = x, or
 z = ln x), solving each step's model exactly through objective.simplex_qp;
-Point and Tangent appear only at its edges.
+Point appears only at its edges, and tangents are coordinate arrays.
 """
 
 from __future__ import annotations

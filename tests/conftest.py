@@ -5,10 +5,8 @@ import pytest
 
 from proxmax import (
     DomainError,
-    MismatchError,
     Point,
     SubdiffHull,
-    Tangent,
     clarke_subdiff,
     eval_f,
     log_positive,
@@ -16,7 +14,7 @@ from proxmax import (
     min_norm_subgradient,
     with_prox_term,
 )
-from proxmax.manifold import Geometry, from_chart
+from proxmax.manifold import Geometry
 from proxmax.oracle import _USC_PERT_SCALE, ConvexityReport, UscReport
 from proxmax.problems import region_samples
 
@@ -89,6 +87,11 @@ def _dist(m, x, y):
     return float(np.sqrt(np.dot(chord, chord)))
 
 
+def _chart_point(m, z):
+    """The Point with flat-chart coordinates z: exp(z) on the orthant, z on the line."""
+    return Point(m, np.exp(z) if _is_log(m) else z)
+
+
 def _random_unit(m, x, rng):
     """A unit tangent at x: a standard normal draw scaled by its metric norm."""
     while True:
@@ -105,18 +108,17 @@ def _admissible(obj, x):
 def _differential_exp(p, w, u):
     """Differential of the exponential map at p, taken at w and applied to u.
 
-    w and u are Tangents at p; the result is a Tangent at exp_p(w).  Closed
-    forms exist for both shipped geometries because both are flat.
+    w and u are tangent coordinates (n,) at p; the result is the pair of
+    exp_p(w), a Point, and the image of u as tangent coordinates there.
+    Closed forms exist for both shipped geometries because both are flat.
     """
-    if not (np.array_equal(w.base.coords, p.coords) and np.array_equal(u.base.coords, p.coords)):
-        raise MismatchError("tangent is not attached at the expected point")
-    m, x = p.manifold, p.coords
-    at = Point(m, _exp(m, x, w.coords))
-    return Tangent(at, np.exp(w.coords / x) * u.coords if _is_log(m) else u.coords.copy())
+    m, x, w, u = p.manifold, p.coords, np.asarray(w, dtype=float), np.asarray(u, dtype=float)
+    at = Point(m, _exp(m, x, w))
+    return at, np.exp(w / x) * u if _is_log(m) else u.copy()
 
 
 def _gd_sampling_estimate(obj, p, v, radius_seq, step_seq):
-    """Sampling estimate of the generalized directional derivative along the Tangent v at p.
+    """Sampling estimate of the generalized directional derivative along v (n,) at p.
 
     Draws base points q near p, carries v to q through the differential of
     the exponential map, and takes the largest forward difference quotient
@@ -145,7 +147,7 @@ def _gd_sampling_estimate(obj, p, v, radius_seq, step_seq):
         if not _admissible(obj, q):
             discarded += 1
             continue
-        u_q = _differential_exp(p, Tangent(p, _log(m, x, q)), v).coords
+        _, u_q = _differential_exp(p, _log(m, x, q), v)
         f_q = eval_f(obj, Point(m, q))
         for t in steps:
             try:
@@ -163,7 +165,7 @@ def _gd_sampling_estimate(obj, p, v, radius_seq, step_seq):
 
 @pytest.fixture
 def differential_exp():
-    """The differential of the exponential map, in closed form on Tangents."""
+    """The differential of the exponential map, in closed form on tangent coordinates."""
     return _differential_exp
 
 
@@ -210,12 +212,7 @@ def _reference_geodesic_convexity_test(
 
     def draw() -> Point:
         for _ in range(200):
-            z = rng.uniform(lo, hi)
-            p = (
-                Point(manifold, np.exp(z))
-                if manifold.geometry is Geometry.LOG_POSITIVE
-                else Point(manifold, z)
-            )
+            p = _chart_point(manifold, rng.uniform(lo, hi))
             if domain is None or domain(p):
                 return p
         raise DomainError("could not draw an admissible sample in the box")
@@ -242,7 +239,7 @@ def _reference_geodesic_convexity_test(
 def _reference_fd_gradient(field, p):
     """The per-point fd_gradient the row form replaced.
 
-    field is a scalar field on Points; the result is a Tangent at p.
+    field is a scalar field on Points; the result is tangent coordinates (n,) at p.
     """
     m, dim = p.manifold, p.manifold.dim
     steps = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(p.coords))
@@ -255,7 +252,7 @@ def _reference_fd_gradient(field, p):
         diffs[i] = (f_plus - f_minus) / (2.0 * steps[i])
     if p.manifold.geometry is Geometry.LOG_POSITIVE:
         diffs = diffs * p.coords**2
-    return Tangent(p, diffs)
+    return diffs
 
 
 def _reference_gen_dir_derivative(obj, p, v):
@@ -418,10 +415,10 @@ def _reference_region_samples(problem, count=64, rng=None):
         lo, hi = np.log(lo), np.log(hi)
     if m.dim == 1:
         zs = np.linspace(lo[0], hi[0], count + 2)[1:-1]
-        return [from_chart(m, [z]) for z in zs]
+        return [_chart_point(m, [z]) for z in zs]
     if rng is None:
         raise ValueError("higher-dimensional regions need an explicit generator")
-    return [from_chart(m, rng.uniform(lo, hi)) for _ in range(count)]
+    return [_chart_point(m, rng.uniform(lo, hi)) for _ in range(count)]
 
 
 @pytest.fixture
@@ -432,7 +429,7 @@ def reference_region_samples():
 
 @pytest.fixture
 def reference_fd_gradient():
-    """The per-point fd_gradient: a scalar field on Points, one Tangent at p."""
+    """The per-point fd_gradient: a scalar field on Points, tangent coordinates at p."""
     return _reference_fd_gradient
 
 
@@ -444,7 +441,7 @@ def reference_convexity_test():
 
 @pytest.fixture
 def reference_gen_dir_derivative():
-    """The per-point gen_dir_derivative: a float at one Point along one Tangent."""
+    """The per-point gen_dir_derivative: a float at one Point along tangent coordinates."""
     return _reference_gen_dir_derivative
 
 

@@ -29,7 +29,7 @@ from proxmax.checks import (
 )
 from proxmax.cli import parse_config, run
 from proxmax.manifold import dist_rows, exp_rows, from_chart_rows
-from proxmax.oracle import GridSpec, grid_minimize, usc_sampler
+from proxmax.oracle import grid_minimize, usc_sampler
 from proxmax.problems import region_samples
 from proxmax.prox import prox_step
 
@@ -72,8 +72,7 @@ def test_criterion_01_example_reproduction(report, reference_run):
         and elapsed < 1.0
     )
     # independent confirmation: exhaustive search over the admissible interval
-    grid = GridSpec(lower=np.array([0.1251]), upper=np.array([4.0]), points_per_dim=4001)
-    g_pt, g_val = grid_minimize(lambda X: eval_f_many(prob.objective, X), grid, m)
+    g_pt, g_val = grid_minimize(lambda X: eval_f_many(prob.objective, X), m, 0.1251, 4.0, 4001)
     ok = ok and abs(g_pt.coords[0] - 1.0) <= 1e-6 and g_val <= 1e-8
     report(
         1,
@@ -213,12 +212,11 @@ def test_criterion_08_prox_grid_equivalence(report, reference_run):
     obj = prob.objective
     m = obj.manifold
     rng = np.random.default_rng(42)
-    grid = GridSpec(lower=np.array([0.1251]), upper=np.array([4.0]), points_per_dim=2001)
     worst_pt, worst_val = 0.0, 0.0
     for _ in range(50):
         p_k = Point(m, [float(np.exp(rng.uniform(np.log(0.16), np.log(3.5))))])
         lam = float(rng.uniform(0.45, 3.0))
-        gap_pt, gap_val = prox_grid_gaps(obj, p_k, lam, lip, ProxConfig(), grid)
+        gap_pt, gap_val = prox_grid_gaps(obj, p_k, lam, lip, ProxConfig(), 0.1251, 4.0, 2001)
         worst_pt, worst_val = max(worst_pt, gap_pt), max(worst_val, gap_val)
     ok = worst_pt <= 1e-4 and worst_val <= 1e-8
     report(

@@ -7,7 +7,6 @@ import numpy as np
 
 from proxmax import Point, log_positive, with_prox_term
 from proxmax import checks
-from proxmax.oracle import GridSpec
 from proxmax.prox import ProxConfig
 
 
@@ -42,8 +41,7 @@ def test_sum_rule_mismatch_flags_a_wrong_weight(log_example):
 def test_prox_grid_gaps_flag_a_moved_prox_point(monkeypatch, log_example):
     obj = log_example.objective
     p_k = Point(obj.manifold, [0.5])
-    grid = GridSpec(lower=np.array([0.1251]), upper=np.array([4.0]), points_per_dim=2001)
-    args = (obj, p_k, 1.0, 0.34, ProxConfig(), grid)
+    args = (obj, p_k, 1.0, 0.34, ProxConfig(), 0.1251, 4.0, 2001)
     gap_pt, gap_val = checks.prox_grid_gaps(*args)
     assert gap_pt <= 1e-4 and gap_val <= 1e-8
 

@@ -1,4 +1,3 @@
-import concurrent.futures
 import csv
 import dataclasses
 import json
@@ -210,13 +209,19 @@ def test_main_run_and_errors(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])
-def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
+def test_negative_seed_is_a_config_error(tmp_path, capsys, monkeypatch, command):
     # np.random.default_rng rejects it, so it must not get past the config check
     cfg = _write(tmp_path, "neg.json", {"problem": "paper_example", "seed": -1})
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "config error: field 'seed' must be a non-negative integer" in err
     assert not (tmp_path / "o").exists()
+    # an empty output_dir would write into the current directory
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path, "empty.json", {"problem": "paper_example", "output_dir": ""})
+    assert main([command, "--config", str(cfg)]) == 1
+    assert "config error: field 'output_dir' must not be empty" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.json", "neg.json"]
 
 
 @pytest.mark.parametrize(
@@ -470,43 +475,7 @@ def test_sweep_propagates_worst_exit(tmp_path):
     _write(configs, "bad.json", {"problem": "nope"})
     assert main(["sweep", "--configs", str(configs), "--out", str(tmp_path / "s")]) == 1
     assert main(["sweep", "--configs", str(tmp_path / "empty"), "--out", str(tmp_path)]) == 1
-
-
-def _two_configs(tmp_path):
-    configs = tmp_path / "configs"
-    configs.mkdir()
-    _write(configs, "one.json", {"problem": "abs", "lambda": 1.0})
-    _write(configs, "two.json", {"problem": "quadratic", "lambda": 1.0})
-    return configs
-
-
-def test_sweep_asks_for_no_more_workers_than_configs(tmp_path, monkeypatch):
-    # a stand-in pool that runs the tasks in this process and records its size
-    asked = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    argv = ["sweep", "--configs", str(_two_configs(tmp_path)), "--out", str(tmp_path / "s")]
-    assert main(argv + ["--jobs", "64"]) == 0
-    assert asked == [2]
-
-
-def test_sweep_in_two_workers_matches_one(tmp_path):
-    configs = _two_configs(tmp_path)
-    for jobs in ("1", "2"):
-        out = tmp_path / f"jobs{jobs}"
-        assert main(["sweep", "--configs", str(configs), "--out", str(out), "--jobs", jobs]) == 0
-    one = (tmp_path / "jobs1" / "sweep_summary.json").read_bytes()
-    assert (tmp_path / "jobs2" / "sweep_summary.json").read_bytes() == one
+    # sweep takes no worker count: argparse rejects the option with exit 2
+    with pytest.raises(SystemExit) as rejected:
+        main(["sweep", "--configs", str(configs), "--jobs", "2"])
+    assert rejected.value.code == 2

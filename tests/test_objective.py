@@ -14,7 +14,6 @@ from proxmax import (
     ParamSet,
     Point,
     SubdiffHull,
-    Tangent,
     branch_grads,
     clarke_subdiff,
     dist,
@@ -270,8 +269,8 @@ def test_subdiff_hull_checks_generator_rows():
 
 
 def _gdd(obj, p, v):
-    """gen_dir_derivative at one Point along one Tangent, as a float."""
-    return float(gen_dir_derivative(obj, p.coords[None], v.coords[None])[0])
+    """gen_dir_derivative at one Point along tangent coordinates v (n,), as a float."""
+    return float(gen_dir_derivative(obj, p.coords[None], np.asarray(v, dtype=float)[None])[0])
 
 
 def test_gdd_at_kink_both_directions(log_example):
@@ -282,7 +281,7 @@ def test_gdd_at_kink_both_directions(log_example):
 
 
 def test_gdd_at_smooth_point(log_example):
-    got = _gdd(log_example.objective, _pt(0.3125), Tangent(_pt(0.3125), [1.0]))
+    got = _gdd(log_example.objective, _pt(0.3125), [1.0])
     assert got == pytest.approx(-4.270522857037981, rel=1e-14)
 
 
@@ -723,7 +722,7 @@ def test_gd_sampling_near_kink(log_example, gd_sampling_estimate):
     got = gd_sampling_estimate(
         log_example.objective,
         p,
-        Tangent(p, [1.0]),
+        [1.0],
         radius_seq=[1e-3, 1e-4],
         step_seq=[1e-4, 1e-5],
     )
@@ -735,7 +734,7 @@ def test_gd_sampling_smooth_point(log_example, gd_sampling_estimate):
     got = gd_sampling_estimate(
         log_example.objective,
         p,
-        Tangent(p, [1.0]),
+        [1.0],
         radius_seq=[1e-3, 1e-4],
         step_seq=[1e-4, 1e-5],
     )
@@ -748,7 +747,7 @@ def test_gd_sampling_warns_on_partial_discard(log_example, gd_sampling_estimate)
         gd_sampling_estimate(
             log_example.objective,
             p,
-            Tangent(p, [0.01]),
+            [0.01],
             radius_seq=[2.0],
             step_seq=[1e-5],
         )
@@ -760,7 +759,7 @@ def test_gd_sampling_raises_when_all_samples_leave_domain(log_example, gd_sampli
         gd_sampling_estimate(
             log_example.objective,
             p,
-            Tangent(p, [-10.0 * 0.14]),
+            [-10.0 * 0.14],
             radius_seq=[1e-3],
             step_seq=[1.0],
         )
@@ -775,7 +774,7 @@ def test_with_prox_term_value_and_derivative(log_example):
     p = _pt(np.e)
     h = eval_f(shifted, p)
     assert h == pytest.approx(2.0, rel=1e-14)  # f(e)=1 plus (2/2)*1^2
-    v = Tangent(p, [np.e])
+    v = [np.e]
     assert _gdd(shifted, p, v) == pytest.approx(3.0, rel=1e-13)
 
 

@@ -14,10 +14,8 @@ from proxmax import (
     make_problem,
     with_prox_term,
 )
-from proxmax import oracle
 from proxmax.manifold import Geometry, dist_rows
 from proxmax.oracle import (
-    GridSpec,
     fd_gradient,
     geodesic_convexity_test,
     grid_minimize,
@@ -89,7 +87,7 @@ def test_fd_gradient_matches_per_point_reference(request_, reference_fd_gradient
     got = fd_gradient(obj.phi, m, X)
     want = [
         [
-            reference_fd_gradient(lambda q, i=i: obj.phi(q.coords[None])[0, i], Point(m, x)).coords
+            reference_fd_gradient(lambda q, i=i: obj.phi(q.coords[None])[0, i], Point(m, x))
             for i in range(len(obj.params))
         ]
         for x in X
@@ -102,111 +100,64 @@ def test_fd_gradient_matches_per_point_reference(request_, reference_fd_gradient
 
 
 def test_grid_minimize_parabola():
-    m = euclidean(1)
-    grid = GridSpec(lower=np.array([0.0]), upper=np.array([5.0]), points_per_dim=501)
-    pt, val = grid_minimize(lambda X: 0.5 * (X[:, 0] - 3.0) ** 2, grid, m)
+    pt, val = grid_minimize(lambda X: 0.5 * (X[:, 0] - 3.0) ** 2, E1, 0.0, 5.0, 501)
     assert pt.coords[0] == pytest.approx(3.0, abs=1e-8)
     assert val <= 1e-15
 
 
 def test_grid_minimize_finds_kink(log_example):
     obj = log_example.objective
-    grid = GridSpec(lower=np.array([0.1251]), upper=np.array([4.0]), points_per_dim=2001)
-    pt, val = grid_minimize(lambda X: eval_f_many(obj, X), grid, LP1)
+    pt, val = grid_minimize(lambda X: eval_f_many(obj, X), LP1, 0.1251, 4.0, 2001)
     assert pt.coords[0] == pytest.approx(1.0, abs=1e-7)
     assert val <= 1e-7
 
 
-def test_grid_minimize_two_dim():
-    m = euclidean(2)
-    grid = GridSpec(lower=np.array([-2.0, -2.0]), upper=np.array([4.0, 4.0]), points_per_dim=121)
-    pt, val = grid_minimize(
-        lambda X: 0.5 * np.sum((X - np.array([1.0, 2.0])) ** 2, axis=1),
-        grid,
-        m,
-    )
-    spacing = 6.0 / 120
-    assert np.all(np.abs(pt.coords - [1.0, 2.0]) <= spacing)
-    assert val <= spacing**2
-
-
 def test_grid_minimize_is_deterministic(log_example):
     obj = log_example.objective
-    grid = GridSpec(lower=np.array([0.1251]), upper=np.array([4.0]), points_per_dim=501)
-    a = grid_minimize(lambda X: eval_f_many(obj, X), grid, LP1)
-    b = grid_minimize(lambda X: eval_f_many(obj, X), grid, LP1)
+    a = grid_minimize(lambda X: eval_f_many(obj, X), LP1, 0.1251, 4.0, 501)
+    b = grid_minimize(lambda X: eval_f_many(obj, X), LP1, 0.1251, 4.0, 501)
     assert a[0].coords[0] == b[0].coords[0]
     assert a[1] == b[1]
 
 
-def test_grid_minimize_first_of_equal_minima_wins(monkeypatch):
-    grid = GridSpec(lower=np.array([0.0, 0.0]), upper=np.array([4.0, 4.0]), points_per_dim=5)
-
+def test_grid_minimize_first_of_equal_minima_wins():
     def field(X):
-        # minima at (1, 3) and (3, 1); (1, 3) comes first in C order
-        return np.minimum(np.sum((X - [1, 3]) ** 2, 1), np.sum((X - [3, 1]) ** 2, 1))
+        # minima at the nodes 1 and 3; the polish keeps each exact zero
+        return np.minimum((X[:, 0] - 1.0) ** 2, (X[:, 0] - 3.0) ** 2)
 
-    for chunk in (oracle.GRID_CHUNK, 7, 1):  # 7 splits the two minima across chunks
-        monkeypatch.setattr(oracle, "GRID_CHUNK", chunk)
-        pt, val = grid_minimize(field, grid, euclidean(2))
-        assert pt.coords.tolist() == [1.0, 3.0]
-        assert val == 0.0
+    pt, val = grid_minimize(field, E1, 0.0, 4.0, 5)
+    assert pt.coords.tolist() == [1.0]
+    assert val == 0.0
 
 
 def test_grid_minimize_skips_nan_nodes():
-    grid = GridSpec(lower=np.array([-2.0, -2.0]), upper=np.array([2.0, 2.0]), points_per_dim=5)
-
     def field(X):
-        vals = np.sum(X**2, axis=1)
-        return np.where(vals == 0.0, np.nan, vals)
+        # np.argmin alone would return the NaN at -1 before the minimum at -2
+        return np.where(X[:, 0] == -1.0, np.nan, X[:, 0] + 2.0)
 
-    pt, val = grid_minimize(field, grid, euclidean(2))
-    assert pt.coords.tolist() == [-1.0, 0.0]
-    assert val == 1.0
-    with pytest.raises(RuntimeError):
-        grid_minimize(lambda X: np.full(len(X), np.nan), grid, euclidean(2))
-    with pytest.raises(RuntimeError):
-        grid_minimize(lambda X: np.full(len(X), np.inf), grid, euclidean(2))
-
-
-def test_grid_minimize_across_chunks_matches_plain_argmin():
-    m = euclidean(2)
-    grid = GridSpec(lower=np.array([0.0, 0.0]), upper=np.array([300.0, 300.0]), points_per_dim=301)
-    assert 301**2 > oracle.GRID_CHUNK
-    a, b = np.meshgrid(np.arange(301.0), np.arange(301.0), indexing="ij")
-    nodes = np.stack([a.ravel(), b.ravel()], axis=1)
-    fields = [
-        # tied minima on both sides of the first chunk border
-        lambda X: np.where((X[:, 0] >= 217) & (X[:, 1] >= 150), 0.0, 1.0),
-        # a single minimum in the second chunk
-        lambda X: (X[:, 0] - 250.0) ** 2 + (X[:, 1] - 7.0) ** 2,
-    ]
-    for field in fields:
-        want = int(np.argmin(field(nodes)))
-        pt, val = grid_minimize(field, grid, m)
-        assert pt.coords.tolist() == nodes[want].tolist()
-        assert val == field(nodes)[want]
+    pt, val = grid_minimize(field, E1, -2.0, 2.0, 5)
+    assert pt.coords.tolist() == [-2.0]
+    assert val == 0.0
+    for fill in (np.nan, np.inf):
+        with pytest.raises(RuntimeError):
+            grid_minimize(lambda X: np.full(len(X), fill), E1, -2.0, 2.0, 5)
 
 
 def test_grid_minimize_checks_nodes_are_points():
-    grid = GridSpec(lower=np.array([-1.0]), upper=np.array([1.0]), points_per_dim=5)
     with pytest.raises(InvalidPointError):
-        grid_minimize(lambda X: X[:, 0], grid, LP1)
+        grid_minimize(lambda X: X[:, 0], LP1, -1.0, 1.0, 5)
 
 
 def test_grid_spec_guards():
+    def flat(X):
+        return np.zeros(len(X))
+
+    bad = [(1.0, 0.0, 10), (0.0, 1.0, 1), (0.0, np.inf, 10), (np.nan, 1.0, 5)]
+    for lower, upper, points in bad:
+        with pytest.raises(ValueError):
+            grid_minimize(flat, E1, lower, upper, points)
     with pytest.raises(ValueError):
-        GridSpec(lower=np.array([1.0]), upper=np.array([0.0]), points_per_dim=10)
-    with pytest.raises(ValueError):
-        GridSpec(lower=np.array([0.0]), upper=np.array([1.0]), points_per_dim=1)
-    with pytest.raises(ValueError):
-        GridSpec(lower=np.zeros(2), upper=np.ones(2), points_per_dim=4000)
-    with pytest.raises(ValueError):
-        grid_minimize(
-            lambda X: np.zeros(len(X)),
-            GridSpec(lower=np.array([0.1]), upper=np.array([1.0]), points_per_dim=5),
-            euclidean(2),
-        )
+        grid_minimize(flat, euclidean(2), 0.1, 1.0, 5)
 
 
 # geodesic convexity sampling

@@ -21,7 +21,7 @@ from proxmax import (
     solve,
     with_prox_term,
 )
-from proxmax.oracle import GridSpec, grid_minimize
+from proxmax.oracle import grid_minimize
 from proxmax.problems import region_samples
 from proxmax.prox import inner_solve
 
@@ -142,8 +142,7 @@ def test_prox_step_matches_grid_search(log_example):
         p_k = _pt(x0)
         p_next, _ = prox_step(obj, p_k, lam, ProxConfig(), lipschitz=0.34)
         shifted = with_prox_term(obj, p_k, lam)
-        grid = GridSpec(lower=np.array([0.1251]), upper=np.array([4.0]), points_per_dim=5001)
-        g_pt, g_val = grid_minimize(lambda X: eval_f_many(shifted, X), grid, LP1)
+        g_pt, g_val = grid_minimize(lambda X: eval_f_many(shifted, X), LP1, 0.1251, 4.0, 5001)
         assert dist(p_next, g_pt) <= 1e-6
         assert eval_f(shifted, p_next) <= g_val + 1e-10
 
