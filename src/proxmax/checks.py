@@ -21,7 +21,14 @@ from .manifold import (
     point_coords,
     transport_rows,
 )
-from .objective import MaxObjective, eval_f, eval_f_many, gen_dir_derivative, with_prox_term
+from .objective import (
+    MaxObjective,
+    eval_f,
+    eval_f_many,
+    evaluate,
+    gen_dir_derivative,
+    with_prox_term,
+)
 from .oracle import (
     ArrayField,
     ConvexityReport,
@@ -126,7 +133,7 @@ def prox_grid_gaps(
 
     The one-dimensional grid has points nodes on [lower, upper].
     """
-    p_next, _ = prox_step(obj, p_k, lam, cfg, lipschitz=lipschitz)
+    p_next = prox_step(obj, evaluate(obj, p_k), lam, cfg, lipschitz=lipschitz)[0].point
     h_obj = with_prox_term(obj, p_k, lam)
     g_pt, g_val = grid_minimize(
         lambda X: eval_f_many(h_obj, X), obj.manifold, lower, upper, points

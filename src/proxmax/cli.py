@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -113,13 +114,22 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _as_float(value) -> float:
+    """A JSON number as a float; an integer beyond float range reads as +-inf,
+    as a literal like 1e400 does."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _check_number(raw: dict, key: str, default):
     value = raw.get(key, default)
     _require(
         isinstance(value, (int, float)) and not isinstance(value, bool),
         f"field '{key}' must be a number",
     )
-    value = float(value)
+    value = _as_float(value)
     _require(np.isfinite(value), f"field '{key}' must be finite")
     _require(value > 0, f"field '{key}' must be positive")
     return value
@@ -138,14 +148,16 @@ def _check_point_list(raw: dict, key: str) -> Optional[list]:
     value = raw.get(key)
     if value is None:
         return None
+    message = f"field '{key}' must be a non-empty array of finite numbers"
     _require(
         isinstance(value, list)
         and value
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
-        and np.isfinite(value).all(),
-        f"field '{key}' must be a non-empty array of finite numbers",
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value),
+        message,
     )
-    return [float(x) for x in value]
+    coords = [_as_float(x) for x in value]
+    _require(np.isfinite(coords).all(), message)
+    return coords
 
 
 _KNOWN_KEYS = {
@@ -180,7 +192,7 @@ def parse_config(raw: dict, source_path: Optional[Path] = None) -> RunConfig:
             isinstance(lam, (int, float)) and not isinstance(lam, bool),
             "field 'lambda' must be a positive number or the string 'auto'",
         )
-        lam = float(lam)
+        lam = _as_float(lam)
         _require(np.isfinite(lam) and lam > 0, "field 'lambda' must be positive and finite")
 
     cfg = RunConfig(
@@ -220,6 +232,8 @@ def load_config(path) -> RunConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"parse error in {path} at line {exc.lineno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ConfigError(f"parse error in {path}: {exc}") from None
     return parse_config(raw, source_path=path)
 
 

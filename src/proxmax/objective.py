@@ -38,6 +38,8 @@ __all__ = [
     "ParamSet",
     "MaxObjective",
     "SubdiffHull",
+    "Evaluation",
+    "evaluate",
     "eval_f",
     "eval_f_many",
     "eval_branches",
@@ -221,14 +223,37 @@ def _active_mask(vals: np.ndarray) -> np.ndarray:
     return vals >= fmax - 1e-12 * np.maximum(1.0, np.abs(fmax))
 
 
-def clarke_subdiff(obj: MaxObjective, p: Point) -> SubdiffHull:
-    """Hull of gradients of the active branches at p, as _active_mask picks them.
+@dataclass(frozen=True)
+class Evaluation:
+    """A point with every branch value (m,) and branch gradient (m, n) there.
 
-    Reads one row of branch values and one row of branch gradients.
+    evaluate builds it with the checks of eval_branches and branch_grads;
+    prox.inner_solve builds one at its result from the rows it has checked.
     """
+
+    point: Point
+    values: np.ndarray
+    grads: np.ndarray
+
+    @property
+    def f(self) -> float:
+        """Objective value at point."""
+        return float(self.values.max())
+
+    def subdiff(self) -> SubdiffHull:
+        """Hull of gradients of the active branches at point, as _active_mask picks them."""
+        return SubdiffHull(self.point, self.grads[_active_mask(self.values)])
+
+
+def evaluate(obj: MaxObjective, p: Point) -> Evaluation:
+    """Every branch value and gradient at p: one row each, with their checks."""
     X = _point_row(obj, p)
-    active = _active_mask(_branch_values(obj, X)[0])
-    return SubdiffHull(p, _branch_gradients(obj, X)[0][active])
+    return Evaluation(p, _branch_values(obj, X)[0], _branch_gradients(obj, X)[0])
+
+
+def clarke_subdiff(obj: MaxObjective, p: Point) -> SubdiffHull:
+    """Hull of gradients of the active branches at p: evaluate(obj, p).subdiff()."""
+    return evaluate(obj, p).subdiff()
 
 
 def gen_dir_derivative(obj: MaxObjective, X, V) -> np.ndarray:

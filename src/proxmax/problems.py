@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -57,7 +58,11 @@ def paper_example_product(n: int = 2, epsilon: float = 0.125) -> BuiltinProblem:
         raise ValueError(f"n must lie in [1, {_MAX_PRODUCT_DIM}], got {n}")
     if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float, np.integer, np.floating)):
         raise ValueError(f"epsilon must be a real number, got {epsilon!r}")
-    n, epsilon = int(n), float(epsilon)
+    n = int(n)
+    try:
+        epsilon = float(epsilon)
+    except OverflowError:  # an integer beyond float range reads as +-inf, as 1e400 does
+        epsilon = math.inf if epsilon > 0 else -math.inf
     if not 0.0 < epsilon < 0.3125:
         raise ValueError(f"epsilon must lie in (0, 0.3125), got {epsilon}")
     m = log_positive(n)

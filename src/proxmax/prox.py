@@ -10,6 +10,11 @@ makes lam * d(p_next, p_k) the natural stationarity residual.
 The inner solver takes prox-linear steps in the flat chart z (z = x, or
 z = ln x), solving each step's model exactly through objective.simplex_qp;
 Point appears only at its edges, and tangents are coordinate arrays.
+
+Each iterate is evaluated once.  inner_solve takes the centre as an
+objective.Evaluation (its branch values and gradients) and returns one at
+its result; solve reads each record's value and minimum-norm subgradient
+from it, and the next outer step starts from it.
 """
 
 from __future__ import annotations
@@ -30,11 +35,12 @@ from .manifold import (
 )
 from .objective import (
     DomainError,
+    Evaluation,
     MaxObjective,
     branch_grads,
-    clarke_subdiff,
     eval_branches,
     eval_f,
+    evaluate,
     min_norm_subgradient,
     simplex_qp,
 )
@@ -194,8 +200,8 @@ class Trace:
 
 
 def inner_solve(
-    obj: MaxObjective, center: Point, lam: float, rho: float, cfg: ProxConfig
-) -> tuple[Point, int]:
+    obj: MaxObjective, center: Evaluation, lam: float, rho: float, cfg: ProxConfig
+) -> tuple[Evaluation, int]:
     """Minimize h = f + (lam/2) d(., center)^2 from center by prox-linear steps.
 
     In the flat chart z the branches of h are h_i(z) = phi_i + (lam/2)|z - z_c|^2.
@@ -214,19 +220,20 @@ def inner_solve(
     eps-subdifferential of h at z, eps = h(z) - sum w_i h_i.  Once it is at
     most cfg.inner_tol the solver returns z + d from that step, after its
     own search (or z, if rounding leaves no decrease to see): near a kink,
-    z + d lies on it.  Returns the point and the number of steps taken;
-    raises InnerCapError when the cfg.max_inner-th step is still
-    uncertified, when a search fails, or when an uncertified step is
+    z + d lies on it.  Returns the Evaluation of the result and the number
+    of steps taken; raises InnerCapError when the cfg.max_inner-th step is
+    still uncertified, when a search fails, or when an uncertified step is
     accepted that rounds back to z (the step is below the floating-point
-    resolution at z, so every later step would repeat it).  The steps read
-    coordinate rows; a Point is built only for the result or the error.
+    resolution at z, so every later step would repeat it).  An accepted
+    trial keeps its branch values and takes one gradient row.  The steps
+    read coordinate rows; a Point is built only for the result or the error.
     """
     m = obj.manifold
     c = lam + rho
-    z0 = to_chart(center)
+    z0 = to_chart(center.point)
 
     def trial(zt: np.ndarray):
-        """(x, branch values of h) at chart point zt, or None outside the domain."""
+        """(x, branch values of f, of h) at chart point zt, or None outside the domain."""
         with np.errstate(over="ignore"):
             xt = from_chart_rows(m, zt)
         try:
@@ -234,12 +241,13 @@ def inner_solve(
         except (DomainError, InvalidPointError):
             return None
         dz = zt - z0
-        return xt, vals + 0.5 * lam * float(dz @ dz)
+        return xt, vals, vals + 0.5 * lam * float(dz @ dz)
 
-    z, x, hv = z0, center.coords, eval_branches(obj, center.coords[None])[0]
+    z, x, grads = z0, center.point.coords, center.grads
+    fv = hv = center.values
     it, s = 0, None
     while True:
-        G = branch_grads(obj, x[None])[0] / chart_scale_rows(m, x) + lam * (z - z0)
+        G = grads / chart_scale_rows(m, x) + lam * (z - z0)
         if s is not None and s @ s > 0.0:
             # curvature of the last step's branch mix along that step
             c = max(s @ (w @ G - u) / (s @ s), lam - rho)
@@ -256,7 +264,7 @@ def inner_solve(
                 cert,
             )
         if cert == 0.0:  # z minimizes its own model: there is no step to search
-            return Point(m, x), it
+            return Evaluation(Point(m, x), fv, grads), it
         h = hv.max()
         decrease = h - w @ hv + cert * cert / c
         noise = _H_NOISE * abs(hv).max()
@@ -264,7 +272,7 @@ def inner_solve(
         for _ in range(_STEP_BACKTRACKS):
             zt = z - (t / c) * u
             step = trial(zt)
-            if step is not None and step[1].max() <= h - _ARMIJO * t * decrease + noise:
+            if step is not None and step[2].max() <= h - _ARMIJO * t * decrease + noise:
                 if not certified and (zt == z).all():
                     raise InnerCapError(
                         f"step of length {t * cert / c:.3e} is below the floating-point "
@@ -273,7 +281,8 @@ def inner_solve(
                         it,
                         cert,
                     )
-                s, z, x, hv = zt - z, zt, step[0], step[1]
+                s, z, (x, fv, hv) = zt - z, zt, step
+                grads = branch_grads(obj, x[None])[0]
                 break
             t *= 0.5
         else:
@@ -285,25 +294,25 @@ def inner_solve(
                     cert,
                 )
         if certified:
-            return Point(m, x), it
+            return Evaluation(Point(m, x), fv, grads), it
 
 
 def prox_step(
     obj: MaxObjective,
-    p_k: Point,
+    p_k: Evaluation,
     lam: float,
     cfg: ProxConfig,
     lipschitz: float,
-) -> tuple[Point, int]:
-    """One proximal step from p_k with weight lam.
+) -> tuple[Evaluation, int]:
+    """One proximal step from p_k, an Evaluation of obj, with weight lam.
 
     lam must strictly exceed the Lipschitz bound lipschitz; lam plus the
-    bound weighs the quadratic of the inner solver's first model.
+    bound weighs the quadratic of the inner solver's first model.  Returns
+    inner_solve's Evaluation of the new iterate and its step count.
     """
     lam, lip = float(lam), float(lipschitz)
     if lam <= lip:
         raise LambdaBoundError(f"weight {lam} must strictly exceed the Lipschitz bound {lip}")
-    obj.check_domain(p_k)
     return inner_solve(obj, p_k, lam, lip, cfg)
 
 
@@ -321,10 +330,10 @@ def solve(
     never projected.  When level_ref is given, f(p0) must not exceed
     f(level_ref) (LevelSetError), and an iterate above that level ends the
     run with an error termination.
-    Failures after the first step are folded into the returned trace as an
-    error termination so partial progress survives; a failed inner solve
-    also leaves its last iterate and certificate in trace.best and
-    trace.best_residual.
+    Failures after the start's value is read, a non-finite gradient at p0
+    included, are folded into the returned trace as an error termination so
+    partial progress survives; a failed inner solve also leaves its last
+    iterate and certificate in trace.best and trace.best_residual.
     """
     obj.check_domain(p0)
     f_prev = eval_f(obj, p0)
@@ -337,22 +346,24 @@ def solve(
     records: list[IterationRecord] = []
     termination = Termination.max_iters()
     best = best_residual = None
-    p = p0
     lam = sched.constant
+    at: Optional[Evaluation] = None
     for k in range(cfg.max_outer):
         try:
-            p_next, inner_iters = prox_step(obj, p, lam, cfg, lipschitz=sched.lower)
-            step = dist(p_next, p)
+            if at is None:
+                at = evaluate(obj, p0)
+            nxt, inner_iters = prox_step(obj, at, lam, cfg, lipschitz=sched.lower)
+            step = dist(nxt.point, at.point)
             res = lam * step
-            f_next = eval_f(obj, p_next)
-            _, sub_norm = min_norm_subgradient(clarke_subdiff(obj, p_next))
+            _, sub_norm = min_norm_subgradient(nxt.subdiff())
         except (InnerCapError, DomainError, GeometryError) as exc:
             termination = Termination.error(f"{type(exc).__name__}: {exc}")
             if isinstance(exc, InnerCapError):
                 best, best_residual = exc.best, exc.certificate
             break
+        f_next = nxt.f
         records.append(
-            IterationRecord(k, p_next, f_next, step, res, lam, inner_iters, sub_norm)
+            IterationRecord(k, nxt.point, f_next, step, res, lam, inner_iters, sub_norm)
         )
         if f_ref is not None and f_next > f_ref:
             termination = Termination.error(
@@ -362,5 +373,5 @@ def solve(
         if res <= cfg.outer_tol:
             termination = Termination.stationary()
             break
-        p = p_next
+        at = nxt
     return Trace(records, termination, p0, best, best_residual)

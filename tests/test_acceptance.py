@@ -14,6 +14,7 @@ from proxmax import (
     euclidean,
     eval_f,
     eval_f_many,
+    evaluate,
     gen_dir_derivative,
     log_positive,
     make_problem,
@@ -107,11 +108,11 @@ def test_criterion_03_closed_form_euclidean(report):
     abs_ok = np.allclose(xs, [5.0, 4.0, 3.0, 2.0, 1.0, 0.0], atol=1e-8)
 
     quad = make_problem("quadratic")
-    p = quad.start
+    at = evaluate(quad.objective, quad.start)
     quad_err = 0.0
     for k in range(1, 41):
-        p, _ = prox_step(quad.objective, p, 1.0, ProxConfig(), lipschitz=0.0)
-        quad_err = max(quad_err, abs(p.coords[0] - 2.0**-k))
+        at, _ = prox_step(quad.objective, at, 1.0, ProxConfig(), lipschitz=0.0)
+        quad_err = max(quad_err, abs(at.point.coords[0] - 2.0**-k))
     quad_ok = quad_err <= 1e-8
     report(
         3,

@@ -3,6 +3,8 @@
 Criterion 05 is the control for shifted_convexity; the other checks get one here.
 """
 
+import dataclasses
+
 import numpy as np
 
 from proxmax import Point, log_positive, with_prox_term
@@ -50,7 +52,8 @@ def test_prox_grid_gaps_flag_a_moved_prox_point(monkeypatch, log_example):
     def moved_step(*a, **kw):
         p_next, iters = step(*a, **kw)
         # exp_x(0.01 x) = x e^0.01 on the half-line
-        return Point(p_next.manifold, p_next.coords * np.exp(1e-2)), iters
+        moved = Point(p_next.point.manifold, p_next.point.coords * np.exp(1e-2))
+        return dataclasses.replace(p_next, point=moved), iters
 
     monkeypatch.setattr(checks, "prox_step", moved_step)
     gap_pt, gap_val = checks.prox_grid_gaps(*args)

@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import json
+import re
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -72,6 +74,15 @@ def test_bad_field_values_name_the_field():
         parse_config({"problem": "abs", "start_point": []})
     with pytest.raises(ConfigError, match="start_point"):
         parse_config({"problem": "abs", "start_point": ["x"]})
+    # an integer beyond float range reads as infinite, as the literal 1e400 does
+    huge = 10**400
+    for key in ("lambda", "lambda_bar", "outer_tol", "inner_tol"):
+        for value in (huge, -huge):
+            with pytest.raises(ConfigError, match=f"^field '{key}' must be (positive and )?finite"):
+                parse_config({"problem": "abs", key: value})
+    for key in ("start_point", "level_ref"):
+        with pytest.raises(ConfigError, match=f"^field '{key}' must be a non-empty array"):
+            parse_config({"problem": "abs", key: [huge]})
 
 
 def test_load_config_reports_json_line(tmp_path):
@@ -81,6 +92,12 @@ def test_load_config_reports_json_line(tmp_path):
         load_config(path)
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "missing.json")
+    # json refuses an integer literal past the interpreter's digit limit
+    # (sys.get_int_max_str_digits, 4300 by default, in Python 3.10.7 and later)
+    path.write_text('{"problem": "abs", "lambda": 1' + "0" * 5000 + "}")
+    message = "parse error in .*digits" if hasattr(sys, "get_int_max_str_digits") else "lambda"
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
 
 
 def test_wrong_start_dimension_rejected(tmp_path):
@@ -230,10 +247,12 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, monkeypatch, command)
         ({"name": "paper_example_product", "n": 2.7}, "n must be an integer, got 2.7"),
         ({"name": "paper_example_product", "n": True}, "n must be an integer, got True"),
         ({"name": "paper_example", "epsilon": "0.2"}, "epsilon must be a real number"),
+        # an integer beyond float range reads as infinite, as the literal 1e400 does
+        ({"name": "paper_example", "epsilon": 10**400}, "epsilon must lie in (0, 0.3125), got inf"),
     ],
 )
 def test_mistyped_problem_parameter_is_a_config_error(tmp_path, capsys, problem, message):
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
         run(parse_config({"problem": problem}), out_dir=tmp_path / "direct")
     cfg = _write(tmp_path, "bad.json", {"problem": problem})
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,8 +17,10 @@ from proxmax import (
     estimate_sup_lipschitz,
     eval_f,
     eval_f_many,
+    evaluate,
     log_positive,
     make_problem,
+    min_norm_subgradient,
     prox_step,
     solve,
     with_prox_term,
@@ -30,6 +34,10 @@ LP1 = log_positive(1)
 
 def _pt(x):
     return Point(LP1, [x])
+
+
+def _at(problem, x):
+    return evaluate(problem.objective, _pt(x))
 
 
 # schedules
@@ -86,52 +94,59 @@ def test_prox_step_abs_shrinks_by_one():
     prob = make_problem("abs")
     m = prob.objective.manifold
     cfg = ProxConfig()
-    p_next, iters = prox_step(prob.objective, Point(m, [5.0]), 1.0, cfg, lipschitz=0.0)
-    assert_allclose(p_next.coords, [4.0], atol=1e-9)
+    at = evaluate(prob.objective, Point(m, [5.0]))
+    p_next, iters = prox_step(prob.objective, at, 1.0, cfg, lipschitz=0.0)
+    assert_allclose(p_next.point.coords, [4.0], atol=1e-9)
     assert iters >= 1
 
 
 def test_prox_step_abs_clamps_at_zero():
     prob = make_problem("abs")
     m = prob.objective.manifold
-    p_next, _ = prox_step(prob.objective, Point(m, [0.5]), 1.0, ProxConfig(), lipschitz=0.0)
-    assert_allclose(p_next.coords, [0.0], atol=1e-9)
+    at = evaluate(prob.objective, Point(m, [0.5]))
+    p_next, _ = prox_step(prob.objective, at, 1.0, ProxConfig(), lipschitz=0.0)
+    assert_allclose(p_next.point.coords, [0.0], atol=1e-9)
 
 
 def test_prox_step_quadratic_closed_form():
     prob = make_problem("quadratic")
     m = prob.objective.manifold
     for lam, x0 in [(1.0, 1.0), (3.0, 1.0), (0.5, -2.0)]:
-        p_next, _ = prox_step(prob.objective, Point(m, [x0]), lam, ProxConfig(), lipschitz=0.0)
-        assert_allclose(p_next.coords, [lam * x0 / (1.0 + lam)], atol=1e-10)
+        at = evaluate(prob.objective, Point(m, [x0]))
+        p_next, _ = prox_step(prob.objective, at, lam, ProxConfig(), lipschitz=0.0)
+        assert_allclose(p_next.point.coords, [lam * x0 / (1.0 + lam)], atol=1e-10)
 
 
 def test_prox_step_requires_weight_above_curvature(log_example):
     with pytest.raises(LambdaBoundError):
-        prox_step(log_example.objective, _pt(0.5), 0.2, ProxConfig(), lipschitz=0.34)
+        prox_step(log_example.objective, _at(log_example, 0.5), 0.2, ProxConfig(), lipschitz=0.34)
 
 
 def test_prox_step_out_of_domain_start(log_example):
+    # evaluate checks the domain, so no step starts from an inadmissible centre
     with pytest.raises(DomainError):
-        prox_step(log_example.objective, _pt(0.05), 0.6, ProxConfig(), lipschitz=0.34)
+        prox_step(log_example.objective, _at(log_example, 0.05), 0.6, ProxConfig(), lipschitz=0.34)
 
 
 def test_prox_step_fixed_at_minimizer(log_example):
-    p_next, _ = prox_step(log_example.objective, _pt(1.0), 0.6, ProxConfig(), lipschitz=0.34)
-    assert dist(p_next, _pt(1.0)) <= 1e-9
+    at = _at(log_example, 1.0)
+    p_next, _ = prox_step(log_example.objective, at, 0.6, ProxConfig(), lipschitz=0.34)
+    assert dist(p_next.point, _pt(1.0)) <= 1e-9
 
 
 def test_prox_step_captures_kink_from_start(log_example):
-    p_next, _ = prox_step(log_example.objective, _pt(0.3125), 0.51, ProxConfig(), lipschitz=0.34)
-    assert dist(p_next, _pt(1.0)) <= 1e-6
+    at = _at(log_example, 0.3125)
+    p_next, _ = prox_step(log_example.objective, at, 0.51, ProxConfig(), lipschitz=0.34)
+    assert dist(p_next.point, _pt(1.0)) <= 1e-6
 
 
 def test_certified_step_lands_on_the_kink(log_example):
     # a loose tolerance certifies an iterate about 1e-6 from the kink; the
     # solver returns that iterate's own model step, which lands on it
     cfg = ProxConfig(inner_tol=1e-4)
-    p_next, _ = prox_step(log_example.objective, _pt(0.3125), 0.51, cfg, lipschitz=0.34)
-    assert dist(p_next, _pt(1.0)) <= 1e-12
+    at = _at(log_example, 0.3125)
+    p_next, _ = prox_step(log_example.objective, at, 0.51, cfg, lipschitz=0.34)
+    assert dist(p_next.point, _pt(1.0)) <= 1e-12
 
 
 def test_prox_step_matches_grid_search(log_example):
@@ -140,7 +155,7 @@ def test_prox_step_matches_grid_search(log_example):
     lam = 0.6
     for x0 in (0.5, 2.0, 3.5):
         p_k = _pt(x0)
-        p_next, _ = prox_step(obj, p_k, lam, ProxConfig(), lipschitz=0.34)
+        p_next = prox_step(obj, evaluate(obj, p_k), lam, ProxConfig(), lipschitz=0.34)[0].point
         shifted = with_prox_term(obj, p_k, lam)
         g_pt, g_val = grid_minimize(lambda X: eval_f_many(shifted, X), LP1, 0.1251, 4.0, 5001)
         assert dist(p_next, g_pt) <= 1e-6
@@ -157,7 +172,8 @@ def test_smooth_prox_steps_take_few_inner_steps(log_example):
     # quadratic declares the bound 0, below its curvature 1
     quad = make_problem("quadratic")
     for lam in (0.5, 3.0):
-        _, iters = prox_step(quad.objective, quad.start, lam, ProxConfig(), lipschitz=0.0)
+        at = evaluate(quad.objective, quad.start)
+        _, iters = prox_step(quad.objective, at, lam, ProxConfig(), lipschitz=0.0)
         assert iters <= 3
 
 
@@ -278,7 +294,7 @@ def test_inner_cap_carries_best_iterate():
     start = prob.start
     cfg = ProxConfig(max_inner=2)
     with pytest.raises(InnerCapError) as info:
-        prox_step(obj, start, 0.51, cfg, lipschitz=0.34)
+        prox_step(obj, evaluate(obj, start), 0.51, cfg, lipschitz=0.34)
     err = info.value
     assert err.iterations == cfg.max_inner
     assert err.certificate > cfg.inner_tol
@@ -306,7 +322,7 @@ def test_inner_solve_stops_at_a_step_below_float_resolution():
     prob = make_problem("abs")
     start = Point(prob.objective.manifold, [1e300])
     with pytest.raises(InnerCapError, match="below the floating-point resolution") as info:
-        inner_solve(prob.objective, start, 1.0, 0.0, ProxConfig())
+        inner_solve(prob.objective, evaluate(prob.objective, start), 1.0, 0.0, ProxConfig())
     err = info.value
     assert err.iterations == 1
     assert err.best.coords.tolist() == [1e300]
@@ -328,6 +344,72 @@ def test_successful_solve_carries_no_best_iterate(log_example):
     trace = solve(log_example.objective, log_example.start, sched, ProxConfig())
     assert trace.termination.kind == "stationary"
     assert trace.best is None and trace.best_residual is None
+
+
+# each iterate is evaluated once: solve carries its branch values and
+# gradients from one prox step to the next
+
+_UNIT = LambdaSchedule(lower=0.0, upper=10.0, constant=1.0)
+_HALF_LINE = LambdaSchedule(lower=0.34, upper=1e6, constant=0.51)
+
+
+def _counting(obj):
+    """obj with phi and grad_phi wrapped to count their row calls."""
+    calls = {"phi": 0, "grad_phi": 0}
+
+    def phi(X):
+        calls["phi"] += 1
+        return obj.phi(X)
+
+    def grad_phi(X):
+        calls["grad_phi"] += 1
+        return obj.grad_phi(X)
+
+    return dataclasses.replace(obj, phi=phi, grad_phi=grad_phi), calls
+
+
+@pytest.mark.parametrize(
+    "problem, start, sched, phi_calls, grad_calls",
+    [
+        # 51 outer steps: one trial and one gradient row per step, plus the
+        # start's value for the level guard and its gradient for the first step
+        ("abs", [50.0], _UNIT, 52, 51),
+        # the second step's search finds no decrease and keeps its iterate,
+        # whose gradients the first step already took
+        ("paper_example", None, _HALF_LINE, 46, 5),
+        ({"name": "paper_example_product", "n": 4}, None, _HALF_LINE, 8, 6),
+    ],
+)
+def test_solve_evaluates_each_iterate_once(problem, start, sched, phi_calls, grad_calls):
+    prob = make_problem(problem)
+    obj, calls = _counting(prob.objective)
+    p0 = prob.start if start is None else Point(obj.manifold, start)
+    trace = solve(obj, p0, sched, ProxConfig())
+    assert trace.termination.kind == "stationary"
+    assert calls == {"phi": phi_calls, "grad_phi": grad_calls}
+
+
+@pytest.mark.parametrize(
+    "problem, sched",
+    [
+        ("abs", _UNIT),
+        ("quadratic", _UNIT),
+        ("paper_example", _HALF_LINE),
+        ({"name": "paper_example_product", "n": 2}, _HALF_LINE),
+        ({"name": "paper_example_product", "n": 4}, _HALF_LINE),
+        ({"name": "paper_example_product", "n": 8}, _HALF_LINE),
+    ],
+)
+def test_records_carry_the_public_functions_numbers(problem, sched):
+    # the carried values and gradients are the ones eval_f and clarke_subdiff
+    # read afresh, bit for bit
+    prob = make_problem(problem)
+    obj = prob.objective
+    trace = solve(obj, prob.start, sched, ProxConfig())
+    assert trace.termination.kind == "stationary"
+    for rec in trace.records:
+        assert rec.f_value == eval_f(obj, rec.point)
+        assert rec.subgrad_norm == min_norm_subgradient(clarke_subdiff(obj, rec.point))[1]
 
 
 # finite termination at sharp minima (Ferris 1991)
