@@ -27,8 +27,10 @@ from .manifold import (
     Point,
     dist_rows,
     from_chart_rows,
+    normal_draw,
     random_unit_coords,
     to_chart,
+    unit_rows,
 )
 from .objective import (
     branch_grads,
@@ -387,14 +389,18 @@ def _chord_detail(report: oracle.ConvexityReport) -> str:
 def _check_geometry(prep: _Prepared, rng: np.random.Generator) -> tuple[bool, str]:
     m = prep.problem.objective.manifold
     count = 2000
-    p, zq, zr, v = (np.empty((count, m.dim)) for _ in range(4))
+    zp, zq, zr, g = (np.empty((count, m.dim)) for _ in range(4))
+    speed = np.empty(count)
     for i in range(count):
         # one round trip at a time, drawing p, q, the speed and direction of
         # v at p, then r: this order fixes the samples and so the report
-        p[i] = from_chart_rows(m, rng.uniform(-2.0, 2.0, m.dim))
+        zp[i] = rng.uniform(-2.0, 2.0, m.dim)
         zq[i] = rng.uniform(-2.0, 2.0, m.dim)
-        v[i] = rng.uniform(0.1, 3.0) * random_unit_coords(m, p[i], rng)
+        speed[i] = rng.uniform(0.1, 3.0)
+        g[i] = normal_draw(m.dim, rng)
         zr[i] = rng.uniform(-2.0, 2.0, m.dim)
+    p = from_chart_rows(m, zp)
+    v = speed[:, None] * unit_rows(m, p, g)
     worst = checks.geometry_deviation(m, p, from_chart_rows(m, zq), from_chart_rows(m, zr), v)
     return worst <= 1e-10, f"worst deviation {worst:.3e} (bound 1e-10)"
 

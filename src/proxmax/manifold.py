@@ -41,6 +41,9 @@ __all__ = [
     "from_chart_rows",
     "to_chart",
     "chart_scale_rows",
+    "usable_draws",
+    "normal_draw",
+    "unit_rows",
     "random_unit_coords",
     "inner_rows",
     "norm_rows",
@@ -274,17 +277,38 @@ def transport(p: Point, q: Point, v) -> np.ndarray:
     return transport_rows(p.manifold, p.coords, q.coords, _tangent_coords(p, v))
 
 
+def usable_draws(g: np.ndarray) -> np.ndarray:
+    """Whether each standard normal draw g (..., n) is long enough to give a direction.
+
+    A draw is judged by its own Euclidean length, which must exceed 1e-12,
+    not by its metric norm at a point: on the orthant that norm is |g| / x,
+    which would reject every draw at large coordinates.
+    """
+    return np.sqrt(_row_dots(g, g)) > 1e-12
+
+
+def normal_draw(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A standard normal draw (dim,), redrawn while usable_draws rejects it."""
+    for _ in range(16):
+        g = rng.standard_normal(dim)
+        if usable_draws(g):
+            return g
+    raise RuntimeError("failed to draw a non-degenerate tangent direction")
+
+
+def unit_rows(manifold: ManifoldKind, p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The tangents g at p scaled to unit metric norm, on coordinate rows, both (..., n)."""
+    return (1.0 / norm_rows(manifold, p, g))[..., None] * g
+
+
 def random_unit_coords(
     manifold: ManifoldKind, p: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """Coordinates of a unit-norm tangent at the point with coordinates p (n,).
 
-    The direction is rotation-invariant: a standard normal draw, redrawn
-    when its norm is degenerate, then scaled to unit norm.
+    A standard normal draw (normal_draw), scaled to unit metric norm.  The
+    direction is rotation-invariant on Euclidean space and in one
+    dimension; on the orthant at dim > 1 it is not, since the metric weighs
+    coordinate i by 1 / x_i^2.
     """
-    for _ in range(16):
-        g = rng.standard_normal(manifold.dim)
-        n = float(norm_rows(manifold, p, g))
-        if n > 1e-12:
-            return (1.0 / n) * g
-    raise RuntimeError("failed to draw a non-degenerate tangent direction")
+    return unit_rows(manifold, p, normal_draw(manifold.dim, rng))

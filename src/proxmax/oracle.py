@@ -16,6 +16,11 @@ all chord endpoints and one for all points along the chords; fd_gradient
 differentiates a field with values (N, ...), such as every branch value, at
 all rows in 2n calls.  usc_sampler takes an objective and evaluates all its
 samples in one call.
+
+The convexity test and usc_sampler draw their random numbers in row blocks.
+A block of k rows holds what k one-row calls would draw, and each sample
+takes the rows a one-sample-at-a-time loop would give it, so the samples
+and the reports are those of that loop.
 """
 
 from __future__ import annotations
@@ -34,9 +39,12 @@ from .manifold import (
     exp_rows,
     from_chart_rows,
     log_rows,
+    normal_draw,
     point_coords,
     random_unit_coords,
     transport_rows,
+    unit_rows,
+    usable_draws,
 )
 from .objective import CoordsMap, DomainError, MaxObjective, gen_dir_derivative
 
@@ -180,11 +188,12 @@ def geodesic_convexity_test(
     field maps point coordinates (N, n) to values (N,).  Draws endpoint
     pairs uniformly in the flat chart of the box, checks h(gamma(t)) against
     the strongly convex chord bound at t = 0.1 .. 0.9, and reports the worst
-    violation beyond the slack.  Draws whose coordinates fall outside an
-    optional domain map (coordinates (n,) to a bool, like
-    MaxObjective.domain_guard) are retried up to a cap.  One field call
-    evaluates all endpoints and one all chord points; a NaN value raises
-    ValueError naming its point.
+    violation beyond the slack.  An optional domain maps point rows (N, n)
+    to bools (N,), like MaxObjective.domain_guard: endpoint j is the j-th
+    admissible draw, and DomainError is raised when 200 draws in a row are
+    rejected.  The draws come in row blocks.  One field call evaluates all
+    endpoints and one all chord points; a NaN value raises ValueError
+    naming its point.
     """
     if modulus < 0:
         raise ValueError(f"modulus must be >= 0, got {modulus}")
@@ -199,13 +208,30 @@ def geodesic_convexity_test(
             raise ValueError("box bounds must be positive on the log-positive orthant")
         lo, hi = np.log(lo), np.log(hi)
     rng = np.random.default_rng(seed)
+    need = 2 * samples
 
-    def draw() -> np.ndarray:
-        for _ in range(200):
-            x = from_chart_rows(manifold, rng.uniform(lo, hi))
-            if domain is None or domain(x):
-                return x
-        raise DomainError("could not draw an admissible sample in the box")
+    def admissible_rows() -> np.ndarray:
+        # row j is the j-th admissible row of the stream; uniform(lo, hi, (k, n))
+        # draws what k calls of uniform(lo, hi) draw, so the rows come in blocks
+        X, ok = np.empty((0, manifold.dim)), np.empty(0, dtype=bool)
+        while True:
+            at = np.flatnonzero(ok)[:need]
+            # rejections before each admissible row, then after the last one
+            runs = np.diff(np.append(at, len(ok)), prepend=-1) - 1
+            if np.any(runs[:need] >= 200):
+                raise DomainError("could not draw an admissible sample in the box")
+            if len(at) == need:
+                return X[at]
+            # enough rows for the missing samples at the admission rate seen so far
+            size = (need - len(at)) * (len(ok) + 1) // (len(at) + 1)
+            block = from_chart_rows(manifold, rng.uniform(lo, hi, size=(size, manifold.dim)))
+            admitted = np.ones(size, dtype=bool)
+            if domain is not None:
+                admitted = np.asarray(domain(block), dtype=bool)
+            if np.shape(admitted) != (size,):
+                raise ValueError(f"domain returned shape {np.shape(admitted)} for {size} points")
+            X = np.concatenate([X, block])
+            ok = np.concatenate([ok, admitted])
 
     def values(X: np.ndarray) -> np.ndarray:
         vals = _field_values(field, X)
@@ -215,7 +241,7 @@ def geodesic_convexity_test(
         return vals
 
     # rows p_1, q_1, p_2, q_2, ...: each pair draws p, then q
-    ends = point_coords(manifold, [draw() for _ in range(2 * samples)], rows=True)
+    ends = point_coords(manifold, admissible_rows(), rows=True)
     h_ends = values(ends)
     p, q = ends[0::2], ends[1::2]
     hp, hq = h_ends[0::2, None], h_ends[1::2, None]
@@ -254,6 +280,38 @@ class UscReport:
 _USC_PERT_SCALE = 0.25
 
 
+class _NormalRows:
+    """The standard normal stream of a generator, as rows (dim,) held in one array.
+
+    standard_normal((k, dim)) draws what k calls of standard_normal(dim)
+    draw, so the rows are drawn in blocks ahead of their use: rows[at:] are
+    drawn but not yet read.  standard_normal reads the next row, which lets
+    the stream stand in for the generator.
+    """
+
+    def __init__(self, rng: np.random.Generator, dim: int) -> None:
+        self._rng = rng
+        self.rows = np.empty((0, dim))
+        self.at = 0
+
+    def ahead(self, count: int) -> None:
+        """Draw rows until count of them are unread."""
+        short = self.at + count - len(self.rows)
+        if short > 0:
+            more = self._rng.standard_normal((short, self.rows.shape[1]))
+            self.rows = np.concatenate([self.rows, more])
+
+    def standard_normal(self, size: int) -> np.ndarray:
+        self.ahead(1)
+        self.at += 1
+        return self.rows[self.at - 1]
+
+
+def _leading(mask: np.ndarray) -> int:
+    """How many entries of mask hold before its first False."""
+    return len(mask) if mask.all() else int(np.argmin(mask))
+
+
 def usc_sampler(
     obj: MaxObjective, p: Point, v, n: int, seed: int = 42, tolerance: float = 1e-3
 ) -> UscReport:
@@ -266,6 +324,13 @@ def usc_sampler(
     (p, v).  Step k draws the direction at p, then the kick at p_k if p_k is
     admissible; one gen_dir_derivative call takes every row, and rejects a
     non-finite v.
+
+    The normals are drawn in blocks.  A pass assumes that every step from
+    k on reads one direction row, then one kick row, and takes the steps up
+    to the first that does not: an inadmissible p_k reads no kick, and a
+    degenerate row is redrawn.  The next pass starts after an inadmissible
+    step's direction row; a step with a degenerate row runs on its own and
+    reads its rows one at a time.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -273,17 +338,57 @@ def usc_sampler(
     m, x, u = obj.manifold, p.coords, np.asarray(v, dtype=float)
     if u.shape != x.shape:
         raise ValueError(f"direction must have shape {x.shape}, got {u.shape}")
-    rng = np.random.default_rng(seed)
-    kept = [(0, x, u)]  # (k, p_k, v_k) rows, with (p, v) as step 0
-    for k in range(1, n + 1):
-        p_k = point_coords(m, exp_rows(m, x, (1.0 / k) * random_unit_coords(m, x, rng)))
-        if obj.domain_guard is None or obj.domain_guard(p_k):
-            kick = (_USC_PERT_SCALE / k) * random_unit_coords(m, p_k, rng)
-            kept.append((k, p_k, transport_rows(m, x, p_k, u) + kick))
-    steps, X, V = zip(*kept)
+    guard = obj.domain_guard
+    normals = _NormalRows(np.random.default_rng(seed), m.dim)
+    usable = units = np.empty(0)  # per drawn row: usable_draws, and its unit tangent at p
+    # per kept step: k, the point p_k and the kick's draw
+    steps, X, kicks = [], [], []
+    k, span = 1, n
+    while k <= n:
+        first = k
+        # step k + i reads row 2i as its direction and row 2i + 1 as its kick,
+        # up to the first step that does not
+        ks = np.arange(k, min(k + span, n + 1))
+        normals.ahead(2 * len(ks))
+        if len(units) < len(normals.rows):
+            usable = usable_draws(normals.rows)
+            with np.errstate(divide="ignore", invalid="ignore"):  # degenerate rows
+                units = unit_rows(m, x, normals.rows)
+        at = normals.at
+        # directions up to the first degenerate one, their points up to the
+        # first inadmissible one, and kicks up to the first degenerate one
+        j = _leading(usable[at : at + 2 * len(ks) : 2])
+        P = exp_rows(m, x, (1.0 / ks[:j, None]) * units[at : at + 2 * j : 2])
+        admitted = np.ones(j, dtype=bool) if guard is None else guard(P)
+        j = _leading(admitted)
+        kept = _leading(usable[at + 1 : at + 2 * j : 2])
+        # an inadmissible step reads its direction row alone and keeps nothing
+        discard = int(kept == j < len(admitted))
+        P = point_coords(m, P[: kept + discard], rows=True)
+        steps.append(ks[:kept])
+        X.append(P[:kept])
+        kicks.append(normals.rows[at + 1 : at + 2 * kept : 2])
+        normals.at += 2 * kept + discard
+        k += kept + discard
+        if not discard and k - first < len(ks):
+            # a degenerate row: this step redraws it, as a one-step loop would
+            p_k = point_coords(m, exp_rows(m, x, (1.0 / k) * random_unit_coords(m, x, normals)))
+            if guard is None or guard(p_k):
+                steps.append(np.array([k]))
+                X.append(p_k[None])
+                kicks.append(normal_draw(m.dim, normals)[None])
+            k += 1
+        # the next pass looks twice as far ahead as this one reached
+        span = 2 * (k - first)
+    ks, P = np.concatenate(steps), np.concatenate(X)
+    V = transport_rows(m, x, P, u) + (_USC_PERT_SCALE / ks[:, None]) * unit_rows(
+        m, P, np.concatenate(kicks)
+    )
     values = np.full(n + 1, -np.inf)  # entry k for step k, discarded steps at -inf
-    values[list(steps)] = gen_dir_derivative(obj, X, V)
-    reference, discarded = float(values[0]), n + 1 - len(steps)
+    keep = np.concatenate([[0], ks])
+    X, V = np.concatenate([x[None], P]), np.concatenate([u[None], V])
+    values[keep] = gen_dir_derivative(obj, X, V)
+    reference, discarded = float(values[0]), n + 1 - len(keep)
     tail_start = max((9 * n) // 10, 1)
     tail = values[tail_start:]
     tail = tail[np.isfinite(tail)]

@@ -24,6 +24,40 @@ def rng():
     return np.random.default_rng(42)
 
 
+# the generator itself, so a test that patches np.random.default_rng can still build one
+_default_rng = np.random.default_rng
+
+
+class _ZeroRowGenerator:
+    """A stand-in for a numpy Generator whose normal stream holds one all-zero row.
+
+    Its uniforms are those of default_rng(seed).  Its standard normals are
+    the rows (dim,) of default_rng([seed, 1]), read in order whatever block
+    shape a call asks for, with row `zero` set to 0.
+    """
+
+    def __init__(self, seed, dim, zero):
+        rows = _default_rng([seed, 1]).standard_normal((6000, dim))
+        rows[zero] = 0.0
+        self._normals = rows.ravel()
+        self._read = 0
+        self._uniforms = _default_rng(seed)
+
+    def uniform(self, low, high, size=None):
+        return self._uniforms.uniform(low, high, size)
+
+    def standard_normal(self, size):
+        count = int(np.prod(size))
+        self._read += count
+        return self._normals[self._read - count : self._read].reshape(size).copy()
+
+
+@pytest.fixture
+def zero_row_generator():
+    """The class of a generator whose normal stream holds one all-zero row."""
+    return _ZeroRowGenerator
+
+
 @pytest.fixture
 def log_example():
     """One-dimensional positive-orthant problem with branches ln x and -ln x + e^(-2x) - e^(-2)."""
@@ -93,12 +127,12 @@ def _chart_point(m, z):
 
 
 def _random_unit(m, x, rng):
-    """A unit tangent at x: a standard normal draw scaled by its metric norm."""
+    """A unit tangent at x: a standard normal draw, redrawn while its
+    Euclidean length is at most 1e-12, scaled by its metric norm."""
     while True:
         g = rng.standard_normal(m.dim)
-        n = _norm(m, x, g)
-        if n > 1e-12:
-            return (1.0 / n) * g
+        if np.sqrt(np.dot(g, g)) > 1e-12:
+            return (1.0 / _norm(m, x, g)) * g
 
 
 def _admissible(obj, x):

@@ -308,6 +308,14 @@ def test_verify_passes_and_writes_report(tmp_path):
     assert all(c["status"] == "pass" for c in report["checks"])
 
 
+@pytest.mark.parametrize("x0", [1e12, 1e20, 1e100])
+def test_verify_passes_from_large_starts(tmp_path, x0):
+    # on the orthant a draw's metric norm is |g| / x, so judging draws by it
+    # rejected every direction at these starts
+    cfg = parse_config({"problem": "paper_example", "start_point": [x0]})
+    assert verify(cfg, out_dir=tmp_path / "v") == 0
+
+
 def test_verify_reports_skipped_check_as_skipped(tmp_path, capsys):
     cfg = parse_config({"problem": {"name": "paper_example_product", "n": 2}})
     verify(cfg, out_dir=tmp_path / "v")
@@ -365,10 +373,17 @@ def _geometry_prep(m):
 
 
 @pytest.mark.parametrize("m", [log_positive(1), euclidean(1)], ids=["log_positive1", "euclidean1"])
-def test_geometry_check_matches_reference_in_one_dimension(m, reference_checks):
-    for seed in (0, 1):
-        want = reference_checks["geometry_roundtrip"](_geometry_prep(m), np.random.default_rng(seed))
-        got = cli._check_geometry(_geometry_prep(m), np.random.default_rng(seed))
+def test_geometry_check_matches_reference_in_one_dimension(
+    m, reference_checks, zero_row_generator
+):
+    # the last stream's normal row 7 is zero, so that draw is redrawn
+    for make_rng in (
+        lambda: np.random.default_rng(0),
+        lambda: np.random.default_rng(1),
+        lambda: zero_row_generator(4, 1, 7),
+    ):
+        want = reference_checks["geometry_roundtrip"](_geometry_prep(m), make_rng())
+        got = cli._check_geometry(_geometry_prep(m), make_rng())
         assert got == want
 
 

@@ -315,8 +315,10 @@ def test_differential_exp_matches_finite_differences(rng, differential_exp):
 
 
 def test_random_unit_tangent_has_unit_norm(rng):
+    # a draw is judged by its own length, so large coordinates draw too
     for dim in (1, 2, 5):
-        x = np.exp(rng.uniform(-2, 2, dim))
-        v = random_unit_coords(log_positive(dim), x, rng)
-        # |v|_x^2 = sum v_i^2 / x_i^2
-        assert np.sqrt(np.sum(v**2 / x**2)) == pytest.approx(1.0, rel=1e-12)
+        for scale in (1.0, 1e12, 1e100):
+            x = scale * np.exp(rng.uniform(-2, 2, dim))
+            v = random_unit_coords(log_positive(dim), x, rng)
+            # |v|_x^2 = sum v_i^2 / x_i^2
+            assert np.sqrt(np.sum(v**2 / x**2)) == pytest.approx(1.0, rel=1e-12)

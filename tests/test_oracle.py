@@ -292,6 +292,44 @@ def test_convexity_test_matches_reference_in_one_dimension(case, reference_conve
         assert got == want
 
 
+@pytest.mark.parametrize("share", [0.0, 0.004, 0.02, 0.3])
+def test_convexity_test_rejects_draws_as_the_reference(share, reference_convexity_test):
+    # the domain admits a share of the chart box: with little enough, 200
+    # rejections in a row end the test, at sample 0 or later
+    prob = make_problem("paper_example")
+    lo, hi = prob.region_lower, prob.region_upper
+    cut = float(np.exp(np.log(lo[0]) + share * (np.log(hi[0]) - np.log(lo[0]))))
+    judged_ref, judged = [], []
+
+    def point_domain(p):
+        judged_ref.append(p.coords[0])
+        return bool(p.coords[0] < cut)
+
+    def domain(X):
+        judged.append(X[:, 0])
+        return X[:, 0] < cut
+
+    outcomes = []
+    for test, field, dom in (
+        (reference_convexity_test, lambda p: p.coords[0] ** 2, point_domain),
+        (geodesic_convexity_test, lambda X: X[:, 0] ** 2, domain),
+    ):
+        try:
+            outcomes.append(test(field, LP1, 150, 0.0, lo, hi, seed=3, domain=dom))
+        except DomainError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    # the draws the reference judged lead the ones the array test judged
+    assert np.concatenate(judged)[: len(judged_ref)].tobytes() == np.array(judged_ref).tobytes()
+
+
+def test_convexity_test_rejects_a_domain_of_the_wrong_shape():
+    with pytest.raises(ValueError, match="domain returned shape"):
+        geodesic_convexity_test(
+            lambda X: X[:, 0], LP1, 5, 0.0, [0.2], [4.0], domain=lambda X: bool(X[0, 0] > 0.2)
+        )
+
+
 @pytest.mark.parametrize(
     "m, fields, modulus",
     [
@@ -332,6 +370,19 @@ def test_convexity_test_within_ulps_of_reference_in_three_dimensions(
 # upper semicontinuity sampling
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_block_draws_read_the_row_by_row_stream(n):
+    # usc_sampler draws its normals and the convexity test its uniforms in
+    # row blocks; both keep the samples of one call per row because of this
+    k = 40
+    block, rows = np.random.default_rng(11), np.random.default_rng(11)
+    want = np.array([rows.standard_normal(n) for _ in range(k)])
+    assert block.standard_normal((k, n)).tobytes() == want.tobytes()
+    lo, hi = np.linspace(-2.0, 0.5, n), np.linspace(1.0, 4.0, n)
+    want = np.array([rows.uniform(lo, hi) for _ in range(k)])
+    assert block.uniform(lo, hi, size=(k, n)).tobytes() == want.tobytes()
+
+
 def test_usc_at_kink_both_directions(log_example):
     obj = log_example.objective
     p = _pt(1.0)
@@ -362,8 +413,9 @@ def test_usc_near_boundary_discards_but_passes(log_example):
 @pytest.mark.parametrize(
     "request_, points",
     [
-        # a kink, a smooth point, and one near the boundary where draws are discarded
-        ("paper_example", [[1.0], [0.3125], [0.13]]),
+        # a kink, a smooth point, and near the boundary, where 17 of 1000 steps
+        # down to about half of them are discarded
+        ("paper_example", [[1.0], [0.3125], [0.13], [0.1251], [0.125000001]]),
         ("abs", [[0.0], [-2.5]]),
         ({"name": "paper_example_product", "n": 2}, [[1.0, 1.0], [0.6, 1.0]]),
         ({"name": "paper_example_product", "n": 4}, [[1.0] * 4, [0.5, 1.0, 2.0, 1.5]]),
@@ -380,6 +432,33 @@ def test_usc_sampler_equals_per_point_reference(request_, points, reference_usc_
             want = reference_usc_sampler(obj, p, v, n=n, seed=5)
             # every field, the floats bit for bit
             assert usc_sampler(obj, p, v, n=n, seed=5) == want
+
+
+def test_usc_sampler_raises_as_the_reference_when_every_tail_step_is_discarded(
+    reference_usc_sampler,
+):
+    obj = make_problem({"name": "paper_example_product", "n": 8}).objective
+    p, v = Point(obj.manifold, [0.125000001] * 8), np.ones(8)
+    with pytest.raises(DomainError) as want:
+        reference_usc_sampler(obj, p, v, n=1000, seed=5)
+    with pytest.raises(DomainError) as got:
+        usc_sampler(obj, p, v, n=1000, seed=5)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("zero", [10, 11], ids=["direction", "kick"])
+@pytest.mark.parametrize("request_", ["paper_example", {"name": "paper_example_product", "n": 2}])
+def test_usc_sampler_redraws_a_zero_row_as_the_reference(
+    request_, zero, monkeypatch, zero_row_generator, reference_usc_sampler
+):
+    # from x = 1 no step is discarded, so row 10 is step 6's direction and
+    # row 11 its kick
+    obj = make_problem(request_).objective
+    dim = obj.manifold.dim
+    p, v = Point(obj.manifold, np.ones(dim)), np.full(dim, 0.7)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: zero_row_generator(seed, dim, zero))
+    want = reference_usc_sampler(obj, p, v, n=1000, seed=5)
+    assert usc_sampler(obj, p, v, n=1000, seed=5) == want
 
 
 def test_usc_rejects_bad_direction_and_outside_point(log_example):
