@@ -28,7 +28,6 @@ from .manifold import (
     dist_rows,
     from_chart_rows,
     normal_draw,
-    random_unit_coords,
     to_chart,
     unit_rows,
 )
@@ -425,11 +424,12 @@ def _check_strong_convexity(prep: _Prepared, rng: np.random.Generator) -> tuple[
 
 def _check_sum_rule(prep: _Prepared, rng: np.random.Generator) -> tuple[bool, str]:
     obj = prep.problem.objective
+    m = obj.manifold
     lam = max(prep.lam, 1.0)
     shifted = with_prox_term(obj, prep.start, lam)
     X = region_samples(prep.problem, 100, rng)
     # speed, then direction, one sample at a time: this order fixes the draws and so the report
-    V = np.array([rng.uniform(0.5, 2.0) * random_unit_coords(obj.manifold, x, rng) for x in X])
+    V = np.array([rng.uniform(0.5, 2.0) * unit_rows(m, x, normal_draw(m.dim, rng)) for x in X])
     # np.max keeps a NaN, which fails the bound
     worst = float(np.max(checks.sum_rule_mismatch(obj, shifted, prep.start, lam, X, V)))
     return worst <= 1e-8, f"worst mismatch {worst:.3e} (bound 1e-8)"
@@ -437,7 +437,7 @@ def _check_sum_rule(prep: _Prepared, rng: np.random.Generator) -> tuple[bool, st
 
 def _check_usc(prep: _Prepared, rng: np.random.Generator) -> tuple[bool, str]:
     obj = prep.problem.objective
-    v = random_unit_coords(obj.manifold, prep.start.coords, rng)
+    v = unit_rows(obj.manifold, prep.start.coords, normal_draw(obj.manifold.dim, rng))
     # the 1e-3 bound is calibrated to the 1/k approach scale at n=1000
     report = oracle.usc_sampler(obj, prep.start, v, n=1000, seed=int(rng.integers(2**31)))
     return report.passed, f"tail gap {report.gap:.3e} (bound {report.tolerance})"

@@ -44,7 +44,6 @@ __all__ = [
     "usable_draws",
     "normal_draw",
     "unit_rows",
-    "random_unit_coords",
     "inner_rows",
     "norm_rows",
     "dist",
@@ -297,18 +296,10 @@ def normal_draw(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def unit_rows(manifold: ManifoldKind, p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The tangents g at p scaled to unit metric norm, on coordinate rows, both (..., n)."""
-    return (1.0 / norm_rows(manifold, p, g))[..., None] * g
+    """The tangents g at p scaled to unit metric norm, on coordinate rows, both (..., n).
 
-
-def random_unit_coords(
-    manifold: ManifoldKind, p: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Coordinates of a unit-norm tangent at the point with coordinates p (n,).
-
-    A standard normal draw (normal_draw), scaled to unit metric norm.  The
-    direction is rotation-invariant on Euclidean space and in one
-    dimension; on the orthant at dim > 1 it is not, since the metric weighs
-    coordinate i by 1 / x_i^2.
+    For normal draws g (normal_draw) the direction is rotation-invariant,
+    except on the orthant at dim > 1, where the metric weighs coordinate i
+    by 1 / x_i^2.
     """
-    return unit_rows(manifold, p, normal_draw(manifold.dim, rng))
+    return (1.0 / norm_rows(manifold, p, g))[..., None] * g

@@ -80,9 +80,6 @@ class ParamSet:
     def __len__(self) -> int:
         return int(self.values.size)
 
-    def __iter__(self):
-        return iter(self.values)
-
 
 # coordinates (..., n) -> admissibility (...,); or rows (N, n) -> branch values
 # (N, m) or branch gradients (N, m, n)

@@ -17,10 +17,10 @@ differentiates a field with values (N, ...), such as every branch value, at
 all rows in 2n calls.  usc_sampler takes an objective and evaluates all its
 samples in one call.
 
-The convexity test and usc_sampler draw their random numbers in row blocks.
-A block of k rows holds what k one-row calls would draw, and each sample
-takes the rows a one-sample-at-a-time loop would give it, so the samples
-and the reports are those of that loop.
+The convexity test and usc_sampler draw by one rule (_AdmittedRows): each
+sample takes the next row of a private random stream that a test admits,
+as a loop redrawing each rejected row would, but the rows come in blocks.
+So the samples and the reports are those of that loop.
 """
 
 from __future__ import annotations
@@ -39,9 +39,7 @@ from .manifold import (
     exp_rows,
     from_chart_rows,
     log_rows,
-    normal_draw,
     point_coords,
-    random_unit_coords,
     transport_rows,
     unit_rows,
     usable_draws,
@@ -120,6 +118,56 @@ def _field_values(field: ArrayField, X: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _leading(mask: np.ndarray) -> int:
+    """How many entries of mask hold before its first False."""
+    return len(mask) if mask.all() else int(np.argmin(mask))
+
+
+class _AdmittedRows:
+    """The rows of a private random stream that domain admits, in stream order.
+
+    draw(k) returns the stream's next k rows (k, n) as k one-row draws
+    would; standard_normal((k, n)) and uniform(lo, hi, size=(k, n)) do.  So
+    the rows come in blocks, and the j-th admitted row is the one that a
+    loop redrawing each rejected row takes j-th.  The loop gives up after
+    limit rejected rows in a row, and taking a row past there raises error.
+    """
+
+    def __init__(self, draw, domain, limit: int, error: Exception) -> None:
+        self._draw, self._domain, self._limit, self._error = draw, domain, limit, error
+        self._rows = draw(0)  # (0, n): drawing no rows leaves the stream as it is
+        self._drawn = self._taken = 0
+        self._run = 0  # rejected rows since the last admitted one
+
+    def peek(self, count: int) -> np.ndarray:
+        """The next count admitted rows, or those the loop takes before it gives up."""
+        want = self._taken + count
+        while len(self._rows) < want and self._run < self._limit:
+            # enough rows for the missing ones at the admission rate seen so far
+            size = (want - len(self._rows)) * (self._drawn + 1) // (len(self._rows) + 1)
+            block = self._draw(size)
+            admitted = np.asarray(self._domain(block), dtype=bool)
+            if admitted.shape != (size,):
+                raise ValueError(f"domain returned shape {admitted.shape} for {size} points")
+            at = np.flatnonzero(admitted)
+            # rejected rows before each admitted one, then after the last
+            runs = np.diff(np.append(at, size), prepend=-1) - 1
+            runs[0] += self._run
+            ok = _leading(runs < self._limit)
+            self._rows = np.concatenate([self._rows, block[at[:ok]]])
+            self._run = runs[-1] if ok == len(runs) else self._limit
+            self._drawn += size
+        return self._rows[self._taken : want]
+
+    def take(self, count: int) -> np.ndarray:
+        """The next count admitted rows, which are read from then on."""
+        rows = self.peek(count)
+        if len(rows) < count:
+            raise self._error
+        self._taken += count
+        return rows
+
+
 def grid_minimize(
     field: ArrayField, manifold: ManifoldKind, lower: float, upper: float, points: int
 ) -> tuple[Point, float]:
@@ -190,10 +238,10 @@ def geodesic_convexity_test(
     the strongly convex chord bound at t = 0.1 .. 0.9, and reports the worst
     violation beyond the slack.  An optional domain maps point rows (N, n)
     to bools (N,), like MaxObjective.domain_guard: endpoint j is the j-th
-    admissible draw, and DomainError is raised when 200 draws in a row are
-    rejected.  The draws come in row blocks.  One field call evaluates all
-    endpoints and one all chord points; a NaN value raises ValueError
-    naming its point.
+    draw it admits, and DomainError is raised when an endpoint comes after
+    200 rejected draws in a row.  The draws come in row blocks (_AdmittedRows).
+    One field call evaluates all endpoints and one all chord points; a NaN
+    value raises ValueError naming its point.
     """
     if modulus < 0:
         raise ValueError(f"modulus must be >= 0, got {modulus}")
@@ -208,30 +256,12 @@ def geodesic_convexity_test(
             raise ValueError("box bounds must be positive on the log-positive orthant")
         lo, hi = np.log(lo), np.log(hi)
     rng = np.random.default_rng(seed)
-    need = 2 * samples
-
-    def admissible_rows() -> np.ndarray:
-        # row j is the j-th admissible row of the stream; uniform(lo, hi, (k, n))
-        # draws what k calls of uniform(lo, hi) draw, so the rows come in blocks
-        X, ok = np.empty((0, manifold.dim)), np.empty(0, dtype=bool)
-        while True:
-            at = np.flatnonzero(ok)[:need]
-            # rejections before each admissible row, then after the last one
-            runs = np.diff(np.append(at, len(ok)), prepend=-1) - 1
-            if np.any(runs[:need] >= 200):
-                raise DomainError("could not draw an admissible sample in the box")
-            if len(at) == need:
-                return X[at]
-            # enough rows for the missing samples at the admission rate seen so far
-            size = (need - len(at)) * (len(ok) + 1) // (len(at) + 1)
-            block = from_chart_rows(manifold, rng.uniform(lo, hi, size=(size, manifold.dim)))
-            admitted = np.ones(size, dtype=bool)
-            if domain is not None:
-                admitted = np.asarray(domain(block), dtype=bool)
-            if np.shape(admitted) != (size,):
-                raise ValueError(f"domain returned shape {np.shape(admitted)} for {size} points")
-            X = np.concatenate([X, block])
-            ok = np.concatenate([ok, admitted])
+    draws = _AdmittedRows(
+        lambda k: from_chart_rows(manifold, rng.uniform(lo, hi, size=(k, manifold.dim))),
+        domain if domain is not None else (lambda X: np.ones(len(X), dtype=bool)),
+        200,
+        DomainError("could not draw an admissible sample in the box"),
+    )
 
     def values(X: np.ndarray) -> np.ndarray:
         vals = _field_values(field, X)
@@ -241,7 +271,7 @@ def geodesic_convexity_test(
         return vals
 
     # rows p_1, q_1, p_2, q_2, ...: each pair draws p, then q
-    ends = point_coords(manifold, admissible_rows(), rows=True)
+    ends = point_coords(manifold, draws.take(2 * samples), rows=True)
     h_ends = values(ends)
     p, q = ends[0::2], ends[1::2]
     hp, hq = h_ends[0::2, None], h_ends[1::2, None]
@@ -280,38 +310,6 @@ class UscReport:
 _USC_PERT_SCALE = 0.25
 
 
-class _NormalRows:
-    """The standard normal stream of a generator, as rows (dim,) held in one array.
-
-    standard_normal((k, dim)) draws what k calls of standard_normal(dim)
-    draw, so the rows are drawn in blocks ahead of their use: rows[at:] are
-    drawn but not yet read.  standard_normal reads the next row, which lets
-    the stream stand in for the generator.
-    """
-
-    def __init__(self, rng: np.random.Generator, dim: int) -> None:
-        self._rng = rng
-        self.rows = np.empty((0, dim))
-        self.at = 0
-
-    def ahead(self, count: int) -> None:
-        """Draw rows until count of them are unread."""
-        short = self.at + count - len(self.rows)
-        if short > 0:
-            more = self._rng.standard_normal((short, self.rows.shape[1]))
-            self.rows = np.concatenate([self.rows, more])
-
-    def standard_normal(self, size: int) -> np.ndarray:
-        self.ahead(1)
-        self.at += 1
-        return self.rows[self.at - 1]
-
-
-def _leading(mask: np.ndarray) -> int:
-    """How many entries of mask hold before its first False."""
-    return len(mask) if mask.all() else int(np.argmin(mask))
-
-
 def usc_sampler(
     obj: MaxObjective, p: Point, v, n: int, seed: int = 42, tolerance: float = 1e-3
 ) -> UscReport:
@@ -321,16 +319,12 @@ def usc_sampler(
     sequence (p_k, v_k) -> (p, v) with d(p_k, p) = 1/k, v_k the transport
     of v plus a random tangent of norm 0.25/k, and compares the largest tail
     value (final tenth) of the directional derivative against its value at
-    (p, v).  Step k draws the direction at p, then the kick at p_k if p_k is
-    admissible; one gen_dir_derivative call takes every row, and rejects a
-    non-finite v.
-
-    The normals are drawn in blocks.  A pass assumes that every step from
-    k on reads one direction row, then one kick row, and takes the steps up
-    to the first that does not: an inadmissible p_k reads no kick, and a
-    degenerate row is redrawn.  The next pass starts after an inadmissible
-    step's direction row; a step with a degenerate row runs on its own and
-    reads its rows one at a time.
+    (p, v).  Step k takes a direction at p, then a kick at p_k if p_k is
+    admissible, from the normal draws that usable_draws admits, as
+    normal_draw takes them but drawn in blocks (_AdmittedRows).  A pass
+    assumes that every step from k on is admissible and ends at the first
+    that is not.  One gen_dir_derivative call takes every row, and rejects
+    a non-finite v.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -339,47 +333,35 @@ def usc_sampler(
     if u.shape != x.shape:
         raise ValueError(f"direction must have shape {x.shape}, got {u.shape}")
     guard = obj.domain_guard
-    normals = _NormalRows(np.random.default_rng(seed), m.dim)
-    usable = units = np.empty(0)  # per drawn row: usable_draws, and its unit tangent at p
+    rng = np.random.default_rng(seed)
+    normals = _AdmittedRows(
+        lambda k: rng.standard_normal((k, m.dim)),
+        usable_draws,
+        16,
+        RuntimeError("failed to draw a non-degenerate tangent direction"),
+    )
     # per kept step: k, the point p_k and the kick's draw
     steps, X, kicks = [], [], []
     k, span = 1, n
     while k <= n:
-        first = k
-        # step k + i reads row 2i as its direction and row 2i + 1 as its kick,
-        # up to the first step that does not
+        # step k + i reads draw 2i as its direction and draw 2i + 1 as its
+        # kick, up to the first step whose point is inadmissible
         ks = np.arange(k, min(k + span, n + 1))
-        normals.ahead(2 * len(ks))
-        if len(units) < len(normals.rows):
-            usable = usable_draws(normals.rows)
-            with np.errstate(divide="ignore", invalid="ignore"):  # degenerate rows
-                units = unit_rows(m, x, normals.rows)
-        at = normals.at
-        # directions up to the first degenerate one, their points up to the
-        # first inadmissible one, and kicks up to the first degenerate one
-        j = _leading(usable[at : at + 2 * len(ks) : 2])
-        P = exp_rows(m, x, (1.0 / ks[:j, None]) * units[at : at + 2 * j : 2])
-        admitted = np.ones(j, dtype=bool) if guard is None else guard(P)
-        j = _leading(admitted)
-        kept = _leading(usable[at + 1 : at + 2 * j : 2])
-        # an inadmissible step reads its direction row alone and keeps nothing
-        discard = int(kept == j < len(admitted))
+        rows = normals.peek(2 * len(ks))
+        dirs = rows[::2]
+        P = exp_rows(m, x, (1.0 / ks[: len(dirs), None]) * unit_rows(m, x, dirs))
+        kept = len(P) if guard is None else _leading(guard(P))
+        # an inadmissible step reads its direction alone and keeps nothing
+        discard = int(kept < len(P))
+        # take the draws the pass read, which raises where normal_draw gives up
+        normals.take(2 * kept + 1 if discard else 2 * len(ks))
         P = point_coords(m, P[: kept + discard], rows=True)
         steps.append(ks[:kept])
         X.append(P[:kept])
-        kicks.append(normals.rows[at + 1 : at + 2 * kept : 2])
-        normals.at += 2 * kept + discard
+        kicks.append(rows[1 : 2 * kept : 2])
         k += kept + discard
-        if not discard and k - first < len(ks):
-            # a degenerate row: this step redraws it, as a one-step loop would
-            p_k = point_coords(m, exp_rows(m, x, (1.0 / k) * random_unit_coords(m, x, normals)))
-            if guard is None or guard(p_k):
-                steps.append(np.array([k]))
-                X.append(p_k[None])
-                kicks.append(normal_draw(m.dim, normals)[None])
-            k += 1
         # the next pass looks twice as far ahead as this one reached
-        span = 2 * (k - first)
+        span = 2 * (kept + discard)
     ks, P = np.concatenate(steps), np.concatenate(X)
     V = transport_rows(m, x, P, u) + (_USC_PERT_SCALE / ks[:, None]) * unit_rows(
         m, P, np.concatenate(kicks)

@@ -29,16 +29,16 @@ _default_rng = np.random.default_rng
 
 
 class _ZeroRowGenerator:
-    """A stand-in for a numpy Generator whose normal stream holds one all-zero row.
+    """A stand-in for a numpy Generator whose normal stream holds a run of all-zero rows.
 
     Its uniforms are those of default_rng(seed).  Its standard normals are
     the rows (dim,) of default_rng([seed, 1]), read in order whatever block
-    shape a call asks for, with row `zero` set to 0.
+    shape a call asks for, with `run` rows from row `zero` on set to 0.
     """
 
-    def __init__(self, seed, dim, zero):
+    def __init__(self, seed, dim, zero, run=1):
         rows = _default_rng([seed, 1]).standard_normal((6000, dim))
-        rows[zero] = 0.0
+        rows[zero : zero + run] = 0.0
         self._normals = rows.ravel()
         self._read = 0
         self._uniforms = _default_rng(seed)
@@ -54,7 +54,7 @@ class _ZeroRowGenerator:
 
 @pytest.fixture
 def zero_row_generator():
-    """The class of a generator whose normal stream holds one all-zero row."""
+    """The class of a generator whose normal stream holds a run of all-zero rows."""
     return _ZeroRowGenerator
 
 

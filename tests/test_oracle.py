@@ -14,7 +14,7 @@ from proxmax import (
     make_problem,
     with_prox_term,
 )
-from proxmax.manifold import Geometry, dist_rows
+from proxmax.manifold import Geometry, dist_rows, normal_draw
 from proxmax.oracle import (
     fd_gradient,
     geodesic_convexity_test,
@@ -323,6 +323,37 @@ def test_convexity_test_rejects_draws_as_the_reference(share, reference_convexit
     assert np.concatenate(judged)[: len(judged_ref)].tobytes() == np.array(judged_ref).tobytes()
 
 
+@pytest.mark.parametrize("rejected", [199, 200])
+@pytest.mark.parametrize("first", [0, 250], ids=["first-draws", "across-blocks"])
+def test_convexity_test_gives_up_after_200_rejected_draws_as_the_reference(
+    first, rejected, reference_convexity_test
+):
+    # the domain rejects the draws from `first` on and admits the others; 150
+    # pairs draw a first block of 300 rows, so from 250 on the run spans blocks
+    judged_ref, judged = [], []
+
+    def point_domain(p):
+        judged_ref.append(p)
+        return not first < len(judged_ref) <= first + rejected
+
+    def domain(X):
+        judged.extend(X)
+        at = np.arange(len(judged) - len(X), len(judged))
+        return ~((first <= at) & (at < first + rejected))
+
+    outcomes = []
+    for test, field, dom in (
+        (reference_convexity_test, lambda p: p.coords[0] ** 2, point_domain),
+        (geodesic_convexity_test, lambda X: X[:, 0] ** 2, domain),
+    ):
+        try:
+            outcomes.append(test(field, LP1, 150, 0.0, [0.2], [4.0], seed=3, domain=dom))
+        except DomainError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    assert isinstance(outcomes[1], str) == (rejected == 200)
+
+
 def test_convexity_test_rejects_a_domain_of_the_wrong_shape():
     with pytest.raises(ValueError, match="domain returned shape"):
         geodesic_convexity_test(
@@ -459,6 +490,41 @@ def test_usc_sampler_redraws_a_zero_row_as_the_reference(
     monkeypatch.setattr(np.random, "default_rng", lambda seed: zero_row_generator(seed, dim, zero))
     want = reference_usc_sampler(obj, p, v, n=1000, seed=5)
     assert usc_sampler(obj, p, v, n=1000, seed=5) == want
+
+
+@pytest.mark.parametrize("request_", ["paper_example", {"name": "paper_example_product", "n": 2}])
+def test_usc_sampler_redraws_15_zero_rows_in_a_row_as_the_reference(
+    request_, monkeypatch, zero_row_generator, reference_usc_sampler
+):
+    # from x = 1 no step is discarded, so rows 10 to 24 are all redraws of
+    # step 6's direction; normal_draw redraws up to 16 rows in a row
+    obj = make_problem(request_).objective
+    dim = obj.manifold.dim
+    p, v = Point(obj.manifold, np.ones(dim)), np.full(dim, 0.7)
+    zero_run = lambda seed: zero_row_generator(seed, dim, 10, 15)  # noqa: E731
+    monkeypatch.setattr(np.random, "default_rng", zero_run)
+    want = reference_usc_sampler(obj, p, v, n=1000, seed=5)
+    assert usc_sampler(obj, p, v, n=1000, seed=5) == want
+
+
+@pytest.mark.parametrize("request_", ["paper_example", {"name": "paper_example_product", "n": 2}])
+def test_usc_sampler_gives_up_on_16_zero_rows_in_a_row_as_normal_draw_does(
+    request_, monkeypatch, zero_row_generator
+):
+    # rows 10 to 25 are zero: step 6's direction is the draw that gives up
+    obj = make_problem(request_).objective
+    dim = obj.manifold.dim
+    p, v = Point(obj.manifold, np.ones(dim)), np.full(dim, 0.7)
+    zero_run = lambda seed: zero_row_generator(seed, dim, 10, 16)  # noqa: E731
+    monkeypatch.setattr(np.random, "default_rng", zero_run)
+    rows = np.random.default_rng(5)
+    for _ in range(10):
+        normal_draw(dim, rows)
+    with pytest.raises(RuntimeError) as want:
+        normal_draw(dim, rows)
+    with pytest.raises(RuntimeError) as got:
+        usc_sampler(obj, p, v, n=1000, seed=5)
+    assert str(got.value) == str(want.value) == "failed to draw a non-degenerate tangent direction"
 
 
 def test_usc_rejects_bad_direction_and_outside_point(log_example):
