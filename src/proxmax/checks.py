@@ -2,7 +2,7 @@
 
 Each function measures one fact the method rests on at samples the caller
 draws and returns the measurement; the caller takes the worst over its
-samples and applies its own bound.
+samples and applies its own bound.  Samples are chart rows (manifold.py).
 """
 
 from __future__ import annotations
@@ -12,18 +12,14 @@ import numpy as np
 from .manifold import (
     ManifoldKind,
     Point,
-    dist,
-    dist_rows,
-    exp_rows,
-    inner_rows,
-    log_rows,
-    norm_rows,
+    from_chart_rows,
     point_coords,
-    transport_rows,
+    row_dots,
+    row_norms,
+    to_chart_rows,
 )
 from .objective import (
     MaxObjective,
-    eval_f,
     eval_f_many,
     evaluate,
     gen_dir_derivative,
@@ -48,80 +44,79 @@ __all__ = [
 ]
 
 
-def geometry_deviation(m: ManifoldKind, p, q, r, v: np.ndarray) -> float:
-    """Worst deviation from the Hadamard identities over point rows p, q, r and tangents v at p.
+def geometry_deviation(m: ManifoldKind, zp, zq, zr) -> float:
+    """Worst deviation of the chart from an isometry over chart rows zp, zq and zr (N, n).
 
-    Per row: the exp/log round trip of v and the norm change of v carried to
-    q, relative to max(1, |v|); |log_map(p, q)| against d(p, q), relative to
-    max(1, d); and the excess of d(p, q) over the path through r.  Each is 0
-    up to rounding, and a NaN anywhere propagates to the result.
+    Per row: the round trip of zp through its point and back, relative to
+    max(1, |zp|); the distance of the points p and q, taken from their
+    coordinates as dist takes it, against the chart norm |zp - zq|, relative
+    to max(1, |zp - zq|); and the excess of d(p, q) over the path through r.
+    Each is 0 up to rounding, and a NaN anywhere propagates to the result.
     """
-    p, q, r = (point_coords(m, x, rows=True) for x in (p, q, r))
-    back = log_rows(m, p, point_coords(m, exp_rows(m, p, v), rows=True))
-    speed = norm_rows(m, p, v)
-    scale = np.maximum(1.0, speed)
-    d_pq = dist_rows(m, p, q)
+    p, q, r = (point_coords(m, from_chart_rows(m, z), rows=True) for z in (zp, zq, zr))
+
+    def d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return row_norms(to_chart_rows(m, a) - to_chart_rows(m, b))
+
+    chart = row_norms(zp - zq)
+    d_pq = d(p, q)
     deviations = [
-        norm_rows(m, p, back - v) / scale,
-        np.abs(norm_rows(m, p, log_rows(m, p, q)) - d_pq) / np.maximum(1.0, d_pq),
-        np.abs(norm_rows(m, q, transport_rows(m, p, q, v)) - speed) / scale,
-        d_pq - (dist_rows(m, p, r) + dist_rows(m, r, q)),
+        row_norms(to_chart_rows(m, p) - zp) / np.maximum(1.0, row_norms(zp)),
+        np.abs(d_pq - chart) / np.maximum(1.0, chart),
+        d_pq - (d(p, r) + d(r, q)),
     ]
     return float(np.max(deviations))
 
 
-def gradient_error(field: ArrayField, m: ManifoldKind, X, exact: np.ndarray) -> np.ndarray:
-    """Relative errors (N, ...) of exact, field's gradients at the rows X, against fd_gradient.
+def gradient_error(field: ArrayField, m: ManifoldKind, Z, exact: np.ndarray) -> np.ndarray:
+    """Relative errors (N, ...) of exact, field's chart gradients at Z, against fd_gradient.
 
     field maps rows (N, n) to values (N, ...), and exact holds their
-    gradients as tangent coordinates (N, ..., n).  Each error is relative to
+    gradients in the chart (N, ..., n).  Each error is relative to
     max(1, |exact|), and a NaN propagates.
     """
-    X = point_coords(m, X, rows=True)
-    # one base row per gradient, broadcast over the value axes
-    base = X.reshape((len(X),) + (1,) * (exact.ndim - 2) + (m.dim,))
-    error = norm_rows(m, base, exact - fd_gradient(field, m, X))
-    return error / np.maximum(1.0, norm_rows(m, base, exact))
+    return row_norms(exact - fd_gradient(field, m, Z)) / np.maximum(1.0, row_norms(exact))
 
 
 def shifted_convexity(
-    problem: BuiltinProblem, center: Point, lam: float, modulus: float, samples: int, seed: int
+    problem: BuiltinProblem, center, lam: float, modulus: float, samples: int, seed: int
 ) -> ConvexityReport:
-    """Chord test of f + (lam/2) d(., center)^2 for the given modulus over the problem's box.
+    """Chord test of f + (lam/2)|z - center|^2 for the given modulus over the problem's box.
 
-    With lam above the Lipschitz estimate L, the proximal step relies on
-    the modulus lam - L.
+    center holds chart coordinates (n,).  With lam above the Lipschitz
+    estimate L, the proximal step relies on the modulus lam - L.
     """
     h_obj = with_prox_term(problem.objective, center, lam)
+    lower, upper = problem.chart_box()
     return geodesic_convexity_test(
-        lambda X: eval_f_many(h_obj, X),
+        lambda Z: eval_f_many(h_obj, Z),
         h_obj.manifold,
         samples=samples,
         modulus=modulus,
-        lower=problem.region_lower,
-        upper=problem.region_upper,
+        lower=lower,
+        upper=upper,
         seed=seed,
         domain=h_obj.domain_guard,
     )
 
 
 def sum_rule_mismatch(
-    obj: MaxObjective, shifted: MaxObjective, center: Point, lam: float, X, V
+    obj: MaxObjective, shifted: MaxObjective, center, lam: float, Z, V
 ) -> np.ndarray:
     """How far shifted, meant as with_prox_term(obj, center, lam), breaks the sum rule.
 
-    One mismatch (N,) per point row of X and tangent row of V, both (N, n);
-    a NaN propagates.  The gradient of d(., center)^2 / 2 is -log_map(., center).
+    One mismatch (N,) per chart row of Z and tangent row of V, both (N, n);
+    a NaN propagates.  The gradient of |z - center|^2 / 2 is z - center.
     """
-    lhs = gen_dir_derivative(shifted, X, V)
-    m, X, V = obj.manifold, np.asarray(X, dtype=float), np.asarray(V, dtype=float)
-    pull = inner_rows(m, X, -log_rows(m, X, center.coords), V)
-    return np.abs(lhs - (gen_dir_derivative(obj, X, V) + lam * pull))
+    lhs = gen_dir_derivative(shifted, Z, V)
+    Z, V = np.asarray(Z, dtype=float), np.asarray(V, dtype=float)
+    pull = row_dots(Z - np.asarray(center, dtype=float), V)
+    return np.abs(lhs - (gen_dir_derivative(obj, Z, V) + lam * pull))
 
 
 def prox_grid_gaps(
     obj: MaxObjective,
-    p_k: Point,
+    z_k,
     lam: float,
     lipschitz: float,
     cfg: ProxConfig,
@@ -129,13 +124,16 @@ def prox_grid_gaps(
     upper: float,
     points: int,
 ) -> tuple[float, float]:
-    """Point and value gaps between the prox step from p_k and its subproblem's grid minimum.
+    """Chart distance and value gap between the prox step from z_k and its grid minimum.
 
-    The one-dimensional grid has points nodes on [lower, upper].
+    z_k holds the centre's chart coordinates (1,), and the one-dimensional
+    grid has points nodes on the chart interval [lower, upper].
     """
-    p_next = prox_step(obj, evaluate(obj, p_k), lam, cfg, lipschitz=lipschitz)[0].point
-    h_obj = with_prox_term(obj, p_k, lam)
-    g_pt, g_val = grid_minimize(
-        lambda X: eval_f_many(h_obj, X), obj.manifold, lower, upper, points
+    at = evaluate(obj, Point(obj.manifold, from_chart_rows(obj.manifold, z_k)))
+    z_next = prox_step(obj, at, lam, cfg, lipschitz=lipschitz)[0].z
+    h_obj = with_prox_term(obj, at.z, lam)
+    g_z, g_val = grid_minimize(
+        lambda Z: eval_f_many(h_obj, Z), obj.manifold, lower, upper, points
     )
-    return dist(p_next, g_pt), abs(eval_f(h_obj, p_next) - g_val)
+    h_next = float(eval_f_many(h_obj, z_next[None])[0])
+    return float(row_norms(z_next - g_z)), abs(h_next - g_val)

@@ -25,9 +25,9 @@ from .manifold import (
     InvalidPointError,
     ManifoldKind,
     Point,
-    dist_rows,
     from_chart_rows,
     normal_draw,
+    row_norms,
     to_chart,
     unit_rows,
 )
@@ -387,27 +387,16 @@ def _chord_detail(report: oracle.ConvexityReport) -> str:
 
 def _check_geometry(prep: _Prepared, rng: np.random.Generator) -> tuple[bool, str]:
     m = prep.problem.objective.manifold
-    count = 2000
-    zp, zq, zr, g = (np.empty((count, m.dim)) for _ in range(4))
-    speed = np.empty(count)
-    for i in range(count):
-        # one round trip at a time, drawing p, q, the speed and direction of
-        # v at p, then r: this order fixes the samples and so the report
-        zp[i] = rng.uniform(-2.0, 2.0, m.dim)
-        zq[i] = rng.uniform(-2.0, 2.0, m.dim)
-        speed[i] = rng.uniform(0.1, 3.0)
-        g[i] = normal_draw(m.dim, rng)
-        zr[i] = rng.uniform(-2.0, 2.0, m.dim)
-    p = from_chart_rows(m, zp)
-    v = speed[:, None] * unit_rows(m, p, g)
-    worst = checks.geometry_deviation(m, p, from_chart_rows(m, zq), from_chart_rows(m, zr), v)
+    # one draw of p, q and r per round trip, in that order, as rows: this fixes the samples
+    zp, zq, zr = np.moveaxis(rng.uniform(-2.0, 2.0, (2000, 3, m.dim)), 1, 0)
+    worst = checks.geometry_deviation(m, zp, zq, zr)
     return worst <= 1e-10, f"worst deviation {worst:.3e} (bound 1e-10)"
 
 
 def _check_fd_gradient(prep: _Prepared, rng: np.random.Generator) -> tuple[bool, str]:
     obj = prep.problem.objective
-    X = region_samples(prep.problem, 100, rng)
-    errors = checks.gradient_error(obj.phi, obj.manifold, X, branch_grads(obj, X))
+    Z = region_samples(prep.problem, 100, rng)
+    errors = checks.gradient_error(obj.phi, obj.manifold, Z, branch_grads(obj, Z))
     # np.max keeps a NaN, which fails the bound
     worst = float(np.max(errors))
     return worst <= 1e-6, f"worst relative error {worst:.3e} (bound 1e-6)"
@@ -416,28 +405,30 @@ def _check_fd_gradient(prep: _Prepared, rng: np.random.Generator) -> tuple[bool,
 def _check_strong_convexity(prep: _Prepared, rng: np.random.Generator) -> tuple[bool, str]:
     prep.schedule()  # raises LambdaBoundError for a weight the run refuses
     modulus = prep.lam - prep.lipschitz
+    seed = int(rng.integers(2**31))
     report = checks.shifted_convexity(
-        prep.problem, prep.start, prep.lam, modulus, samples=300, seed=int(rng.integers(2**31))
+        prep.problem, to_chart(prep.start), prep.lam, modulus, samples=300, seed=seed
     )
     return report.passed, _chord_detail(report)
 
 
 def _check_sum_rule(prep: _Prepared, rng: np.random.Generator) -> tuple[bool, str]:
     obj = prep.problem.objective
-    m = obj.manifold
+    dim = obj.manifold.dim
     lam = max(prep.lam, 1.0)
-    shifted = with_prox_term(obj, prep.start, lam)
-    X = region_samples(prep.problem, 100, rng)
+    center = to_chart(prep.start)
+    shifted = with_prox_term(obj, center, lam)
+    Z = region_samples(prep.problem, 100, rng)
     # speed, then direction, one sample at a time: this order fixes the draws and so the report
-    V = np.array([rng.uniform(0.5, 2.0) * unit_rows(m, x, normal_draw(m.dim, rng)) for x in X])
+    V = np.array([rng.uniform(0.5, 2.0) * unit_rows(normal_draw(dim, rng)) for _ in Z])
     # np.max keeps a NaN, which fails the bound
-    worst = float(np.max(checks.sum_rule_mismatch(obj, shifted, prep.start, lam, X, V)))
+    worst = float(np.max(checks.sum_rule_mismatch(obj, shifted, center, lam, Z, V)))
     return worst <= 1e-8, f"worst mismatch {worst:.3e} (bound 1e-8)"
 
 
 def _check_usc(prep: _Prepared, rng: np.random.Generator) -> tuple[bool, str]:
     obj = prep.problem.objective
-    v = unit_rows(obj.manifold, prep.start.coords, normal_draw(obj.manifold.dim, rng))
+    v = unit_rows(normal_draw(obj.manifold.dim, rng))
     # the 1e-3 bound is calibrated to the 1/k approach scale at n=1000
     report = oracle.usc_sampler(obj, prep.start, v, n=1000, seed=int(rng.integers(2**31)))
     return report.passed, f"tail gap {report.gap:.3e} (bound {report.tolerance})"
@@ -447,20 +438,16 @@ def _check_prox_vs_grid(
     prep: _Prepared, rng: np.random.Generator
 ) -> tuple[Optional[bool], str]:
     obj = prep.problem.objective
-    m = obj.manifold
-    if m.dim != 1:
+    if obj.manifold.dim != 1:
         return None, "grid cross-check runs on one-dimensional problems only"
     prep.schedule()  # raises LambdaBoundError for a weight the run refuses
-    lower, upper = prep.problem.region_lower, prep.problem.region_upper
-    lo, hi = float(lower[0]), float(upper[0])
-    z_lo, z_hi = to_chart(Point(m, lower)), to_chart(Point(m, upper))
+    lo, hi = (float(b[0]) for b in prep.problem.chart_box())
     worst_pt, worst_val = 0.0, 0.0
     for _ in range(10):
-        coords = from_chart_rows(m, rng.uniform(z_lo, z_hi))
         # keep the subproblem minimizer well inside the search box
-        coords = np.clip(coords, lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo))
+        z = np.clip(rng.uniform(lo, hi, 1), lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo))
         gap_pt, gap_val = checks.prox_grid_gaps(
-            obj, Point(m, coords), prep.lam, prep.lipschitz, prep.pcfg, lo + 1e-9, hi, 5001
+            obj, z, prep.lam, prep.lipschitz, prep.pcfg, lo + 1e-9, hi, 5001
         )
         worst_pt, worst_val = max(worst_pt, gap_pt), max(worst_val, gap_val)
     ok = worst_pt <= 1e-4 and worst_val <= 1e-8
@@ -468,16 +455,16 @@ def _check_prox_vs_grid(
 
 
 def _check_dist_convexity(prep: _Prepared, rng: np.random.Generator) -> tuple[bool, str]:
-    m = prep.problem.objective.manifold
-    center = prep.start.coords
+    center = to_chart(prep.start)
+    lower, upper = prep.problem.chart_box()
     report = oracle.geodesic_convexity_test(
         # float_power is the C pow of a float's ** 2
-        lambda X: 0.5 * np.float_power(dist_rows(m, X, center), 2.0),
-        m,
+        lambda Z: 0.5 * np.float_power(row_norms(Z - center), 2.0),
+        prep.problem.objective.manifold,
         samples=200,
         modulus=1.0,
-        lower=prep.problem.region_lower,
-        upper=prep.problem.region_upper,
+        lower=lower,
+        upper=upper,
         seed=int(rng.integers(2**31)),
     )
     return report.passed, _chord_detail(report)
@@ -493,12 +480,13 @@ def _check_subgrad_floor(
     m = obj.manifold
     f_q = eval_f(obj, Point(m, [meta["q"]]))
     c, delta = meta["c"], meta["delta"]
-    X = region_samples(prep.problem, 400)
-    f = eval_f_many(obj, X)
-    band = X[(c < f) & (f <= f_q)]
+    Z = region_samples(prep.problem, 400)
+    f = eval_f_many(obj, Z)
+    band = Z[(c < f) & (f <= f_q)]
     if len(band) == 0:
         return False, "no grid point landed in the level band"
-    floor = min(min_norm_subgradient(clarke_subdiff(obj, Point(m, x)))[1] for x in band)
+    points = (Point(m, x) for x in from_chart_rows(m, band))
+    floor = min(min_norm_subgradient(clarke_subdiff(obj, p))[1] for p in points)
     return floor > delta, (
         f"min subgradient norm {floor:.6f} over {len(band)} band points (must exceed {delta})"
     )

@@ -1,21 +1,19 @@
-"""Geometry primitives for the two supported spaces.
+"""The two supported geometries and their flat chart.
 
 Two geometries are shipped: flat Euclidean space R^n, and the positive
 orthant (0, inf)^n carrying the coordinate-wise metric <u, v>_x = u v / x^2.
-The latter is globally isometric to flat space through z = ln(x), so every
-operation below has an exact closed form and nothing is integrated
-numerically.
+Each has a global isometric chart onto flat space: z = x on R^n and
+z = ln(x) on the orthant.  So the library works in chart coordinates, where
+geodesics are straight lines, exp and log are + and -, transport is the
+identity and the metric is the dot product, and f is pulled back through
+the chart.  This module is the only one that knows which geometry it is on.
 
-Points are immutable after construction; all operations are pure
-functions, so values can be shared freely across threads.  A tangent
-vector is its coordinates (n,) at a point the caller names; there is no
-tangent type.  Each closed form has one implementation, a row kernel on
-coordinate arrays of shape (..., n): inner_rows, norm_rows, dist_rows,
-exp_rows, log_rows and transport_rows.  The solver and the checks call
-these kernels on rows.  Point is the validated container for the API edge,
-and dist checks its operands and runs the kernel on one row.  exp_map,
-log_map and transport do the same but have no caller in the library; the
-benchmark's tracer (perfbench/spans.py) looks them up by name.
+A point in x coordinates, the Point, lives at the API edge: configs, solve's
+start and records, and the Point-taking entry points.  from_chart_rows and
+to_chart cross between the two.  A tangent is its chart coordinates (n,);
+there is no tangent type.  exp_map, log_map, transport and dist are the
+chart forms on Points and have no caller in the library; the benchmark's
+tracer (perfbench/spans.py) looks them up by name.
 """
 
 from __future__ import annotations
@@ -26,38 +24,31 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "EXP_CLAMP",
     "MIN_POSITIVE_COORD",
     "Geometry",
     "GeometryError",
     "MismatchError",
     "InvalidPointError",
-    "ExpOverflowError",
     "ManifoldKind",
     "Point",
     "point_coords",
+    "chart_coords",
     "euclidean",
     "log_positive",
     "from_chart_rows",
+    "to_chart_rows",
     "to_chart",
-    "chart_scale_rows",
+    "row_dots",
+    "row_norms",
     "usable_draws",
     "normal_draw",
     "unit_rows",
-    "inner_rows",
-    "norm_rows",
     "dist",
-    "dist_rows",
     "exp_map",
-    "exp_rows",
     "log_map",
-    "log_rows",
     "transport",
-    "transport_rows",
 ]
 
-# |exponent| beyond this overflows float64
-EXP_CLAMP = 700.0
 # positive-orthant coordinates at or below this count as degenerate
 MIN_POSITIVE_COORD = 1e-300
 
@@ -72,10 +63,6 @@ class MismatchError(GeometryError):
 
 class InvalidPointError(GeometryError):
     """Coordinates do not describe a valid point of the manifold."""
-
-
-class ExpOverflowError(GeometryError):
-    """An exponential-map argument would overflow float64."""
 
 
 class Geometry(enum.Enum):
@@ -105,6 +92,10 @@ def log_positive(dim: int) -> ManifoldKind:
     return ManifoldKind(Geometry.LOG_POSITIVE, dim)
 
 
+def _is_log(m: ManifoldKind) -> bool:
+    return m.geometry is Geometry.LOG_POSITIVE
+
+
 def point_coords(manifold: ManifoldKind, coords, rows: bool = False) -> np.ndarray:
     """Validated float coordinates of one point (dim,), or of points stacked as rows (N, dim).
 
@@ -124,11 +115,23 @@ def point_coords(manifold: ManifoldKind, coords, rows: bool = False) -> np.ndarr
     # ndarray.all and .any skip the np.all/np.any wrappers, which dominate a one-point check
     if not np.isfinite(arr).all():
         raise InvalidPointError(f"point coordinates has non-finite entries: {arr}")
-    if manifold.geometry is Geometry.LOG_POSITIVE and (arr <= MIN_POSITIVE_COORD).any():
+    if _is_log(manifold) and (arr <= MIN_POSITIVE_COORD).any():
         raise InvalidPointError(
             f"log-positive coordinates must exceed {MIN_POSITIVE_COORD}: {arr}"
         )
     return arr
+
+
+def chart_coords(manifold: ManifoldKind, z, rows: bool = False) -> np.ndarray:
+    """Validated float chart coordinates of one point (dim,), or of points stacked as rows (N, dim).
+
+    They must be those of valid points: point_coords checks from_chart_rows
+    of them, and raises InvalidPointError.
+    """
+    z = np.asarray(z, dtype=float)
+    with np.errstate(over="ignore"):
+        point_coords(manifold, from_chart_rows(manifold, z), rows)
+    return z if rows else np.atleast_1d(z)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,17 +150,13 @@ class Point:
         return f"Point({self.manifold.geometry.value}, {self.coords.tolist()})"
 
 
-def _is_log(m: ManifoldKind) -> bool:
-    return m.geometry is Geometry.LOG_POSITIVE
-
-
 def _require_same_manifold(p: Point, q: Point) -> None:
     if p.manifold != q.manifold:
         raise MismatchError(f"points on different manifolds: {p.manifold} vs {q.manifold}")
 
 
 def from_chart_rows(manifold: ManifoldKind, z) -> np.ndarray:
-    """Coordinates (..., n) of the points with flat-chart coordinates z (..., n).
+    """Coordinates (..., n) of the points with chart coordinates z (..., n).
 
     The rows are not validated; point_coords does that.
     """
@@ -165,23 +164,18 @@ def from_chart_rows(manifold: ManifoldKind, z) -> np.ndarray:
     return np.exp(z) if _is_log(manifold) else z
 
 
+def to_chart_rows(manifold: ManifoldKind, x) -> np.ndarray:
+    """Chart coordinates (..., n) of the points with coordinates x (..., n), a new array."""
+    x = np.asarray(x, dtype=float)
+    return np.log(x) if _is_log(manifold) else x.copy()
+
+
 def to_chart(p: Point) -> np.ndarray:
-    """Flat-chart coordinates of a point (inverse of from_chart_rows)."""
-    if _is_log(p.manifold):
-        return np.log(p.coords)
-    return p.coords.copy()
+    """Chart coordinates (n,) of a point."""
+    return to_chart_rows(p.manifold, p.coords)
 
 
-def chart_scale_rows(manifold: ManifoldKind, p: np.ndarray) -> np.ndarray:
-    """dx/dz at the points with coordinates p (..., n), for the flat chart z.
-
-    A tangent with coordinates v at p has chart components v / chart_scale_rows(p),
-    and the chart is an isometry, so their Euclidean norm is the metric norm.
-    """
-    return p if _is_log(manifold) else np.ones_like(p)
-
-
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.dot of each pair of rows of a and b (..., n).
 
     A stacked matmul reaches BLAS as np.dot and np.linalg.norm do, and on
@@ -195,95 +189,21 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def inner_rows(
-    manifold: ManifoldKind, p: np.ndarray, u: np.ndarray, v: np.ndarray
-) -> np.ndarray:
-    """Metric pairing of the tangents u and v at p, on coordinate rows, all (..., n)."""
-    return np.sum(u * v / p**2, axis=-1) if _is_log(manifold) else _row_dots(u, v)
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean lengths (...,) of the rows v (..., n).
 
-
-def norm_rows(manifold: ManifoldKind, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Metric length of the tangent v at p, on coordinate rows, both (..., n)."""
-    return np.sqrt(np.maximum(inner_rows(manifold, p, v, v), 0.0))
-
-
-def dist_rows(manifold: ManifoldKind, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Closed form of dist on coordinate rows p and q (..., n), broadcast."""
-    chord = np.log(p / q) if _is_log(manifold) else p - q
-    return np.sqrt(_row_dots(chord, chord))
-
-
-def dist(p: Point, q: Point) -> float:
-    """Geodesic distance between p and q."""
-    _require_same_manifold(p, q)
-    return float(dist_rows(p.manifold, p.coords, q.coords))
-
-
-def exp_rows(manifold: ManifoldKind, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Closed form of exp_map on coordinate rows: p (..., n) moved by tangent v (..., n).
-
-    Raises ExpOverflowError when a log-positive exponent would overflow; the
-    result rows are not validated as points.
+    On chart tangents this is the metric norm, and on a difference of chart
+    rows the geodesic distance, since the chart is an isometry.
     """
-    if not _is_log(manifold):
-        return p + v
-    expo = v / p
-    if np.any(np.abs(expo) > EXP_CLAMP):
-        raise ExpOverflowError(
-            f"exponent magnitude exceeds {EXP_CLAMP}: max {np.max(np.abs(expo))}"
-        )
-    return p * np.exp(expo)
-
-
-def log_rows(manifold: ManifoldKind, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Closed form of log_map on coordinate rows: the tangent at p (..., n) towards q."""
-    return p * np.log(q / p) if _is_log(manifold) else q - p
-
-
-def transport_rows(
-    manifold: ManifoldKind, p: np.ndarray, q: np.ndarray, v: np.ndarray
-) -> np.ndarray:
-    """Closed form of transport on coordinate rows: v at p carried to q, all (..., n)."""
-    return v * q / p if _is_log(manifold) else v.copy()
-
-
-def _tangent_coords(p: Point, v) -> np.ndarray:
-    """Validated float coordinates (n,) of a tangent at p."""
-    arr = np.atleast_1d(np.asarray(v, dtype=float))
-    if arr.shape != p.coords.shape:
-        raise InvalidPointError(
-            f"tangent coordinates must have shape {p.coords.shape}, got {arr.shape}"
-        )
-    if not np.isfinite(arr).all():
-        raise InvalidPointError(f"tangent coordinates has non-finite entries: {arr}")
-    return arr
-
-
-def exp_map(p: Point, v) -> Point:
-    """Point reached after unit time along the geodesic leaving p with velocity v (n,)."""
-    return Point(p.manifold, exp_rows(p.manifold, p.coords, _tangent_coords(p, v)))
-
-
-def log_map(p: Point, q: Point) -> np.ndarray:
-    """Initial velocity (n,) at p of the unit-time geodesic from p to q."""
-    _require_same_manifold(p, q)
-    return log_rows(p.manifold, p.coords, q.coords)
-
-
-def transport(p: Point, q: Point, v) -> np.ndarray:
-    """Parallel transport of v (n,) at p along the geodesic to q: tangent coordinates at q."""
-    _require_same_manifold(p, q)
-    return transport_rows(p.manifold, p.coords, q.coords, _tangent_coords(p, v))
+    return np.sqrt(row_dots(v, v))
 
 
 def usable_draws(g: np.ndarray) -> np.ndarray:
     """Whether each standard normal draw g (..., n) is long enough to give a direction.
 
-    A draw is judged by its own Euclidean length, which must exceed 1e-12,
-    not by its metric norm at a point: on the orthant that norm is |g| / x,
-    which would reject every draw at large coordinates.
+    A draw must have a Euclidean length above 1e-12.
     """
-    return np.sqrt(_row_dots(g, g)) > 1e-12
+    return row_norms(g) > 1e-12
 
 
 def normal_draw(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -295,11 +215,44 @@ def normal_draw(dim: int, rng: np.random.Generator) -> np.ndarray:
     raise RuntimeError("failed to draw a non-degenerate tangent direction")
 
 
-def unit_rows(manifold: ManifoldKind, p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The tangents g at p scaled to unit metric norm, on coordinate rows, both (..., n).
+def unit_rows(g: np.ndarray) -> np.ndarray:
+    """The chart tangents g (..., n) scaled to unit length.
 
-    For normal draws g (normal_draw) the direction is rotation-invariant,
-    except on the orthant at dim > 1, where the metric weighs coordinate i
-    by 1 / x_i^2.
+    For normal draws g (normal_draw) the direction is rotation-invariant.
     """
-    return (1.0 / norm_rows(manifold, p, g))[..., None] * g
+    return (1.0 / row_norms(g))[..., None] * g
+
+
+def _tangent_coords(p: Point, v) -> np.ndarray:
+    """Validated float chart coordinates (n,) of a tangent at p."""
+    arr = np.atleast_1d(np.asarray(v, dtype=float))
+    if arr.shape != p.coords.shape:
+        raise InvalidPointError(
+            f"tangent coordinates must have shape {p.coords.shape}, got {arr.shape}"
+        )
+    if not np.isfinite(arr).all():
+        raise InvalidPointError(f"tangent coordinates has non-finite entries: {arr}")
+    return arr
+
+
+def dist(p: Point, q: Point) -> float:
+    """Geodesic distance between p and q: the length of their chart difference."""
+    _require_same_manifold(p, q)
+    return float(row_norms(to_chart(p) - to_chart(q)))
+
+
+def exp_map(p: Point, v) -> Point:
+    """Point reached after unit time along the geodesic leaving p with chart velocity v (n,)."""
+    return Point(p.manifold, from_chart_rows(p.manifold, to_chart(p) + _tangent_coords(p, v)))
+
+
+def log_map(p: Point, q: Point) -> np.ndarray:
+    """Chart velocity (n,) at p of the unit-time geodesic from p to q."""
+    _require_same_manifold(p, q)
+    return to_chart(q) - to_chart(p)
+
+
+def transport(p: Point, q: Point, v) -> np.ndarray:
+    """Parallel transport of the chart tangent v (n,) from p to q: v itself, in the chart."""
+    _require_same_manifold(p, q)
+    return _tangent_coords(p, v).copy()

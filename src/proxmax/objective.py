@@ -1,11 +1,14 @@
 """Pointwise-maximum objectives and their generalized derivative machinery.
 
-An objective is f(p) = max over a finite parameter grid of smooth branches
-phi(p, tau), given as row forms: one call takes every branch value, or
-every branch gradient, at many points.  The generalized directional
-derivative at p along v is the largest metric pairing <g, v> over gradients
-of branches active at p, taken at many rows at once; the generalized
-subdifferential is the convex hull of those gradients, held as one array.
+An objective is f(z) = max over a finite parameter grid of smooth branches
+phi(z, tau), given on chart rows z (manifold.py): one call takes every
+branch value, or every branch gradient, at many points.  In the chart the
+metric is Euclidean, so a gradient is the plain gradient in z and a tangent
+is its chart coordinates.  The generalized directional derivative at z
+along v is the largest dot product <g, v> over gradients of branches active
+at z, taken at many rows at once; the generalized subdifferential is the
+convex hull of those gradients, held as one array.  eval_f, evaluate and
+clarke_subdiff take a Point, the API edge, and read its chart coordinates.
 
 simplex_qp minimizes |w @ G|^2 / (2c) - w @ h over the unit simplex exactly,
 in finitely many steps.  With h = 0 it gives min_norm_subgradient, which is
@@ -24,13 +27,10 @@ from .manifold import (
     ManifoldKind,
     MismatchError,
     Point,
-    chart_scale_rows,
-    dist_rows,
-    inner_rows,
-    log_rows,
-    norm_rows,
-    point_coords,
-    transport_rows,
+    chart_coords,
+    row_dots,
+    row_norms,
+    to_chart,
 )
 
 __all__ = [
@@ -81,39 +81,38 @@ class ParamSet:
         return int(self.values.size)
 
 
-# coordinates (..., n) -> admissibility (...,); or rows (N, n) -> branch values
-# (N, m) or branch gradients (N, m, n)
-CoordsMap = Callable[[np.ndarray], np.ndarray]
+# chart coordinates (..., n) -> admissibility (...,); or chart rows (N, n) ->
+# branch values (N, m) or branch gradients (N, m, n)
+ChartMap = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class MaxObjective:
-    """f(p) = max over tau in params of phi(p, tau), with every branch taken at once.
+    """f(z) = max over tau in params of phi(z, tau), with every branch taken at once.
 
-    phi maps point coordinates X of shape (N, n) to every branch value at
-    every row, shape (N, m), columns in params order.  grad_phi maps the
-    same rows to every branch's Riemannian gradient as tangent coordinates,
-    shape (N, m, n), branches in params order; converting flat derivatives
-    through the metric is the problem definition's job, not this module's.
-    lipschitz_bound, when given, bounds every branch-gradient Lipschitz
-    constant.
+    phi maps chart rows Z of shape (N, n) to every branch value at every
+    row, shape (N, m), columns in params order.  grad_phi maps the same rows
+    to every branch's gradient in z, shape (N, m, n), branches in params
+    order: the pullback's Euclidean gradient, which is the Riemannian
+    gradient in chart coordinates.  lipschitz_bound, when given, bounds
+    every branch-gradient Lipschitz constant.
 
     domain_guard marks the open admissible region; None means the whole
-    manifold.  It maps point coordinates of shape (..., n) to a bool array
+    manifold.  It maps chart coordinates of shape (..., n) to a bool array
     of shape (...,), so one call checks a single point or many rows.
     """
 
     manifold: ManifoldKind
     params: ParamSet
-    phi: CoordsMap
-    grad_phi: CoordsMap
+    phi: ChartMap
+    grad_phi: ChartMap
     lipschitz_bound: Optional[float] = None
-    domain_guard: Optional[CoordsMap] = None
+    domain_guard: Optional[ChartMap] = None
 
     def check_domain(self, p: Point) -> None:
         if p.manifold != self.manifold:
             raise MismatchError("point does not live on the objective's manifold")
-        if self.domain_guard is not None and not self.domain_guard(p.coords):
+        if self.domain_guard is not None and not self.domain_guard(to_chart(p)):
             raise DomainError(f"point {p.coords.tolist()} is outside the admissible region")
 
 
@@ -121,8 +120,8 @@ class MaxObjective:
 class SubdiffHull:
     """Convex hull of branch gradients at a base point.
 
-    generators holds their tangent coordinates at base as rows (k >= 1, n),
-    kept as a read-only view of the array given.
+    generators holds them as chart coordinates, rows (k >= 1, n), kept as a
+    read-only view of the array given.
     """
 
     base: Point
@@ -141,77 +140,77 @@ def eval_f(obj: MaxObjective, p: Point) -> float:
     return float(_branch_values(obj, _point_row(obj, p))[0].max())
 
 
-def eval_f_many(obj: MaxObjective, X) -> np.ndarray:
-    """Objective values (N,) at the points stored as rows of X (N, n).
+def eval_f_many(obj: MaxObjective, Z) -> np.ndarray:
+    """Objective values (N,) at the chart rows Z (N, n).
 
     Runs eval_branches, with its checks, and takes the max of each row.
     """
-    return np.max(eval_branches(obj, X), axis=1)
+    return np.max(eval_branches(obj, Z), axis=1)
 
 
-def eval_branches(obj: MaxObjective, X) -> np.ndarray:
-    """Every branch value (N, m) at the points stored as rows of X (N, n).
+def eval_branches(obj: MaxObjective, Z) -> np.ndarray:
+    """Every branch value (N, m) at the chart rows Z (N, n).
 
     Columns follow params.  Runs eval_f's checks on every row: each must be
-    a valid point of the manifold (InvalidPointError), lie in the domain and
+    the chart row of a valid point (InvalidPointError), lie in the domain and
     give finite branch values (DomainError).  Evaluates all rows in one phi
     call.
     """
-    return _branch_values(obj, _admissible_rows(obj, X))
+    return _branch_values(obj, _admissible_rows(obj, Z))
 
 
-def branch_grads(obj: MaxObjective, X) -> np.ndarray:
-    """Every branch gradient (N, m, n) at the points stored as rows of X (N, n).
+def branch_grads(obj: MaxObjective, Z) -> np.ndarray:
+    """Every branch gradient (N, m, n) at the chart rows Z (N, n).
 
-    Entry [k, i] holds the tangent coordinates of the gradient of branch
-    params[i] at X[k].  Checks the rows as eval_branches does, then takes one
-    grad_phi call and checks its shape (ValueError).  Raises DomainError
-    naming the first row with a non-finite gradient entry.
+    Entry [k, i] holds the gradient in z of branch params[i] at Z[k].
+    Checks the rows as eval_branches does, then takes one grad_phi call and
+    checks its shape (ValueError).  Raises DomainError naming the first row
+    with a non-finite gradient entry.
     """
-    return _branch_gradients(obj, _admissible_rows(obj, X))
+    return _branch_gradients(obj, _admissible_rows(obj, Z))
 
 
-def _admissible_rows(obj: MaxObjective, X) -> np.ndarray:
-    """X as validated point rows (N, n) of the objective's manifold, each in its domain."""
-    X = point_coords(obj.manifold, X, rows=True)
+def _admissible_rows(obj: MaxObjective, Z) -> np.ndarray:
+    """Z as validated chart rows (N, n) of the objective's manifold, each in its domain."""
+    Z = chart_coords(obj.manifold, Z, rows=True)
     if obj.domain_guard is not None:
-        inside = np.asarray(obj.domain_guard(X), dtype=bool)
+        inside = np.asarray(obj.domain_guard(Z), dtype=bool)
         if not inside.all():
-            bad = X[int(np.argmin(inside))]
-            raise DomainError(f"point {bad.tolist()} is outside the admissible region")
-    return X
+            bad = Z[int(np.argmin(inside))]
+            raise DomainError(f"chart point {bad.tolist()} is outside the admissible region")
+    return Z
 
 
-def _require_finite(arr: np.ndarray, X: np.ndarray, what: str) -> np.ndarray:
-    """arr, whose leading axis follows the rows X.
+def _require_finite(arr: np.ndarray, Z: np.ndarray, what: str) -> np.ndarray:
+    """arr, whose leading axis follows the rows Z.
 
-    Raises DomainError naming the first row with a non-finite entry.
+    Raises DomainError naming the first chart row with a non-finite entry.
     """
     finite = np.isfinite(arr)
     if not finite.all():
-        bad = X[int(np.argmin(finite.reshape(len(X), -1).all(axis=1)))]
-        raise DomainError(f"{what} is non-finite at {bad.tolist()}")
+        bad = Z[int(np.argmin(finite.reshape(len(Z), -1).all(axis=1)))]
+        raise DomainError(f"{what} is non-finite at chart point {bad.tolist()}")
     return arr
 
 
-def _branch_values(obj: MaxObjective, X: np.ndarray) -> np.ndarray:
+def _branch_values(obj: MaxObjective, Z: np.ndarray) -> np.ndarray:
     """eval_branches on rows that _admissible_rows has checked."""
-    return _require_finite(np.asarray(obj.phi(X), dtype=float), X, "branch value")
+    return _require_finite(np.asarray(obj.phi(Z), dtype=float), Z, "branch value")
 
 
-def _branch_gradients(obj: MaxObjective, X: np.ndarray) -> np.ndarray:
+def _branch_gradients(obj: MaxObjective, Z: np.ndarray) -> np.ndarray:
     """branch_grads on rows that _admissible_rows has checked."""
-    grads = np.asarray(obj.grad_phi(X), dtype=float)
-    shape = (len(X), len(obj.params), obj.manifold.dim)
+    grads = np.asarray(obj.grad_phi(Z), dtype=float)
+    shape = (len(Z), len(obj.params), obj.manifold.dim)
     if grads.shape != shape:
         raise ValueError(f"grad_phi returned shape {grads.shape}, expected {shape}")
-    return _require_finite(grads, X, "branch gradient")
+    return _require_finite(grads, Z, "branch gradient")
 
 
 def _point_row(obj: MaxObjective, p: Point) -> np.ndarray:
-    """p's coordinates, which Point has validated, as one row (1, n) after check_domain."""
+    """p's chart coordinates, which Point has validated, as one row (1, n) after check_domain."""
     obj.check_domain(p)
-    return p.coords[None]
+    return to_chart(p)[None]
 
 
 def _active_mask(vals: np.ndarray) -> np.ndarray:
@@ -222,13 +221,14 @@ def _active_mask(vals: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Evaluation:
-    """A point with every branch value (m,) and branch gradient (m, n) there.
+    """A point, its chart coordinates z (n,), and every branch value (m,) and gradient (m, n) at z.
 
     evaluate builds it with the checks of eval_branches and branch_grads;
     prox.inner_solve builds one at its result from the rows it has checked.
     """
 
     point: Point
+    z: np.ndarray
     values: np.ndarray
     grads: np.ndarray
 
@@ -244,8 +244,8 @@ class Evaluation:
 
 def evaluate(obj: MaxObjective, p: Point) -> Evaluation:
     """Every branch value and gradient at p: one row each, with their checks."""
-    X = _point_row(obj, p)
-    return Evaluation(p, _branch_values(obj, X)[0], _branch_gradients(obj, X)[0])
+    Z = _point_row(obj, p)
+    return Evaluation(p, Z[0], _branch_values(obj, Z)[0], _branch_gradients(obj, Z)[0])
 
 
 def clarke_subdiff(obj: MaxObjective, p: Point) -> SubdiffHull:
@@ -253,18 +253,18 @@ def clarke_subdiff(obj: MaxObjective, p: Point) -> SubdiffHull:
     return evaluate(obj, p).subdiff()
 
 
-def gen_dir_derivative(obj: MaxObjective, X, V) -> np.ndarray:
-    """Generalized directional derivatives (N,) at point rows X (N, n) along tangent rows V (N, n).
+def gen_dir_derivative(obj: MaxObjective, Z, V) -> np.ndarray:
+    """Generalized directional derivatives (N,) at chart rows Z (N, n) along tangent rows V (N, n).
 
-    Entry k pairs V[k] with each active branch gradient at X[k] and takes the largest.
+    Entry k pairs V[k] with each active branch gradient at Z[k] and takes the largest.
     One phi and one grad_phi call, with the checks of eval_branches and branch_grads.
     """
-    X = _admissible_rows(obj, X)
+    Z = _admissible_rows(obj, Z)
     V = np.asarray(V, dtype=float)
-    if V.shape != X.shape or not np.isfinite(V).all():
-        raise ValueError(f"tangent rows must be finite, shape {X.shape}; got shape {V.shape}")
-    active = _active_mask(_branch_values(obj, X))
-    pairs = inner_rows(obj.manifold, X[:, None], _branch_gradients(obj, X), V[:, None])
+    if V.shape != Z.shape or not np.isfinite(V).all():
+        raise ValueError(f"tangent rows must be finite, shape {Z.shape}; got shape {V.shape}")
+    active = _active_mask(_branch_values(obj, Z))
+    pairs = row_dots(_branch_gradients(obj, Z), V[:, None])
     return np.where(active, pairs, -np.inf).max(axis=1)
 
 
@@ -353,82 +353,72 @@ def simplex_qp(G: np.ndarray, h: Optional[np.ndarray] = None, c: float = 1.0) ->
 
 
 def min_norm_subgradient(hull: SubdiffHull) -> tuple[np.ndarray, float]:
-    """Minimum-norm element of the hull, as tangent coordinates (n,) at its base, and its norm.
+    """Minimum-norm element of the hull, as chart coordinates (n,), and its norm.
 
-    Exact for every hull: runs simplex_qp on the generators' flat-chart
-    components, where the metric is Euclidean.  When n + 1 generators keep
-    weight, their affine hull is the whole tangent space and the element is
-    the origin itself.
+    Exact for every hull: runs simplex_qp on the generators.  When n + 1
+    generators keep weight, their affine hull is the whole tangent space and
+    the element is the origin itself.
     """
-    base, m = hull.base, hull.base.manifold
-    if len(hull.generators) == 1:
-        g = hull.generators[0]
+    dim = hull.base.manifold.dim
+    G = hull.generators
+    if len(G) == 1:
+        g = G[0]
     else:
-        scale = chart_scale_rows(m, base.coords)
-        G = hull.generators / scale
         w = simplex_qp(G)
-        if np.count_nonzero(w) > m.dim:
-            return np.zeros(m.dim), 0.0
-        g = (w @ G) * scale
-    return g, float(norm_rows(m, base.coords, g))
+        if np.count_nonzero(w) > dim:
+            return np.zeros(dim), 0.0
+        g = w @ G
+    return g, float(row_norms(g))
 
 
 def estimate_sup_lipschitz(obj: MaxObjective, samples) -> float:
     """Upper estimate of the largest branch-gradient Lipschitz constant.
 
-    samples holds the sample points as rows (S, n), as region_samples
+    samples holds the sample points as chart rows (S, n), as region_samples
     returns them.  Returns the declared bound when the objective carries
-    one.  Otherwise takes the largest transported difference quotient of
-    each branch gradient over all sample pairs and inflates it by
-    LIPSCHITZ_SAFETY_FACTOR.  The quotient is
-    norm_rows(p_j, g_j - transport_rows(p_i, p_j, g_i)) / dist_rows(p_i, p_j),
-    evaluated for every pair of one branch at once; pairs closer than 1e-14
-    are skipped.  All gradients come
-    from one branch_grads call, (S, m, n), and the pair pass holds O(S^2 n)
-    for S samples in dimension n (64 samples give 2016 pairs).
+    one.  Otherwise takes the largest difference quotient
+    |g_j - g_i| / |z_j - z_i| of each branch gradient over all sample pairs
+    (transport is the identity in the chart) and inflates it by
+    LIPSCHITZ_SAFETY_FACTOR; the quotients of one branch are one array pass,
+    and pairs closer than 1e-14 are skipped.  All gradients come from one
+    branch_grads call, (S, m, n), and the pair pass holds O(S^2 n) for S
+    samples in dimension n (64 samples give 2016 pairs).
     """
     if obj.lipschitz_bound is not None:
         return float(obj.lipschitz_bound)
-    m = obj.manifold
-    X = point_coords(m, samples, rows=True)
-    if len(X) < 2:
+    Z = chart_coords(obj.manifold, samples, rows=True)
+    if len(Z) < 2:
         raise ValueError("need at least two region samples to estimate a Lipschitz bound")
-    grads = branch_grads(obj, X)
-    i, j = np.triu_indices(len(X), k=1)
-    p_i, p_j = X[i], X[j]
-    d = dist_rows(m, p_i, p_j)
+    grads = branch_grads(obj, Z)
+    i, j = np.triu_indices(len(Z), k=1)
+    d = row_norms(Z[i] - Z[j])
     keep = d > 1e-14
     best = 0.0
     for b in range(grads.shape[1]):
         vecs = grads[:, b]
-        gap = norm_rows(m, p_j, vecs[j] - transport_rows(m, p_i, p_j, vecs[i]))
-        # fmax ignores a NaN quotient (p_j**2 can underflow) instead of returning it
-        best = float(np.fmax.reduce(gap[keep] / d[keep], initial=best))
+        gap = row_norms(vecs[j] - vecs[i])
+        best = float(np.max(gap[keep] / d[keep], initial=best))
     return LIPSCHITZ_SAFETY_FACTOR * best
 
 
-def with_prox_term(obj: MaxObjective, pbar: Point, lam: float) -> MaxObjective:
-    """The objective with (lam/2) d(., pbar)^2 added to every branch.
+def with_prox_term(obj: MaxObjective, center, lam: float) -> MaxObjective:
+    """The objective with (lam/2) |z - center|^2 added to every branch.
 
-    Branch order and active sets are preserved because the added term does
-    not depend on the branch parameter.  phi adds the term through dist_rows
-    and grad_phi adds lam times the gradient of d(., pbar)^2 / 2 through
-    log_rows.
+    center holds the prox centre's chart coordinates (n,).  Branch order and
+    active sets are preserved because the added term does not depend on the
+    branch parameter; grad_phi adds its gradient lam (z - center).
     """
-    if pbar.manifold != obj.manifold:
-        raise MismatchError("prox center lives on a different manifold")
+    center = chart_coords(obj.manifold, center)
     lam = float(lam)
 
-    def phi(X: np.ndarray) -> np.ndarray:
+    def phi(Z: np.ndarray) -> np.ndarray:
         # float_power is the C pow of a float's ** 2; np.power squares instead,
         # and the two can differ in the last bit
-        sq = np.float_power(dist_rows(obj.manifold, X, pbar.coords), 2.0)
-        return obj.phi(X) + (0.5 * lam * sq)[:, None]
+        sq = np.float_power(row_norms(Z - center), 2.0)
+        return obj.phi(Z) + (0.5 * lam * sq)[:, None]
 
-    def grad_phi(X: np.ndarray) -> np.ndarray:
-        # the gradient of d(., pbar)^2 / 2 is -log_map(., pbar)
-        pull = lam * -log_rows(obj.manifold, X, pbar.coords)
-        return obj.grad_phi(X) + pull[:, None, :]
+    def grad_phi(Z: np.ndarray) -> np.ndarray:
+        return obj.grad_phi(Z) + (lam * (Z - center))[:, None, :]
 
     return MaxObjective(
         manifold=obj.manifold,

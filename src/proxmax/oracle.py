@@ -1,21 +1,20 @@
 """Slow verification oracles.
 
 What is independent here is the method: gradients come from central
-differences, minimizers from dense grids with a golden-section polish,
+differences, minimizers from dense grids polished by finer grids,
 convexity from random chord checks, and semicontinuity from seeded
-sampling.  The geometry is not: the steps of fd_gradient, the chords of the
-convexity test and the samples of usc_sampler run through the library's own
-row kernels (exp_rows, log_rows, dist_rows, transport_rows).  The geometry
-tests check those kernels against their closed forms.
+sampling.  All of them work on chart rows (manifold.py), where geodesics
+are straight lines and the metric is Euclidean; the geometry tests check
+the chart itself.
 
 The grid search, the convexity test and fd_gradient take an array field on
-point coordinates (N, n).  The grid search runs on one-dimensional
-manifolds and evaluates all its nodes in one field call, so a 5001-node
-grid costs one call rather than 5001; the convexity test makes one call for
-all chord endpoints and one for all points along the chords; fd_gradient
+chart rows (N, n).  The grid search runs on one-dimensional manifolds and
+evaluates all the nodes of each grid in one field call, so a 5001-node grid
+costs one call rather than 5001; the convexity test makes one call for all
+chord endpoints and one for all points along the chords; fd_gradient
 differentiates a field with values (N, ...), such as every branch value, at
-all rows in 2n calls.  usc_sampler takes an objective and evaluates all its
-samples in one call.
+all rows in 2n calls.  usc_sampler takes an objective and a Point and
+evaluates all its samples in one call.
 
 The convexity test and usc_sampler draw by one rule (_AdmittedRows): each
 sample takes the next row of a private random stream that a test admits,
@@ -25,26 +24,21 @@ So the samples and the reports are those of that loop.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .manifold import (
-    Geometry,
     ManifoldKind,
     Point,
-    dist_rows,
-    exp_rows,
-    from_chart_rows,
-    log_rows,
-    point_coords,
-    transport_rows,
+    chart_coords,
+    row_norms,
+    to_chart,
     unit_rows,
     usable_draws,
 )
-from .objective import CoordsMap, DomainError, MaxObjective, gen_dir_derivative
+from .objective import ChartMap, DomainError, MaxObjective, gen_dir_derivative
 
 __all__ = [
     "fd_gradient",
@@ -55,59 +49,37 @@ __all__ = [
     "usc_sampler",
 ]
 
-GOLDEN_WIDTH = 1e-10
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# the grid search polishes its best node down to a bracket this wide, with
+# this many nodes per polishing grid
+POLISH_WIDTH = 1e-10
+_POLISH_NODES = 65
 
 ArrayField = Callable[[np.ndarray], np.ndarray]
 
 
-def fd_gradient(field: ArrayField, manifold: ManifoldKind, X) -> np.ndarray:
-    """Central-difference gradients (N, ..., n) of an array field at the point rows X (N, n).
+def fd_gradient(field: ArrayField, manifold: ManifoldKind, Z) -> np.ndarray:
+    """Central-difference gradients (N, ..., n) of an array field at the chart rows Z (N, n).
 
     field maps rows (N, n) to values (N, ...), and entry [k, ..., i] of the
     result belongs to value [k, ...] and coordinate i.  Differences are taken
-    through exp_rows along each tangent coordinate direction, with steps
-    sqrt(eps) * max(1, |coordinate|), then converted to gradients with the
-    metric (the sharp of the estimated differential).  Shifted rows that are
-    not valid points raise InvalidPointError, and out-of-domain evaluations
-    propagate.
+    along each chart coordinate, with steps sqrt(eps) * max(1, |z_i|).
+    Shifted rows that are not valid chart rows raise InvalidPointError, and
+    out-of-domain evaluations propagate.
     """
-    X = point_coords(manifold, X, rows=True)
-    steps = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(X))
-    sharp = X**2 if manifold.geometry is Geometry.LOG_POSITIVE else np.ones_like(X)
+    Z = chart_coords(manifold, Z, rows=True)
+    steps = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(Z))
 
     def values(shift: np.ndarray) -> np.ndarray:
-        moved = point_coords(manifold, exp_rows(manifold, X, shift), rows=True)
-        return np.asarray(field(moved), dtype=float)
+        return np.asarray(field(chart_coords(manifold, Z + shift, rows=True)), dtype=float)
 
     columns = []
     for i in range(manifold.dim):
-        e = np.zeros_like(X)
+        e = np.zeros_like(Z)
         e[:, i] = steps[:, i]
-        # transposed, the rows run along the last axis and meet steps and sharp there
+        # transposed, the rows run along the last axis and meet steps there
         diff = (values(e) - values(-e)).T
-        columns.append((diff / (2.0 * steps[:, i]) * sharp[:, i]).T)
+        columns.append((diff / (2.0 * steps[:, i])).T)
     return np.stack(columns, axis=-1)
-
-
-def _golden_refine(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section search down to a bracket of width GOLDEN_WIDTH."""
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(300):
-        if hi - lo <= GOLDEN_WIDTH:
-            break
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INVPHI * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INVPHI * (hi - lo)
-            f2 = f(x2)
-    xbest, fbest = (x1, f1) if f1 <= f2 else (x2, f2)
-    return xbest, fbest
 
 
 def _field_values(field: ArrayField, X: np.ndarray) -> np.ndarray:
@@ -170,15 +142,18 @@ class _AdmittedRows:
 
 def grid_minimize(
     field: ArrayField, manifold: ManifoldKind, lower: float, upper: float, points: int
-) -> tuple[Point, float]:
-    """Brute-force minimizer of an array field over the interval [lower, upper].
+) -> tuple[np.ndarray, float]:
+    """Brute-force minimizer (1,) of an array field over the chart interval [lower, upper].
 
-    field maps node coordinates (N, 1) to values (N,).  The manifold must be
+    field maps chart rows (N, 1) to values (N,).  The manifold must be
     one-dimensional, and every one of the points evenly spaced nodes must be
-    a valid point of it.  The first minimal node wins; NaN and +inf nodes
+    a valid chart row of it.  The first minimal node wins; NaN and +inf nodes
     never win, and RuntimeError is raised when no node does.  The best node
-    is then polished by golden-section search between its neighbors, with
-    field called on (1, 1) arrays.
+    is then polished by grids of _POLISH_NODES nodes, each between the
+    neighbors of the last grid's best node, down to a bracket of width
+    POLISH_WIDTH; a node replaces the best only with a lower value.  Each
+    grid takes one field call.  Returns the minimizer's chart coordinates
+    and its value.
     """
     if manifold.dim != 1:
         raise ValueError(f"grid search needs a one-dimensional manifold, got dim {manifold.dim}")
@@ -190,20 +165,19 @@ def grid_minimize(
     if points < 2:
         raise ValueError("points must be at least 2")
     axis = np.linspace(lower, upper, points)
-    nodes = point_coords(manifold, axis[:, None], rows=True)
-    vals = _field_values(field, nodes)
-    k = int(np.argmin(np.where(np.isnan(vals), np.inf, vals)))
-    best_coords, best_val = nodes[k], float(vals[k])
-    if not best_val < np.inf:
-        raise RuntimeError("no grid node has a value below +inf")
-    x, val = _golden_refine(
-        lambda c: float(field(point_coords(manifold, [[c]], rows=True))[0]),
-        float(axis[max(k - 1, 0)]),
-        float(axis[min(k + 1, points - 1)]),
-    )
-    if val < best_val:
-        best_coords, best_val = np.array([x]), val
-    return Point(manifold, best_coords), best_val
+    best_z, best_val = None, np.inf
+    while True:
+        nodes = chart_coords(manifold, axis[:, None], rows=True)
+        vals = _field_values(field, nodes)
+        k = int(np.argmin(np.where(np.isnan(vals), np.inf, vals)))
+        if vals[k] < best_val:
+            best_z, best_val = nodes[k], float(vals[k])
+        elif best_z is None:
+            raise RuntimeError("no grid node has a value below +inf")
+        lo, hi = axis[max(k - 1, 0)], axis[min(k + 1, len(axis) - 1)]
+        if hi - lo <= POLISH_WIDTH:
+            return best_z, best_val
+        axis = np.linspace(lo, hi, _POLISH_NODES)
 
 
 @dataclass(frozen=True)
@@ -229,19 +203,20 @@ def geodesic_convexity_test(
     upper,
     seed: int = 42,
     slack: float = 1e-8,
-    domain: Optional[CoordsMap] = None,
+    domain: Optional[ChartMap] = None,
 ) -> ConvexityReport:
-    """Chord test for geodesic strong convexity over a coordinate box.
+    """Chord test for geodesic strong convexity over a box in chart coordinates.
 
-    field maps point coordinates (N, n) to values (N,).  Draws endpoint
-    pairs uniformly in the flat chart of the box, checks h(gamma(t)) against
-    the strongly convex chord bound at t = 0.1 .. 0.9, and reports the worst
-    violation beyond the slack.  An optional domain maps point rows (N, n)
-    to bools (N,), like MaxObjective.domain_guard: endpoint j is the j-th
-    draw it admits, and DomainError is raised when an endpoint comes after
-    200 rejected draws in a row.  The draws come in row blocks (_AdmittedRows).
-    One field call evaluates all endpoints and one all chord points; a NaN
-    value raises ValueError naming its point.
+    field maps chart rows (N, n) to values (N,), and lower and upper are the
+    box's corners (n,) in the chart.  Draws endpoint pairs uniformly in the
+    box, checks h(gamma(t)) against the strongly convex chord bound at
+    t = 0.1 .. 0.9, where gamma is the chart's straight segment, and reports
+    the worst violation beyond the slack.  An optional domain maps chart
+    rows (N, n) to bools (N,), like MaxObjective.domain_guard: endpoint j is
+    the j-th draw it admits, and DomainError is raised when an endpoint
+    comes after 200 rejected draws in a row.  The draws come in row blocks
+    (_AdmittedRows).  One field call evaluates all endpoints and one all
+    chord points; a NaN value raises ValueError naming its point.
     """
     if modulus < 0:
         raise ValueError(f"modulus must be >= 0, got {modulus}")
@@ -251,36 +226,32 @@ def geodesic_convexity_test(
     hi = np.atleast_1d(np.asarray(upper, dtype=float))
     if lo.shape != (manifold.dim,) or hi.shape != (manifold.dim,):
         raise ValueError("box bounds must match the manifold dimension")
-    if manifold.geometry is Geometry.LOG_POSITIVE:
-        if np.any(lo <= 0):
-            raise ValueError("box bounds must be positive on the log-positive orthant")
-        lo, hi = np.log(lo), np.log(hi)
     rng = np.random.default_rng(seed)
     draws = _AdmittedRows(
-        lambda k: from_chart_rows(manifold, rng.uniform(lo, hi, size=(k, manifold.dim))),
-        domain if domain is not None else (lambda X: np.ones(len(X), dtype=bool)),
+        lambda k: rng.uniform(lo, hi, size=(k, manifold.dim)),
+        domain if domain is not None else (lambda Z: np.ones(len(Z), dtype=bool)),
         200,
         DomainError("could not draw an admissible sample in the box"),
     )
 
-    def values(X: np.ndarray) -> np.ndarray:
-        vals = _field_values(field, X)
+    def values(Z: np.ndarray) -> np.ndarray:
+        vals = _field_values(field, chart_coords(manifold, Z, rows=True))
         nan = np.isnan(vals)
         if np.any(nan):
-            raise ValueError(f"field value is NaN at {X[int(np.argmax(nan))].tolist()}")
+            raise ValueError(f"field value is NaN at {Z[int(np.argmax(nan))].tolist()}")
         return vals
 
     # rows p_1, q_1, p_2, q_2, ...: each pair draws p, then q
-    ends = point_coords(manifold, draws.take(2 * samples), rows=True)
+    ends = draws.take(2 * samples)
     h_ends = values(ends)
     p, q = ends[0::2], ends[1::2]
     hp, hq = h_ends[0::2, None], h_ends[1::2, None]
+    chord = q - p
     # float_power is the C pow of a float's ** 2
-    d2 = np.float_power(dist_rows(manifold, p, q), 2.0)[:, None]
+    d2 = np.float_power(row_norms(chord), 2.0)[:, None]
     ts = np.arange(1, 10) / 10.0
-    steps = ts[:, None] * log_rows(manifold, p, q)[:, None, :]
-    on_chords = exp_rows(manifold, p[:, None, :], steps).reshape(-1, manifold.dim)
-    h_chords = values(point_coords(manifold, on_chords, rows=True)).reshape(samples, ts.size)
+    on_chords = (p[:, None, :] + ts[:, None] * chord[:, None, :]).reshape(-1, manifold.dim)
+    h_chords = values(on_chords).reshape(samples, ts.size)
     gaps = h_chords - ((1.0 - ts) * hp + ts * hq - 0.5 * modulus * ts * (1.0 - ts) * d2)
     # a NaN gap (infinite values on both sides) confirms nothing: a violation
     n_violations = int(np.count_nonzero(~(gaps <= slack)))
@@ -315,23 +286,23 @@ def usc_sampler(
 ) -> UscReport:
     """Sampled upper-semicontinuity check of the directional derivative.
 
-    v holds the direction's tangent coordinates (n,) at p.  Builds a
-    sequence (p_k, v_k) -> (p, v) with d(p_k, p) = 1/k, v_k the transport
-    of v plus a random tangent of norm 0.25/k, and compares the largest tail
-    value (final tenth) of the directional derivative against its value at
-    (p, v).  Step k takes a direction at p, then a kick at p_k if p_k is
-    admissible, from the normal draws that usable_draws admits, as
-    normal_draw takes them but drawn in blocks (_AdmittedRows).  A pass
-    assumes that every step from k on is admissible and ends at the first
-    that is not.  One gen_dir_derivative call takes every row, and rejects
-    a non-finite v.
+    v holds the direction's chart coordinates (n,).  Builds a sequence
+    (z_k, v_k) -> (z, v) in the chart of p with |z_k - z| = 1/k and
+    v_k = v plus a random tangent of norm 0.25/k (transport is the identity
+    in the chart), and compares the largest tail value (final tenth) of the
+    directional derivative against its value at (z, v).  Step k takes a
+    direction, then a kick if z_k is admissible, from the normal draws that
+    usable_draws admits, as normal_draw takes them but drawn in blocks
+    (_AdmittedRows).  A pass assumes that every step from k on is
+    admissible and ends at the first that is not.  One gen_dir_derivative
+    call takes every row, and rejects a non-finite v.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     obj.check_domain(p)
-    m, x, u = obj.manifold, p.coords, np.asarray(v, dtype=float)
-    if u.shape != x.shape:
-        raise ValueError(f"direction must have shape {x.shape}, got {u.shape}")
+    m, z, u = obj.manifold, to_chart(p), np.asarray(v, dtype=float)
+    if u.shape != z.shape:
+        raise ValueError(f"direction must have shape {z.shape}, got {u.shape}")
     guard = obj.domain_guard
     rng = np.random.default_rng(seed)
     normals = _AdmittedRows(
@@ -340,8 +311,8 @@ def usc_sampler(
         16,
         RuntimeError("failed to draw a non-degenerate tangent direction"),
     )
-    # per kept step: k, the point p_k and the kick's draw
-    steps, X, kicks = [], [], []
+    # per kept step: k, the chart point z_k and the kick's draw
+    steps, Z, kicks = [], [], []
     k, span = 1, n
     while k <= n:
         # step k + i reads draw 2i as its direction and draw 2i + 1 as its
@@ -349,27 +320,25 @@ def usc_sampler(
         ks = np.arange(k, min(k + span, n + 1))
         rows = normals.peek(2 * len(ks))
         dirs = rows[::2]
-        P = exp_rows(m, x, (1.0 / ks[: len(dirs), None]) * unit_rows(m, x, dirs))
+        P = z + (1.0 / ks[: len(dirs), None]) * unit_rows(dirs)
         kept = len(P) if guard is None else _leading(guard(P))
         # an inadmissible step reads its direction alone and keeps nothing
         discard = int(kept < len(P))
         # take the draws the pass read, which raises where normal_draw gives up
         normals.take(2 * kept + 1 if discard else 2 * len(ks))
-        P = point_coords(m, P[: kept + discard], rows=True)
+        P = chart_coords(m, P[: kept + discard], rows=True)
         steps.append(ks[:kept])
-        X.append(P[:kept])
+        Z.append(P[:kept])
         kicks.append(rows[1 : 2 * kept : 2])
         k += kept + discard
         # the next pass looks twice as far ahead as this one reached
         span = 2 * (kept + discard)
-    ks, P = np.concatenate(steps), np.concatenate(X)
-    V = transport_rows(m, x, P, u) + (_USC_PERT_SCALE / ks[:, None]) * unit_rows(
-        m, P, np.concatenate(kicks)
-    )
+    ks, P = np.concatenate(steps), np.concatenate(Z)
+    V = u + (_USC_PERT_SCALE / ks[:, None]) * unit_rows(np.concatenate(kicks))
     values = np.full(n + 1, -np.inf)  # entry k for step k, discarded steps at -inf
     keep = np.concatenate([[0], ks])
-    X, V = np.concatenate([x[None], P]), np.concatenate([u[None], V])
-    values[keep] = gen_dir_derivative(obj, X, V)
+    Z, V = np.concatenate([z[None], P]), np.concatenate([u[None], V])
+    values[keep] = gen_dir_derivative(obj, Z, V)
     reference, discarded = float(values[0]), n + 1 - len(keep)
     tail_start = max((9 * n) // 10, 1)
     tail = values[tail_start:]

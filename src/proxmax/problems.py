@@ -1,4 +1,9 @@
-"""Built-in problem instances used by the CLI and the test suite."""
+"""Built-in problem instances used by the CLI and the test suite.
+
+Each objective's branches are given on chart rows (manifold.py): on the
+log-positive orthant z = ln x, so a branch written in x is composed with
+x = e^z and its gradient is the derivative in z.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .manifold import Point, euclidean, from_chart_rows, log_positive, point_coords
+from .manifold import Point, chart_coords, euclidean, log_positive, to_chart_rows
 from .objective import MaxObjective, ParamSet
 
 __all__ = [
@@ -33,6 +38,11 @@ class BuiltinProblem:
     region_upper: np.ndarray
     metadata: dict = field(default_factory=dict)
 
+    def chart_box(self) -> tuple[np.ndarray, np.ndarray]:
+        """The region's lower and upper corners in chart coordinates, each (n,)."""
+        m = self.objective.manifold
+        return to_chart_rows(m, self.region_lower), to_chart_rows(m, self.region_upper)
+
 
 @functools.lru_cache(maxsize=None)
 def _second_branch_mask(n: int) -> np.ndarray:
@@ -49,7 +59,8 @@ def paper_example_product(n: int = 2, epsilon: float = 0.125) -> BuiltinProblem:
     the branches ln x and -ln x + e^{-2x} - e^{-2}, written as a max over
     all 2^n branch assignments (one parameter per bit pattern) so the hull
     machinery sees every locally active gradient.  Each coordinate must
-    exceed epsilon.
+    exceed epsilon.  In the chart z = ln x the branches are z and
+    -z + e^{-2e^z} - e^{-2}, with gradients 1 and -1 - 2e^z e^{-2e^z}.
     """
     # concrete types: the numbers ABCs add ~20 us to a build whose caches are cold
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
@@ -67,23 +78,23 @@ def paper_example_product(n: int = 2, epsilon: float = 0.125) -> BuiltinProblem:
         raise ValueError(f"epsilon must lie in (0, 0.3125), got {epsilon}")
     m = log_positive(n)
     second = _second_branch_mask(n)
+    lower = np.full(n, epsilon)
+    # the chart of the region's lower corner, as chart_box computes it
+    log_epsilon = np.log(lower)
 
-    def phi(X: np.ndarray) -> np.ndarray:
-        f1 = np.log(X)
-        f2 = -np.log(X) + np.exp(-2.0 * X) - np.exp(-2.0)
-        return np.where(second, f2[:, None, :], f1[:, None, :]).sum(axis=2)
+    def phi(Z: np.ndarray) -> np.ndarray:
+        f2 = -Z + np.exp(-2.0 * np.exp(Z)) - np.exp(-2.0)
+        return np.where(second, f2[:, None, :], Z[:, None, :]).sum(axis=2)
 
-    def grad_phi(X: np.ndarray) -> np.ndarray:
-        # (N, n) rows -> (N, 2^n, n): x**2 * flat, multiplied in place so the
-        # (N, 2^n, n) array exists once
-        X = X[:, None, :]
-        flat = np.where(second, -1.0 / X - 2.0 * np.exp(-2.0 * X), 1.0 / X)
-        flat *= X**2
-        return flat
+    def grad_phi(Z: np.ndarray) -> np.ndarray:
+        # (N, n) rows -> (N, 2^n, n)
+        X = np.exp(Z)
+        g2 = -1.0 - 2.0 * X * np.exp(-2.0 * X)
+        return np.where(second, g2[:, None, :], 1.0)
 
-    def guard(x: np.ndarray) -> np.ndarray:
+    def guard(z: np.ndarray) -> np.ndarray:
         # ndarray.all skips np.all's wrapper, which dominates a one-point check
-        return (x > epsilon).all(axis=-1)
+        return (z > log_epsilon).all(axis=-1)
 
     obj = MaxObjective(
         manifold=m,
@@ -97,7 +108,7 @@ def paper_example_product(n: int = 2, epsilon: float = 0.125) -> BuiltinProblem:
         name="paper_example_product",
         objective=obj,
         start=Point(m, np.full(n, 0.3125)),
-        region_lower=np.full(n, epsilon),
+        region_lower=lower,
         region_upper=np.full(n, 4.0),
         metadata={"epsilon": epsilon, "n": n, "minimizer": [1.0] * n},
     )
@@ -136,11 +147,11 @@ def abs_value() -> BuiltinProblem:
 
     slopes = 1.0 - 2.0 * params.values
 
-    def phi(X: np.ndarray) -> np.ndarray:
-        return slopes * X
+    def phi(Z: np.ndarray) -> np.ndarray:
+        return slopes * Z
 
-    def grad_phi(X: np.ndarray) -> np.ndarray:
-        return np.tile(slopes[:, None], (len(X), 1, 1))
+    def grad_phi(Z: np.ndarray) -> np.ndarray:
+        return np.tile(slopes[:, None], (len(Z), 1, 1))
 
     obj = MaxObjective(
         manifold=m,
@@ -169,13 +180,13 @@ def quadratic() -> BuiltinProblem:
     """
     m = euclidean(1)
 
-    def phi(X: np.ndarray) -> np.ndarray:
+    def phi(Z: np.ndarray) -> np.ndarray:
         # float_power is the C pow of a float's ** 2, which np.power would
         # replace by a square
-        return 0.5 * np.float_power(X, 2.0)
+        return 0.5 * np.float_power(Z, 2.0)
 
-    def grad_phi(X: np.ndarray) -> np.ndarray:
-        return X[:, None, :].copy()
+    def grad_phi(Z: np.ndarray) -> np.ndarray:
+        return Z[:, None, :].copy()
 
     obj = MaxObjective(
         manifold=m,
@@ -229,24 +240,21 @@ def make_problem(request) -> BuiltinProblem:
 def region_samples(
     problem: BuiltinProblem, count: int = 64, rng: Optional[np.random.Generator] = None
 ) -> np.ndarray:
-    """Deterministic interior samples of the problem's declared region, as point rows (count, n).
+    """Deterministic interior samples of the problem's declared region, as chart rows (count, n).
 
-    One dimension uses an even grid in the flat chart.  Higher dimensions
+    One dimension uses an even grid in the chart box.  Higher dimensions
     take one uniform (count, n) draw in the chart box from the supplied
-    generator, which is then required.  The rows are validated points of
-    the problem's manifold and read-only.
+    generator, which is then required.  The rows are validated chart rows
+    of the problem's manifold and read-only.
     """
     m = problem.objective.manifold
-    lo = problem.region_lower.astype(float)
-    hi = problem.region_upper.astype(float)
-    if m.geometry.value == "log_positive":
-        lo, hi = np.log(lo), np.log(hi)
+    lo, hi = problem.chart_box()
     if m.dim == 1:
         z = np.linspace(lo[0], hi[0], count + 2)[1:-1, None]
     elif rng is None:
         raise ValueError("higher-dimensional regions need an explicit generator")
     else:
         z = rng.uniform(lo, hi, size=(count, m.dim))
-    X = point_coords(m, from_chart_rows(m, z), rows=True)
-    X.flags.writeable = False
-    return X
+    Z = chart_coords(m, z, rows=True)
+    Z.flags.writeable = False
+    return Z

@@ -1,20 +1,23 @@
 """Proximal point outer loop and the inner subproblem solver.
 
-Each outer step minimizes h = f + (lam/2) d(., p_k)^2.  With lam strictly
+Both geometries have a global isometric chart (manifold.py), so the
+method of Ferreira & Oliveira on them is the Euclidean proximal point
+method on the pullback of f, and everything here runs on chart rows z.
+Each outer step minimizes h = f + (lam/2)|z - z_k|^2.  With lam strictly
 above the largest branch-gradient Lipschitz constant the subproblem is
-geodesically strongly convex with modulus lam minus that constant, so the
-step is unique.  The scaled step lam * log_map(p_next, p_k) is a
-generalized subgradient of f at p_next up to the inner tolerance, which
-makes lam * d(p_next, p_k) the natural stationarity residual.
+strongly convex with modulus lam minus that constant, so the step is
+unique.  The scaled step lam (z_k - z_next) is a generalized subgradient
+of f at z_next up to the inner tolerance, which makes lam |z_next - z_k|,
+lam times the geodesic distance, the natural stationarity residual.
 
-The inner solver takes prox-linear steps in the flat chart z (z = x, or
-z = ln x), solving each step's model exactly through objective.simplex_qp;
-Point appears only at its edges, and tangents are coordinate arrays.
+The inner solver takes prox-linear steps, solving each step's model
+exactly through objective.simplex_qp.  Point appears only at the edges:
+solve's start, its records and a failed solve's last iterate.
 
 Each iterate is evaluated once.  inner_solve takes the centre as an
-objective.Evaluation (its branch values and gradients) and returns one at
-its result; solve reads each record's value and minimum-norm subgradient
-from it, and the next outer step starts from it.
+objective.Evaluation (its chart row, branch values and gradients) and
+returns one at its result; solve reads each record's value and
+minimum-norm subgradient from it, and the next outer step starts from it.
 """
 
 from __future__ import annotations
@@ -28,10 +31,8 @@ from .manifold import (
     GeometryError,
     InvalidPointError,
     Point,
-    chart_scale_rows,
-    dist,
     from_chart_rows,
-    to_chart,
+    row_norms,
 )
 from .objective import (
     DomainError,
@@ -62,6 +63,8 @@ __all__ = [
 _STEP_BACKTRACKS = 40
 # an accepted step lowers h by at least this share of the model's decrease
 _ARMIJO = 1e-4
+# the last trial's share of a full step
+_T_MIN = 0.5 ** (_STEP_BACKTRACKS - 1)
 # rounding allowance of an h comparison, relative to the largest |h_i|
 _H_NOISE = 16.0 * np.finfo(float).eps
 
@@ -202,52 +205,60 @@ class Trace:
 def inner_solve(
     obj: MaxObjective, center: Evaluation, lam: float, rho: float, cfg: ProxConfig
 ) -> tuple[Evaluation, int]:
-    """Minimize h = f + (lam/2) d(., center)^2 from center by prox-linear steps.
+    """Minimize h = f + (lam/2)|z - z_c|^2 from center by prox-linear steps on chart rows.
 
-    In the flat chart z the branches of h are h_i(z) = phi_i + (lam/2)|z - z_c|^2.
-    Each step minimizes the model max_i [h_i(z) + <grad h_i(z), d>] + (c/2)|d|^2.
+    The branches of h are h_i(z) = phi_i + (lam/2)|z - z_c|^2.  Each step
+    minimizes the model max_i [h_i(z) + <grad h_i(z), d>] + (c/2)|d|^2.
     simplex_qp solves its dual, min over the simplex of
     |sum w_i grad h_i|^2 / (2c) - sum w_i h_i, exactly, and
     d = -sum w_i grad h_i / c.  An Armijo search on h halves the step on
-    domain or overflow exits and on too little decrease.  The first step
-    takes c = lam + rho, which makes the model bound h from above when rho
-    bounds the branch-gradient Lipschitz constants; each later step takes
-    the curvature of the previous step's branch mix sum w_i h_i along that
+    domain exits and on too little decrease.  The first step takes
+    c = lam + rho, which makes the model bound h from above when rho bounds
+    the branch-gradient Lipschitz constants; each later step takes the
+    curvature of the previous step's branch mix sum w_i h_i along that
     step, at least lam - rho.  That secant is lam on affine branches, and it
     corrects a bound below the branches' curvature (quadratic declares 0).
 
     The certificate c|d| bounds the distance from 0 to the
     eps-subdifferential of h at z, eps = h(z) - sum w_i h_i.  Once it is at
     most cfg.inner_tol the solver returns z + d from that step, after its
-    own search (or z, if rounding leaves no decrease to see): near a kink,
-    z + d lies on it.  Returns the Evaluation of the result and the number
-    of steps taken; raises InnerCapError when the cfg.max_inner-th step is
-    still uncertified, when a search fails, or when an uncertified step is
+    own search: near a kink, z + d lies on it, or returns z when the search
+    finds no decrease.  Where the model's decrease is below the rounding of
+    h (at a zero of f, where the branch values cancel), a trial that rises
+    by more than the allowance, even scaled to the last trial's step, ends
+    the search at once.
+    Returns the Evaluation of the result and the number of steps taken;
+    raises InnerCapError when the cfg.max_inner-th step is still
+    uncertified, when a search fails, or when an uncertified step is
     accepted that rounds back to z (the step is below the floating-point
     resolution at z, so every later step would repeat it).  An accepted
-    trial keeps its branch values and takes one gradient row.  The steps
-    read coordinate rows; a Point is built only for the result or the error.
+    trial keeps its branch values and takes one gradient row.  A Point is
+    built only for the result or the error.
     """
     m = obj.manifold
     c = lam + rho
-    z0 = to_chart(center.point)
+    z0 = center.z
 
     def trial(zt: np.ndarray):
-        """(x, branch values of f, of h) at chart point zt, or None outside the domain."""
-        with np.errstate(over="ignore"):
-            xt = from_chart_rows(m, zt)
+        """(branch values of f, of h) at chart point zt, or None outside the domain."""
         try:
-            vals = eval_branches(obj, xt[None])[0]
+            vals = eval_branches(obj, zt[None])[0]
         except (DomainError, InvalidPointError):
             return None
         dz = zt - z0
-        return xt, vals, vals + 0.5 * lam * float(dz @ dz)
+        return vals, vals + 0.5 * lam * float(dz @ dz)
 
-    z, x, grads = z0, center.point.coords, center.grads
+    def cap_error(message: str, cert: float) -> InnerCapError:
+        return InnerCapError(message, Point(m, from_chart_rows(m, z)), it, cert)
+
+    def result() -> Evaluation:
+        return center if z is z0 else Evaluation(Point(m, from_chart_rows(m, z)), z, fv, grads)
+
+    z, grads = z0, center.grads
     fv = hv = center.values
     it, s = 0, None
     while True:
-        G = grads / chart_scale_rows(m, x) + lam * (z - z0)
+        G = grads + lam * (z - z0)
         if s is not None and s @ s > 0.0:
             # curvature of the last step's branch mix along that step
             c = max(s @ (w @ G - u) / (s @ s), lam - rho)
@@ -257,44 +268,45 @@ def inner_solve(
         certified = cert <= cfg.inner_tol
         it += 1
         if not certified and it == cfg.max_inner:
-            raise InnerCapError(
-                f"inner cap {cfg.max_inner} reached with certificate {cert:.3e}",
-                Point(m, x),
-                it,
-                cert,
-            )
-        if cert == 0.0:  # z minimizes its own model: there is no step to search
-            return Evaluation(Point(m, x), fv, grads), it
+            raise cap_error(f"inner cap {cfg.max_inner} reached with certificate {cert:.3e}", cert)
         h = hv.max()
         decrease = h - w @ hv + cert * cert / c
         noise = _H_NOISE * abs(hv).max()
+        if cert == 0.0:  # z minimizes its own model: there is no step to search
+            return result(), it
+        # branch values carry the rounding of their terms, which can stay near
+        # 1 where the values cancel to 0 (e^{-2e^z} - e^{-2} at z = 0): a
+        # certified decrease below 16 eps max(1, |h|) is one no trial can show
+        unresolved = certified and decrease <= _H_NOISE * max(1.0, abs(hv).max())
         t = 1.0
         for _ in range(_STEP_BACKTRACKS):
             zt = z - (t / c) * u
             step = trial(zt)
-            if step is not None and step[2].max() <= h - _ARMIJO * t * decrease + noise:
-                if not certified and (zt == z).all():
-                    raise InnerCapError(
-                        f"step of length {t * cert / c:.3e} is below the floating-point "
-                        f"resolution at {x.tolist()}; certificate {cert:.3e}",
-                        Point(m, x),
-                        it,
-                        cert,
-                    )
-                s, z, (x, fv, hv) = zt - z, zt, step
-                grads = branch_grads(obj, x[None])[0]
-                break
+            if step is not None:
+                target = h - _ARMIJO * t * decrease
+                if step[1].max() <= target + noise:
+                    if not certified and (zt == z).all():
+                        raise cap_error(
+                            f"step of length {t * cert / c:.3e} is below the floating-point "
+                            f"resolution at {from_chart_rows(m, z).tolist()}; "
+                            f"certificate {cert:.3e}",
+                            cert,
+                        )
+                    s, z, (fv, hv) = zt - z, zt, step
+                    grads = branch_grads(obj, z[None])[0]
+                    break
+                if unresolved and (step[1].max() - target) * (_T_MIN / t) > noise:
+                    # h rises along such a step in proportion to t, so no trial
+                    # down to the last can pass: the search ends at z
+                    break
             t *= 0.5
         else:
             if not certified:
-                raise InnerCapError(
-                    f"no trial step stayed admissible and lowered h; certificate {cert:.3e}",
-                    Point(m, x),
-                    it,
-                    cert,
+                raise cap_error(
+                    f"no trial step stayed admissible and lowered h; certificate {cert:.3e}", cert
                 )
         if certified:
-            return Evaluation(Point(m, x), fv, grads), it
+            return result(), it
 
 
 def prox_step(
@@ -353,7 +365,7 @@ def solve(
             if at is None:
                 at = evaluate(obj, p0)
             nxt, inner_iters = prox_step(obj, at, lam, cfg, lipschitz=sched.lower)
-            step = dist(nxt.point, at.point)
+            step = float(row_norms(nxt.z - at.z))
             res = lam * step
             _, sub_norm = min_norm_subgradient(nxt.subdiff())
         except (InnerCapError, DomainError, GeometryError) as exc:

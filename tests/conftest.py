@@ -70,7 +70,7 @@ def log_point():
 
 
 def _hull_distance(hull, w):
-    """Metric distance from the tangent coordinates w (n,) at the hull's base to the hull."""
+    """Distance from the chart tangent w (n,) to the hull."""
     _, d = min_norm_subgradient(SubdiffHull(hull.base, hull.generators - np.asarray(w)))
     return d
 
@@ -84,81 +84,101 @@ def hull_distance():
     return _hull_distance
 
 
-# Closed forms of the two flat geometries on coordinates (n,), written out
-# here so that the references below never call the geometry they check:
-# exp x*exp(v/x), log x*ln(y/x), transport v*y/x and the metric sum u*v/x^2
-# on the log-positive orthant; x + v, y - x, v and the dot product on
-# Euclidean space.  Each uses the arithmetic of the library's kernels, so
-# a reference reproduces the library's bits wherever its operations do.
+# The chart of the two flat geometries, written out here so that the
+# references below never call the geometry they check: z = ln x on the
+# log-positive orthant and z = x on Euclidean space.  In the chart a
+# geodesic is a straight line, the exponential map is z + v, the logarithm
+# w - z, transport the identity and the metric the dot product.  Each uses
+# the arithmetic of the library, so a reference reproduces the library's
+# bits wherever its operations do.
 
 
 def _is_log(m):
     return m.geometry is Geometry.LOG_POSITIVE
 
 
-def _exp(m, x, v):
-    return x * np.exp(v / x) if _is_log(m) else x + v
+def _to_chart(m, x):
+    x = np.asarray(x, dtype=float)
+    return np.log(x) if _is_log(m) else x.copy()
 
 
-def _log(m, x, y):
-    return x * np.log(y / x) if _is_log(m) else y - x
+def _from_chart(m, z):
+    return np.exp(z) if _is_log(m) else z
 
 
-def _transport(m, x, y, v):
-    return v * y / x if _is_log(m) else v.copy()
+def _norm(v):
+    return float(np.sqrt(np.dot(v, v)))
 
 
-def _inner(m, x, u, v):
-    return float(np.sum(u * v / x**2)) if _is_log(m) else float(np.dot(u, v))
-
-
-def _norm(m, x, v):
-    return float(np.sqrt(_inner(m, x, v, v)))
-
-
-def _dist(m, x, y):
-    chord = np.log(x / y) if _is_log(m) else x - y
-    return float(np.sqrt(np.dot(chord, chord)))
-
-
-def _chart_point(m, z):
-    """The Point with flat-chart coordinates z: exp(z) on the orthant, z on the line."""
-    return Point(m, np.exp(z) if _is_log(m) else z)
-
-
-def _random_unit(m, x, rng):
-    """A unit tangent at x: a standard normal draw, redrawn while its
-    Euclidean length is at most 1e-12, scaled by its metric norm."""
+def _random_unit(dim, rng):
+    """A unit chart tangent: a standard normal draw, redrawn while its
+    length is at most 1e-12, scaled to unit length."""
     while True:
-        g = rng.standard_normal(m.dim)
+        g = rng.standard_normal(dim)
         if np.sqrt(np.dot(g, g)) > 1e-12:
-            return (1.0 / _norm(m, x, g)) * g
+            return (1.0 / _norm(g)) * g
 
 
-def _admissible(obj, x):
-    return obj.domain_guard is None or bool(obj.domain_guard(x))
+def _admissible(obj, z):
+    return obj.domain_guard is None or bool(obj.domain_guard(z))
+
+
+# The builtins' branches in x coordinates: values and flat derivatives d/dx,
+# written out from their definitions.  A chart gradient is the flat one
+# times dx/dz, which is x on the orthant and 1 on the line.
+
+
+def _x_form_branches(problem):
+    """(values, flat) of the problem's branches: X (N, n) -> (N, m) and (N, m, n)."""
+    name = problem.name
+    if name == "abs":
+        return (
+            lambda X: np.hstack([X, -X]),
+            lambda X: np.broadcast_to([[1.0], [-1.0]], (len(X), 2, 1)),
+        )
+    if name == "quadratic":
+        return lambda X: 0.5 * X**2, lambda X: X[:, None, :]
+    n = problem.objective.manifold.dim
+    # branch t takes the second form on the coordinates where bit i of t is set
+    second = (np.arange(2**n)[:, None] >> np.arange(n)) & 1 == 1
+
+    def values(X):
+        f1, f2 = np.log(X), -np.log(X) + np.exp(-2.0 * X) - np.exp(-2.0)
+        return np.where(second, f2[:, None, :], f1[:, None, :]).sum(axis=2)
+
+    def flat(X):
+        X = X[:, None, :]
+        return np.where(second, -1.0 / X - 2.0 * np.exp(-2.0 * X), 1.0 / X)
+
+    return values, flat
+
+
+@pytest.fixture
+def x_form_branches():
+    """The builtins' branch values and flat x-derivatives, in closed form."""
+    return _x_form_branches
 
 
 def _differential_exp(p, w, u):
     """Differential of the exponential map at p, taken at w and applied to u.
 
-    w and u are tangent coordinates (n,) at p; the result is the pair of
-    exp_p(w), a Point, and the image of u as tangent coordinates there.
-    Closed forms exist for both shipped geometries because both are flat.
+    w and u are chart tangents (n,) at p; the result is the pair of
+    exp_p(w), a Point, and the image of u as a chart tangent there.  The
+    chart is an isometry onto flat space, so the image is u itself.
     """
-    m, x, w, u = p.manifold, p.coords, np.asarray(w, dtype=float), np.asarray(u, dtype=float)
-    at = Point(m, _exp(m, x, w))
-    return at, np.exp(w / x) * u if _is_log(m) else u.copy()
+    m, w, u = p.manifold, np.asarray(w, dtype=float), np.asarray(u, dtype=float)
+    at = Point(m, _from_chart(m, _to_chart(m, p.coords) + w))
+    return at, u.copy()
 
 
 def _gd_sampling_estimate(obj, p, v, radius_seq, step_seq):
     """Sampling estimate of the generalized directional derivative along v (n,) at p.
 
-    Draws base points q near p, carries v to q through the differential of
-    the exponential map, and takes the largest forward difference quotient
-    over all drawn pairs and step sizes, with 20 bases per radius drawn
-    from seed 42.  Quotients whose evaluation leaves the admissible region
-    are discarded and counted in a warning.
+    Draws base points q near p in the chart, carries v to q through the
+    differential of the exponential map, and takes the largest forward
+    difference quotient over all drawn pairs and step sizes, with 20 bases
+    per radius drawn from seed 42.  Quotients whose evaluation leaves the
+    admissible region are discarded and counted in a warning.
     """
     radii = [float(r) for r in radius_seq]
     steps = [float(t) for t in step_seq]
@@ -167,13 +187,14 @@ def _gd_sampling_estimate(obj, p, v, radius_seq, step_seq):
     if not steps or any(t <= 0 for t in steps):
         raise ValueError("step_seq must be non-empty and positive")
     rng = np.random.default_rng(42)
-    m, x = p.manifold, p.coords
+    m = p.manifold
+    z = _to_chart(m, p.coords)
 
-    bases = [x]
+    bases = [z]
     for r in radii:
         for _ in range(20):
-            direction = _random_unit(m, x, rng)
-            bases.append(_exp(m, x, (r * rng.uniform(0.0, 1.0)) * direction))
+            direction = _random_unit(m.dim, rng)
+            bases.append(z + (r * rng.uniform(0.0, 1.0)) * direction)
 
     best = -np.inf
     discarded = 0
@@ -181,11 +202,11 @@ def _gd_sampling_estimate(obj, p, v, radius_seq, step_seq):
         if not _admissible(obj, q):
             discarded += 1
             continue
-        _, u_q = _differential_exp(p, _log(m, x, q), v)
-        f_q = eval_f(obj, Point(m, q))
+        _, u_q = _differential_exp(p, q - z, v)
+        f_q = eval_f(obj, Point(m, _from_chart(m, q)))
         for t in steps:
             try:
-                f_t = eval_f(obj, Point(m, _exp(m, q, t * u_q)))
+                f_t = eval_f(obj, Point(m, _from_chart(m, q + t * u_q)))
             except (DomainError, ValueError):
                 discarded += 1
                 continue
@@ -199,7 +220,7 @@ def _gd_sampling_estimate(obj, p, v, radius_seq, step_seq):
 
 @pytest.fixture
 def differential_exp():
-    """The differential of the exponential map, in closed form on tangent coordinates."""
+    """The differential of the exponential map, in closed form on chart tangents."""
     return _differential_exp
 
 
@@ -211,8 +232,8 @@ def gd_sampling_estimate():
 
 # The per-point convexity test, fd_gradient, generalized derivative,
 # semicontinuity sampler and verify checks that the array passes replaced,
-# kept as references with the geometry in the closed forms above.  Tests
-# reach them via the fixtures below, so no test module imports another.
+# kept as references on chart coordinates (n,).  Tests reach them via the
+# fixtures below, so no test module imports another.
 
 
 def _reference_geodesic_convexity_test(
@@ -228,7 +249,8 @@ def _reference_geodesic_convexity_test(
 ):
     """The per-point chord test the array version replaced.
 
-    field is a scalar field on Points and domain a predicate on Points.
+    field is a scalar field on chart coordinates (n,), domain a predicate on
+    them, and lower and upper the corners of the chart box.
     """
     if modulus < 0:
         raise ValueError(f"modulus must be >= 0, got {modulus}")
@@ -238,17 +260,13 @@ def _reference_geodesic_convexity_test(
     hi = np.atleast_1d(np.asarray(upper, dtype=float))
     if lo.shape != (manifold.dim,) or hi.shape != (manifold.dim,):
         raise ValueError("box bounds must match the manifold dimension")
-    if manifold.geometry is Geometry.LOG_POSITIVE:
-        if np.any(lo <= 0):
-            raise ValueError("box bounds must be positive on the log-positive orthant")
-        lo, hi = np.log(lo), np.log(hi)
     rng = np.random.default_rng(seed)
 
-    def draw() -> Point:
+    def draw():
         for _ in range(200):
-            p = _chart_point(manifold, rng.uniform(lo, hi))
-            if domain is None or domain(p):
-                return p
+            z = rng.uniform(lo, hi)
+            if domain is None or domain(z):
+                return z
         raise DomainError("could not draw an admissible sample in the box")
 
     ts = np.arange(1, 10) / 10.0
@@ -258,11 +276,10 @@ def _reference_geodesic_convexity_test(
     for _ in range(samples):
         p, q = draw(), draw()
         hp, hq = field(p), field(q)
-        d2 = _dist(manifold, p.coords, q.coords) ** 2
-        v = _log(manifold, p.coords, q.coords)
+        d2 = _norm(q - p) ** 2
         for t in ts:
             chord = (1.0 - t) * hp + t * hq - 0.5 * modulus * t * (1.0 - t) * d2
-            gap = field(Point(manifold, _exp(manifold, p.coords, float(t) * v))) - chord
+            gap = field(p + float(t) * (q - p)) - chord
             n_checks += 1
             worst = max(worst, gap)
             if gap > slack:
@@ -270,47 +287,50 @@ def _reference_geodesic_convexity_test(
     return ConvexityReport(samples, n_checks, n_violations, float(worst), modulus, slack)
 
 
-def _reference_fd_gradient(field, p):
+def _reference_fd_gradient(field, z):
     """The per-point fd_gradient the row form replaced.
 
-    field is a scalar field on Points; the result is tangent coordinates (n,) at p.
+    field is a scalar field on chart coordinates; the result is its
+    gradient (n,) at z.
     """
-    m, dim = p.manifold, p.manifold.dim
-    steps = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(p.coords))
+    dim = len(z)
+    steps = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(z))
     diffs = np.empty(dim)
     for i in range(dim):
         e = np.zeros(dim)
         e[i] = steps[i]
-        f_plus = field(Point(m, _exp(m, p.coords, e)))
-        f_minus = field(Point(m, _exp(m, p.coords, -e)))
-        diffs[i] = (f_plus - f_minus) / (2.0 * steps[i])
-    if p.manifold.geometry is Geometry.LOG_POSITIVE:
-        diffs = diffs * p.coords**2
+        diffs[i] = (field(z + e) - field(z - e)) / (2.0 * steps[i])
     return diffs
 
 
-def _reference_gen_dir_derivative(obj, p, v):
-    """The per-point gen_dir_derivative the row form replaced: v holds tangent coordinates at p."""
-    hull = clarke_subdiff(obj, p)
-    return max(_inner(p.manifold, p.coords, g, v) for g in hull.generators)
+def _reference_gen_dir_derivative(obj, z, v):
+    """The per-point gen_dir_derivative the row form replaced, at chart coordinates z along v.
+
+    The active branches are those within 1e-12 * max(1, |f|) of the max f.
+    """
+    vals, grads = obj.phi(z[None])[0], obj.grad_phi(z[None])[0]
+    f = vals.max()
+    active = vals >= f - 1e-12 * max(1.0, abs(f))
+    return max(float(np.dot(g, v)) for g in grads[active])
 
 
 def _reference_usc_sampler(obj, p, v, n, seed=42, tolerance=1e-3):
-    """The per-point usc_sampler loop the row form replaced; v holds tangent coordinates at p."""
+    """The per-point usc_sampler loop the row form replaced; v is a chart tangent (n,)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    m, x = p.manifold, p.coords
+    dim = p.manifold.dim
+    z = _to_chart(p.manifold, p.coords)
     rng = np.random.default_rng(seed)
-    reference = _reference_gen_dir_derivative(obj, p, v)
+    reference = _reference_gen_dir_derivative(obj, z, v)
     values = np.full(n, -np.inf)
     discarded = 0
     for k in range(1, n + 1):
-        x_k = _exp(m, x, (1.0 / k) * _random_unit(m, x, rng))
-        if not _admissible(obj, x_k):
+        z_k = z + (1.0 / k) * _random_unit(dim, rng)
+        if not _admissible(obj, z_k):
             discarded += 1
             continue
-        v_k = _transport(m, x, x_k, v) + (_USC_PERT_SCALE / k) * _random_unit(m, x_k, rng)
-        values[k - 1] = _reference_gen_dir_derivative(obj, Point(m, x_k), v_k)
+        v_k = v + (_USC_PERT_SCALE / k) * _random_unit(dim, rng)
+        values[k - 1] = _reference_gen_dir_derivative(obj, z_k, v_k)
     tail_start = max((9 * n) // 10, 1)
     tail = values[tail_start - 1 :]
     tail = tail[np.isfinite(tail)]
@@ -328,28 +348,28 @@ def _reference_usc_sampler(obj, p, v, n, seed=42, tolerance=1e-3):
     )
 
 
-def _reference_sum_rule_mismatch(obj, shifted, center, lam, p, v):
-    # the gradient of d(., center)^2 / 2 is -log_p(center)
-    pull = _inner(p.manifold, p.coords, -_log(p.manifold, p.coords, center.coords), v)
-    lhs = _reference_gen_dir_derivative(shifted, p, v)
-    return abs(lhs - (_reference_gen_dir_derivative(obj, p, v) + lam * pull))
+def _reference_sum_rule_mismatch(obj, shifted, center, lam, z, v):
+    # the gradient of |z - center|^2 / 2 is z - center
+    pull = float(np.dot(z - center, v))
+    lhs = _reference_gen_dir_derivative(shifted, z, v)
+    return abs(lhs - (_reference_gen_dir_derivative(obj, z, v) + lam * pull))
 
 
 def _reference_check_sum_rule(prep, rng):
     obj = prep.problem.objective
     lam = max(prep.lam, 1.0)
-    shifted = with_prox_term(obj, prep.start, lam)
+    center = _to_chart(obj.manifold, prep.start.coords)
+    shifted = with_prox_term(obj, center, lam)
     worst = 0.0
-    for x in region_samples(prep.problem, 100, rng):
-        p = Point(obj.manifold, x)
-        v = rng.uniform(0.5, 2.0) * _random_unit(obj.manifold, x, rng)
-        worst = max(worst, _reference_sum_rule_mismatch(obj, shifted, prep.start, lam, p, v))
+    for z in region_samples(prep.problem, 100, rng):
+        v = rng.uniform(0.5, 2.0) * _random_unit(obj.manifold.dim, rng)
+        worst = max(worst, _reference_sum_rule_mismatch(obj, shifted, center, lam, z, v))
     return worst <= 1e-8, f"worst mismatch {worst:.3e} (bound 1e-8)"
 
 
 def _reference_check_usc(prep, rng):
     obj = prep.problem.objective
-    v = _random_unit(obj.manifold, prep.start.coords, rng)
+    v = _random_unit(obj.manifold.dim, rng)
     report = _reference_usc_sampler(obj, prep.start, v, n=1000, seed=int(rng.integers(2**31)))
     return report.passed, f"tail gap {report.gap:.3e} (bound {report.tolerance})"
 
@@ -364,8 +384,8 @@ def _reference_check_subgrad_floor(prep, rng):
     c, delta = meta["c"], meta["delta"]
     floor = np.inf
     checked = 0
-    for x in region_samples(prep.problem, 400):
-        p = Point(m, x)
+    for z in region_samples(prep.problem, 400):
+        p = Point(m, _from_chart(m, z))
         f_p = eval_f(obj, p)
         if not (c < f_p <= f_q):
             continue
@@ -383,38 +403,36 @@ def _reference_check_geometry(prep, rng):
     m = prep.problem.objective.manifold
     worst = 0.0
     for _ in range(2000):
-        z = rng.uniform(-2.0, 2.0, m.dim)
-        p = np.exp(z) if _is_log(m) else z
-        zq = rng.uniform(-2.0, 2.0, m.dim)
-        q = np.exp(zq) if _is_log(m) else zq
-        v = rng.uniform(0.1, 3.0) * _random_unit(m, p, rng)
-        back = _log(m, p, _exp(m, p, v))
-        scale = max(1.0, _norm(m, p, v))
-        worst = max(worst, _norm(m, p, back - v) / scale)
-        d_pq = _dist(m, p, q)
-        worst = max(worst, abs(_norm(m, p, _log(m, p, q)) - d_pq) / max(1.0, d_pq))
-        worst = max(worst, abs(_norm(m, q, _transport(m, p, q, v)) - _norm(m, p, v)) / scale)
-        r_z = rng.uniform(-2.0, 2.0, m.dim)
-        r = np.exp(r_z) if _is_log(m) else r_z
-        violation = d_pq - (_dist(m, p, r) + _dist(m, r, q))
-        worst = max(worst, violation)
+        zp, zq, zr = (rng.uniform(-2.0, 2.0, m.dim) for _ in range(3))
+        p, q, r = (_from_chart(m, z) for z in (zp, zq, zr))
+        back = _to_chart(m, p)
+        worst = max(worst, _norm(back - zp) / max(1.0, _norm(zp)))
+        # dist takes the chart rows of its points' coordinates
+        d_pq = _norm(back - _to_chart(m, q))
+        chart = _norm(zp - zq)
+        worst = max(worst, abs(d_pq - chart) / max(1.0, chart))
+        d_pr = _norm(back - _to_chart(m, r))
+        d_rq = _norm(_to_chart(m, r) - _to_chart(m, q))
+        worst = max(worst, d_pq - (d_pr + d_rq))
     return worst <= 1e-10, f"worst deviation {worst:.3e} (bound 1e-10)"
 
 
 def _reference_check_strong_convexity(prep, rng):
     obj = prep.problem.objective
+    m = obj.manifold
     sched = prep.schedule()
     lam, lip = sched.constant, sched.lower
-    h_obj = with_prox_term(obj, prep.start, lam)
+    h_obj = with_prox_term(obj, _to_chart(m, prep.start.coords), lam)
+    region = prep.problem
     report = _reference_geodesic_convexity_test(
-        lambda p: eval_f(h_obj, p),
-        obj.manifold,
+        lambda z: float(h_obj.phi(z[None]).max()),
+        m,
         samples=300,
         modulus=lam - lip,
-        lower=prep.problem.region_lower,
-        upper=prep.problem.region_upper,
+        lower=_to_chart(m, region.region_lower),
+        upper=_to_chart(m, region.region_upper),
         seed=int(rng.integers(2**31)),
-        domain=lambda p: _admissible(h_obj, p.coords),
+        domain=lambda z: _admissible(h_obj, z),
     )
     return report.passed, (
         f"{report.n_violations} violations in {report.n_checks} checks, "
@@ -424,14 +442,15 @@ def _reference_check_strong_convexity(prep, rng):
 
 def _reference_check_dist_convexity(prep, rng):
     m = prep.problem.objective.manifold
-    center = prep.start.coords
+    center = _to_chart(m, prep.start.coords)
+    region = prep.problem
     report = _reference_geodesic_convexity_test(
-        lambda p: 0.5 * _dist(m, p.coords, center) ** 2,
+        lambda z: 0.5 * _norm(z - center) ** 2,
         m,
         samples=200,
         modulus=1.0,
-        lower=prep.problem.region_lower,
-        upper=prep.problem.region_upper,
+        lower=_to_chart(m, region.region_lower),
+        upper=_to_chart(m, region.region_upper),
         seed=int(rng.integers(2**31)),
     )
     return report.passed, (
@@ -441,41 +460,37 @@ def _reference_check_dist_convexity(prep, rng):
 
 
 def _reference_region_samples(problem, count=64, rng=None):
-    """The per-sample region_samples the row form replaced: a list of Points."""
+    """The per-sample region_samples the row form replaced: a list of chart rows (n,)."""
     m = problem.objective.manifold
-    lo = problem.region_lower.astype(float)
-    hi = problem.region_upper.astype(float)
-    if m.geometry.value == "log_positive":
-        lo, hi = np.log(lo), np.log(hi)
+    lo, hi = _to_chart(m, problem.region_lower), _to_chart(m, problem.region_upper)
     if m.dim == 1:
-        zs = np.linspace(lo[0], hi[0], count + 2)[1:-1]
-        return [_chart_point(m, [z]) for z in zs]
+        return [np.array([z]) for z in np.linspace(lo[0], hi[0], count + 2)[1:-1]]
     if rng is None:
         raise ValueError("higher-dimensional regions need an explicit generator")
-    return [_chart_point(m, rng.uniform(lo, hi)) for _ in range(count)]
+    return [rng.uniform(lo, hi) for _ in range(count)]
 
 
 @pytest.fixture
 def reference_region_samples():
-    """The per-sample region_samples: Points drawn one at a time."""
+    """The per-sample region_samples: chart rows drawn one at a time."""
     return _reference_region_samples
 
 
 @pytest.fixture
 def reference_fd_gradient():
-    """The per-point fd_gradient: a scalar field on Points, tangent coordinates at p."""
+    """The per-point fd_gradient: a scalar field on chart coordinates, its gradient at z."""
     return _reference_fd_gradient
 
 
 @pytest.fixture
 def reference_convexity_test():
-    """The per-point geodesic_convexity_test: a field and a domain on Points."""
+    """The per-point geodesic_convexity_test: a field and a domain on chart coordinates."""
     return _reference_geodesic_convexity_test
 
 
 @pytest.fixture
 def reference_gen_dir_derivative():
-    """The per-point gen_dir_derivative: a float at one Point along tangent coordinates."""
+    """The per-point gen_dir_derivative: a float at chart coordinates z along a chart tangent."""
     return _reference_gen_dir_derivative
 
 

@@ -7,19 +7,19 @@ import dataclasses
 
 import numpy as np
 
-from proxmax import Point, log_positive, with_prox_term
+from proxmax import log_positive, with_prox_term
 from proxmax import checks
 from proxmax.prox import ProxConfig
 
 
-def test_geometry_deviation_flags_a_wrong_transport(monkeypatch, rng):
+def test_geometry_deviation_flags_a_wrong_chart(monkeypatch, rng):
     m = log_positive(2)
-    p, q, r = (np.exp(rng.uniform(-2.0, 2.0, (200, 2))) for _ in range(3))
-    v = rng.uniform(-3.0, 3.0, (200, 2))
-    assert checks.geometry_deviation(m, p, q, r, v) <= 1e-10
-    # the flat-space transport keeps the coordinates, not the norm
-    monkeypatch.setattr(checks, "transport_rows", lambda manifold, p, q, v: v.copy())
-    assert checks.geometry_deviation(m, p, q, r, v) > 1e-3
+    zp, zq, zr = (rng.uniform(-2.0, 2.0, (200, 2)) for _ in range(3))
+    assert checks.geometry_deviation(m, zp, zq, zr) <= 1e-10
+    # the Euclidean chart on the orthant keeps x, so neither the round trip
+    # nor the distance holds
+    monkeypatch.setattr(checks, "to_chart_rows", lambda manifold, x: np.array(x, dtype=float))
+    assert checks.geometry_deviation(m, zp, zq, zr) > 1e-3
 
 
 def test_gradient_error_flags_a_wrong_gradient(log_example):
@@ -32,7 +32,7 @@ def test_gradient_error_flags_a_wrong_gradient(log_example):
 
 def test_sum_rule_mismatch_flags_a_wrong_weight(log_example):
     obj = log_example.objective
-    center = Point(obj.manifold, [0.7])
+    center = np.log([0.7])
     X, V = np.array([[2.0]]), np.array([[1.0]])
     right = with_prox_term(obj, center, 1.3)
     wrong = with_prox_term(obj, center, 1.5)
@@ -42,8 +42,8 @@ def test_sum_rule_mismatch_flags_a_wrong_weight(log_example):
 
 def test_prox_grid_gaps_flag_a_moved_prox_point(monkeypatch, log_example):
     obj = log_example.objective
-    p_k = Point(obj.manifold, [0.5])
-    args = (obj, p_k, 1.0, 0.34, ProxConfig(), 0.1251, 4.0, 2001)
+    z_k = np.log([0.5])
+    args = (obj, z_k, 1.0, 0.34, ProxConfig(), np.log(0.1251), np.log(4.0), 2001)
     gap_pt, gap_val = checks.prox_grid_gaps(*args)
     assert gap_pt <= 1e-4 and gap_val <= 1e-8
 
@@ -51,9 +51,7 @@ def test_prox_grid_gaps_flag_a_moved_prox_point(monkeypatch, log_example):
 
     def moved_step(*a, **kw):
         p_next, iters = step(*a, **kw)
-        # exp_x(0.01 x) = x e^0.01 on the half-line
-        moved = Point(p_next.point.manifold, p_next.point.coords * np.exp(1e-2))
-        return dataclasses.replace(p_next, point=moved), iters
+        return dataclasses.replace(p_next, z=p_next.z + 1e-2), iters
 
     monkeypatch.setattr(checks, "prox_step", moved_step)
     gap_pt, gap_val = checks.prox_grid_gaps(*args)

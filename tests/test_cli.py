@@ -308,12 +308,20 @@ def test_verify_passes_and_writes_report(tmp_path):
     assert all(c["status"] == "pass" for c in report["checks"])
 
 
-@pytest.mark.parametrize("x0", [1e12, 1e20, 1e100])
+@pytest.mark.parametrize("x0", [1e12, 1e20, 1e100, 1e155, 1e200])
 def test_verify_passes_from_large_starts(tmp_path, x0):
-    # on the orthant a draw's metric norm is |g| / x, so judging draws by it
-    # rejected every direction at these starts
+    # draws are chart tangents judged by their own length; from 1e155 on the
+    # x**2 of a metric gradient overflowed, and from 1e200 run and verify failed
     cfg = parse_config({"problem": "paper_example", "start_point": [x0]})
     assert verify(cfg, out_dir=tmp_path / "v") == 0
+
+
+def test_run_and_verify_from_1e200_exit_zero(tmp_path):
+    config = _write(tmp_path, "big.json", {"problem": "paper_example", "start_point": [1e200]})
+    for command in ("run", "verify"):
+        assert main([command, "--config", str(config), "--out", str(tmp_path / command)]) == 0
+    with open(tmp_path / "run" / "summary.json") as fh:
+        assert json.load(fh)["final_point"][0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_verify_reports_skipped_check_as_skipped(tmp_path, capsys):
@@ -400,14 +408,14 @@ def test_geometry_check_within_ulps_of_reference_in_three_dimensions(m, referenc
 
 def test_geometry_check_fails_on_a_nan_deviation(monkeypatch):
     # the per-point loop skipped a NaN term: max(worst, nan) keeps worst
-    rows = checks.norm_rows
+    rows = checks.row_norms
 
-    def norm_rows_with_a_nan(*args):
+    def row_norms_with_a_nan(*args):
         out = rows(*args).copy()
         out[17] = np.nan
         return out
 
-    monkeypatch.setattr(checks, "norm_rows", norm_rows_with_a_nan)
+    monkeypatch.setattr(checks, "row_norms", row_norms_with_a_nan)
     passed, detail = cli._check_geometry(_geometry_prep(log_positive(1)), np.random.default_rng(0))
     assert not passed
     assert detail == "worst deviation nan (bound 1e-10)"
@@ -433,21 +441,21 @@ def test_fd_gradient_check_fails_on_a_nan_error(tmp_path, monkeypatch):
     # fd_gradient passes a NaN field value on to the error; Python's
     # max(0.0, nan) is 0.0 and would drop it, np.max keeps it
     build = cli.make_problem
-    x0 = float(region_samples(make_problem("paper_example"), 100)[50, 0])
+    z0 = float(region_samples(make_problem("paper_example"), 100)[50, 0])
 
     def problem_with_a_nan(request):
         problem = build(request)
         obj = problem.objective
         phi = obj.phi
 
-        def nan_above_x0(X):
-            # NaN at the upward shift of sample x0, which only the fd check evaluates
-            vals = phi(X)
-            vals[(X[:, 0] > x0) & (X[:, 0] < x0 * (1.0 + 1e-6))] = np.nan
+        def nan_above_z0(Z):
+            # NaN at the upward shift of the chart sample z0, which only the fd check evaluates
+            vals = phi(Z)
+            vals[(Z[:, 0] > z0) & (Z[:, 0] < z0 + 1e-6)] = np.nan
             return vals
 
         return dataclasses.replace(
-            problem, objective=dataclasses.replace(obj, phi=nan_above_x0)
+            problem, objective=dataclasses.replace(obj, phi=nan_above_z0)
         )
 
     monkeypatch.setattr(cli, "make_problem", problem_with_a_nan)

@@ -25,15 +25,16 @@ from proxmax import (
     log_positive,
     make_problem,
     min_norm_subgradient,
+    to_chart,
     with_prox_term,
 )
-from proxmax.manifold import Geometry
+from proxmax.manifold import to_chart_rows
 from proxmax.objective import simplex_qp
 from proxmax.problems import region_samples
 
 LP1 = log_positive(1)
 
-# branch 2 generator at the kink x=1, in metric form: x^2 * (-1/x - 2e^(-2x))
+# branch 2 generator at the kink x = 1 (z = 0), in the chart: x * (-1/x - 2e^(-2x))
 G2_AT_ONE = -1.0 - 2.0 * np.exp(-2.0)
 # d/dz of the chart gradient of branch 2 peaks at x = (3+sqrt(5))/4
 SUP_CHART_SLOPE = 0.3090047859876757
@@ -43,10 +44,15 @@ def _pt(x):
     return Point(LP1, [x])
 
 
+def _z(*xs):
+    """Chart rows (N, 1) of the half-line points xs."""
+    return np.log(np.array(xs, dtype=float))[:, None]
+
+
 def _assert_active(obj, x, branches):
     """clarke_subdiff at x holds exactly the gradients of the given branch indices."""
     hull = clarke_subdiff(obj, _pt(x))
-    assert hull.generators.tolist() == branch_grads(obj, [[x]])[0][branches].tolist()
+    assert hull.generators.tolist() == branch_grads(obj, _z(x))[0][branches].tolist()
 
 
 # evaluation
@@ -80,7 +86,7 @@ def test_eval_outside_domain_raises(log_example):
     with pytest.raises(DomainError):
         eval_f(log_example.objective, _pt(0.1))
     guard = log_example.objective.domain_guard
-    assert not guard(np.array([0.1])) and guard(np.array([0.2]))
+    assert not guard(np.log([0.1])) and guard(np.log([0.2]))
 
 
 def _eval_f_rows(obj, X):
@@ -94,19 +100,22 @@ def _prox_term_rows(m, X, center, lam):
 
 
 def _check_prox_rows(obj, X, centers, lams, close):
-    """eval_f_many matches eval_f row by row, and with_prox_term adds the prox term of each row.
+    """eval_f_many on the chart rows of X matches eval_f on its rows' Points, and
+    with_prox_term adds the prox term of each row.
 
     close compares arrays; the max over branches commutes with adding the
     same term to each, as rounding is monotone.
     """
-    assert close(eval_f_many(obj, X), _eval_f_rows(obj, X))
-    raw, f = obj.phi(X), eval_f_many(obj, X)
+    m = obj.manifold
+    Z = to_chart_rows(m, X)
+    assert close(eval_f_many(obj, Z), _eval_f_rows(obj, X))
+    raw, f = obj.phi(Z), eval_f_many(obj, Z)
     for c, lam in zip(centers, lams):
-        shifted = with_prox_term(obj, Point(obj.manifold, c), lam)
-        term = _prox_term_rows(obj.manifold, X, c, lam)
-        assert close(shifted.phi(X), raw + term[:, None])
-        assert close(eval_f_many(shifted, X), f + term)
-        assert close(eval_f_many(shifted, X), _eval_f_rows(shifted, X))
+        shifted = with_prox_term(obj, to_chart(Point(m, c)), lam)
+        term = _prox_term_rows(m, X, c, lam)
+        assert close(shifted.phi(Z), raw + term[:, None])
+        assert close(eval_f_many(shifted, Z), f + term)
+        assert close(eval_f_many(shifted, Z), _eval_f_rows(shifted, X))
 
 
 @pytest.mark.parametrize(
@@ -132,7 +141,7 @@ def test_eval_f_many_matches_eval_f_bit_for_bit(request_):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_eval_f_many_within_ulps_on_product(n):
-    # exact on numpy 2.4, where dist_rows takes the BLAS dot that dist takes;
+    # exact on numpy 2.4, where row_norms takes the BLAS dot that dist takes;
     # a numpy whose stacked matmul rounds otherwise may differ by a few ulp
     prob = make_problem({"name": "paper_example_product", "n": n})
     rng = np.random.default_rng(n)
@@ -147,9 +156,10 @@ def test_eval_f_many_within_ulps_on_product(n):
 
 def test_eval_f_many_rejects_bad_rows(log_example):
     obj = log_example.objective
-    with pytest.raises(DomainError, match="0.1"):
-        eval_f_many(obj, [[1.0], [0.1], [2.0]])
-    for bad in ([[1.0], [np.nan]], [[1.0], [np.inf]], [[0.0]], [[-1.0]], [[1.0, 2.0]], [1.0]):
+    with pytest.raises(DomainError, match="-2.30258"):
+        eval_f_many(obj, _z(1.0, 0.1, 2.0))
+    # chart rows whose point e^z is not a valid one: beyond float range or below 1e-300
+    for bad in ([[1.0], [np.nan]], [[1.0], [np.inf]], [[-800.0]], [[710.0]], [[1.0, 2.0]], [1.0]):
         with pytest.raises(InvalidPointError):
             eval_f_many(obj, bad)
     blowup = MaxObjective(
@@ -165,8 +175,8 @@ def test_eval_f_many_rejects_bad_rows(log_example):
 
 def test_domain_guard_maps_rows_to_flags(log_example):
     guard = log_example.objective.domain_guard
-    assert guard(np.array([[0.1], [0.2], [0.125]])).tolist() == [False, True, False]
-    assert guard(np.array([0.2])) == np.True_
+    assert guard(_z(0.1, 0.2, 0.125)).tolist() == [False, True, False]
+    assert guard(np.log([0.2])) == np.True_
 
 
 # branch gradients as rows
@@ -188,8 +198,7 @@ def test_domain_guard_maps_rows_to_flags(log_example):
 )
 def test_branch_grads_match_stacked_grad_phi_bit_for_bit(request_):
     # grad_phi taken one row at a time, plus lam times the gradient of
-    # d(., c)^2 / 2 at each point x for the shifted objectives: -log_x(c),
-    # which is -x ln(c/x) on the orthant and -(c - x) on the line
+    # |z - c|^2 / 2 at each chart row z for the shifted objectives: z - c
     prob = make_problem(request_)
     obj = prob.objective
     m = obj.manifold
@@ -200,18 +209,16 @@ def test_branch_grads_match_stacked_grad_phi_bit_for_bit(request_):
     assert got.shape == (len(X), len(obj.params), m.dim)
     assert got.tobytes() == raw.tobytes()
     for c, lam in zip(region_samples(prob, 2, rng), [0.6, 2.5]):
-        center = Point(m, c)
-        log = m.geometry is Geometry.LOG_POSITIVE
-        pull = np.stack([lam * -(x * np.log(c / x) if log else c - x) for x in X])
-        got = branch_grads(with_prox_term(obj, center, lam), X)
+        pull = np.stack([lam * (z - c) for z in X])
+        got = branch_grads(with_prox_term(obj, c, lam), X)
         assert got.tobytes() == (raw + pull[:, None, :]).tobytes()
 
 
 def test_branch_grads_checks_rows_shape_and_finiteness(log_example):
     obj = log_example.objective
     with pytest.raises(DomainError, match="outside"):
-        branch_grads(obj, [[1.0], [0.1]])
-    for bad in ([[np.nan]], [[0.0]], [[1.0, 2.0]], [1.0]):
+        branch_grads(obj, _z(1.0, 0.1))
+    for bad in ([[np.nan]], [[-800.0]], [[1.0, 2.0]], [1.0]):
         with pytest.raises(InvalidPointError):
             branch_grads(obj, bad)
     m = euclidean(1)
@@ -223,7 +230,7 @@ def test_branch_grads_checks_rows_shape_and_finiteness(log_example):
     )
     assert branch_grads(blowup, [[1.0], [2.0]]).tolist() == [[[1.0], [1.0]], [[2.0], [2.0]]]
     assert branch_grads(blowup, np.empty((0, 1))).shape == (0, 2, 1)
-    with pytest.raises(DomainError, match=r"branch gradient is non-finite at \[-1.0\]"):
+    with pytest.raises(DomainError, match=r"branch gradient is non-finite at chart point \[-1.0\]"):
         branch_grads(blowup, [[1.0], [-1.0]])
     flat = dataclasses.replace(blowup, grad_phi=lambda X: np.zeros((len(X), 2)))
     with pytest.raises(ValueError, match="shape"):
@@ -269,19 +276,20 @@ def test_subdiff_hull_checks_generator_rows():
 
 
 def _gdd(obj, p, v):
-    """gen_dir_derivative at one Point along tangent coordinates v (n,), as a float."""
-    return float(gen_dir_derivative(obj, p.coords[None], np.asarray(v, dtype=float)[None])[0])
+    """gen_dir_derivative at one Point along the chart tangent v (n,), as a float."""
+    return float(gen_dir_derivative(obj, to_chart(p)[None], np.asarray(v, dtype=float)[None])[0])
 
 
 def test_gdd_at_kink_both_directions(log_example):
-    got = gen_dir_derivative(log_example.objective, [[1.0], [1.0]], [[1.0], [-1.0]])
+    got = gen_dir_derivative(log_example.objective, _z(1.0, 1.0), [[1.0], [-1.0]])
     assert got.shape == (2,)
     assert got[0] == pytest.approx(1.0)
     assert got[1] == pytest.approx(-G2_AT_ONE)
 
 
 def test_gdd_at_smooth_point(log_example):
-    got = _gdd(log_example.objective, _pt(0.3125), [1.0])
+    # the x-coordinate tangent 1 at x is the chart tangent 1 / x
+    got = _gdd(log_example.objective, _pt(0.3125), [1.0 / 0.3125])
     assert got == pytest.approx(-4.270522857037981, rel=1e-14)
 
 
@@ -289,9 +297,9 @@ def test_gdd_checks_tangent_rows(log_example):
     obj = log_example.objective
     for bad in ([[1.0]], [[1.0], [np.nan]], [1.0, 2.0]):
         with pytest.raises(ValueError, match="tangent rows"):
-            gen_dir_derivative(obj, [[0.5], [2.0]], bad)
+            gen_dir_derivative(obj, _z(0.5, 2.0), bad)
     with pytest.raises(DomainError):
-        gen_dir_derivative(obj, [[0.5], [0.05]], [[1.0], [1.0]])
+        gen_dir_derivative(obj, _z(0.5, 0.05), [[1.0], [1.0]])
 
 
 def test_gdd_default_tolerance_is_per_row():
@@ -317,23 +325,22 @@ def test_gdd_rows_equal_per_point_reference(request_, reference_gen_dir_derivati
     obj = prob.objective
     m = obj.manifold
     rng = np.random.default_rng(7)
-    X = region_samples(prob, 40, rng)
-    # kinks too: the start, and every coordinate at 1 (or 0 on abs), where branches tie
-    X = np.vstack([X, prob.start.coords, np.full(m.dim, 0.0 if request_ == "abs" else 1.0)])
-    V = rng.uniform(-2.0, 2.0, X.shape)
-    shifted = with_prox_term(obj, prob.start, 1.7)
+    Z = region_samples(prob, 40, rng)
+    # kinks too: the start, and every chart coordinate at 0 (x = 1, or 0 on abs),
+    # where branches tie
+    Z = np.vstack([Z, to_chart(prob.start), np.zeros(m.dim)])
+    V = rng.uniform(-2.0, 2.0, Z.shape)
+    shifted = with_prox_term(obj, to_chart(prob.start), 1.7)
     for o in (obj, shifted):
-        got = gen_dir_derivative(o, X, V)
-        want = [
-reference_gen_dir_derivative(o, Point(m, x), v) for x, v in zip(X, V)]
+        got = gen_dir_derivative(o, Z, V)
+        want = [reference_gen_dir_derivative(o, z, v) for z, v in zip(Z, V)]
         assert got.tolist() == want
 
 
 @given(st.floats(-1.8, 1.3), st.floats(-2.0, 2.0), st.floats(0.1, 5.0))
 def test_gdd_positively_homogeneous(z, a, t):
     prob = make_problem("paper_example")
-    x = float(np.exp(z))
-    lhs, unscaled = gen_dir_derivative(prob.objective, [[x], [x]], [[t * a], [a]])
+    lhs, unscaled = gen_dir_derivative(prob.objective, [[z], [z]], [[t * a], [a]])
     rhs = t * unscaled
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
@@ -345,30 +352,28 @@ def test_gdd_positively_homogeneous(z, a, t):
 )
 def test_gdd_subadditive(z, a, b):
     prob = make_problem({"name": "paper_example_product", "n": 2})
-    x = np.exp(np.asarray(z))
     u, v = np.asarray(a), np.asarray(b)
-    lhs, gu, gv = gen_dir_derivative(prob.objective, [x, x, x], [u + v, u, v])
+    lhs, gu, gv = gen_dir_derivative(prob.objective, [z, z, z], [u + v, u, v])
     assert lhs <= gu + gv + 1e-10
 
 
 def _draw_rows(rng, count):
-    """count points x = e^z, z ~ U[-1.8, 1.3], each drawn before its tangent v ~ U[-2, 2]."""
-    X, V = np.empty((count, 1)), np.empty((count, 1))
+    """count chart rows z ~ U[-1.8, 1.3], each drawn before its tangent v ~ U[-2, 2]."""
+    Z, V = np.empty((count, 1)), np.empty((count, 1))
     for i in range(count):
-        X[i] = np.exp(rng.uniform(-1.8, 1.3))
+        Z[i] = rng.uniform(-1.8, 1.3)
         V[i] = rng.uniform(-2, 2, 1)
-    return X, V
+    return Z, V
 
 
 def test_gdd_dominates_every_generator(log_example, rng):
     obj = log_example.objective
     X, V = _draw_rows(rng, 50)
     got = gen_dir_derivative(obj, X, V)
-    for x, v, g_x in zip(X, V, got):
-        p = Point(LP1, x)
-        hull = clarke_subdiff(obj, p)
-        # <g, v>_x = g v / x^2 on the half-line
-        pairings = [float(g[0] * v[0] / x[0] ** 2) for g in hull.generators]
+    for z, v, g_x in zip(X, V, got):
+        hull = clarke_subdiff(obj, Point(LP1, np.exp(z)))
+        # chart tangents pair by the dot product
+        pairings = [float(g[0] * v[0]) for g in hull.generators]
         assert g_x >= max(pairings) - 1e-12
         assert g_x == pytest.approx(max(pairings), abs=1e-12)
 
@@ -416,10 +421,12 @@ def test_min_norm_two_generators_closed_form():
 
 
 def test_min_norm_metric_weighted_interval():
+    # the x-coordinate gradients 4 and 2 at x = 2 have the chart components
+    # 4 / 2 and 2 / 2, which carry the metric norm
     p = Point(LP1, [2.0])
-    hull = SubdiffHull(base=p, generators=np.array([[4.0], [2.0]]))
+    hull = SubdiffHull(base=p, generators=np.array([[4.0], [2.0]]) / p.coords)
     g, n = min_norm_subgradient(hull)
-    assert_allclose(g, [2.0])
+    assert_allclose(g, [1.0])
     assert n == pytest.approx(1.0)  # ambient 2 over coordinate 2
 
 
@@ -555,38 +562,35 @@ def _single_branch(manifold, value, grad):
 
 
 def _rows(pts):
-    """Coordinate rows (N, n) of a list of Points, as estimate_sup_lipschitz takes them."""
-    return np.stack([p.coords for p in pts])
+    """Chart rows (N, n) of a list of Points, as estimate_sup_lipschitz takes them."""
+    return np.stack([to_chart(p) for p in pts])
 
 
 def _reference_sup_lipschitz(obj, region_samples, safety_factor=1.1):
-    """The scalar pair loop the library estimate must reproduce, on sample rows.
+    """The scalar pair loop the library estimate must reproduce, on chart rows.
 
-    The geometry is written out: on the orthant d(x, y) = |ln(x / y)|,
-    transport scales a tangent by y / x and |v|_y^2 = sum v_i^2 / y_i^2; on
-    Euclidean space they are |x - y|, the identity and sum v_i^2.
+    In the chart the distance is |z_i - z_j|, transport is the identity and
+    the norm the Euclidean one.
     """
     if obj.lipschitz_bound is not None:
         return float(obj.lipschitz_bound)
-    samples = [Point(obj.manifold, x) for x in region_samples]
+    samples = list(region_samples)
     if len(samples) < 2:
         raise ValueError("need at least two region samples to estimate a Lipschitz bound")
-    for s in samples:
-        obj.check_domain(s)
-    log = obj.manifold.geometry is Geometry.LOG_POSITIVE
+    for z in samples:
+        if obj.domain_guard is not None and not obj.domain_guard(z):
+            raise DomainError(f"chart point {z.tolist()} is outside the admissible region")
     best = 0.0
     for b in range(len(obj.params)):
-        grads = [obj.grad_phi(s.coords[None])[0, b] for s in samples]
+        grads = [obj.grad_phi(z[None])[0, b] for z in samples]
         for i in range(len(samples)):
             for j in range(i + 1, len(samples)):
-                x, y = samples[i].coords, samples[j].coords
-                chord = np.log(x / y) if log else x - y
+                chord = samples[i] - samples[j]
                 d = float(np.sqrt(np.dot(chord, chord)))
                 if d <= 1e-14:
                     continue
-                gap = grads[j] - (grads[i] * y / x if log else grads[i])
-                sq = np.sum(gap * gap / y**2) if log else np.dot(gap, gap)
-                best = max(best, float(np.sqrt(sq)) / d)
+                gap = grads[j] - grads[i]
+                best = max(best, float(np.sqrt(np.dot(gap, gap))) / d)
     return safety_factor * best
 
 
@@ -643,20 +647,14 @@ def test_estimate_matches_reference_loop_on_paper_example(epsilon):
 
 
 def _wavy(manifold):
-    """Single branch with a nonlinear gradient, in metric form on log_positive."""
-
-    def grad(X):
-        flat = np.sin(3.0 * X) + X**2
-        return flat * X**2 if manifold.geometry.value == "log_positive" else flat
-
-    return _single_branch(manifold, lambda X: np.zeros(len(X)), grad)
+    """Single branch with a nonlinear gradient in the chart."""
+    return _single_branch(manifold, lambda Z: np.zeros(len(Z)), lambda Z: np.sin(3.0 * Z) + Z**2)
 
 
 @pytest.mark.parametrize("manifold", [euclidean(1), LP1], ids=["euclidean", "log_positive"])
 def test_estimate_matches_reference_loop_in_one_dimension(manifold, rng):
     obj = _wavy(manifold)
-    z = rng.uniform(-1.5, 1.5, 40)
-    pts = _rows([Point(manifold, [np.exp(v) if manifold is LP1 else v]) for v in z])
+    pts = rng.uniform(-1.5, 1.5, 40)[:, None]
     got = estimate_sup_lipschitz(obj, pts)
     assert got > 0.0
     assert got == _reference_sup_lipschitz(obj, pts)
@@ -700,10 +698,11 @@ def test_estimate_skips_repeated_samples():
 
 
 def test_estimate_ignores_nan_quotient_from_underflow():
-    # p_j**2 underflows to 0 at p_j = 1e-200, so the zero difference gives 0/0
-    obj = _single_branch(LP1, lambda X: np.zeros(len(X)), np.zeros_like)
+    # the metric weight 1 / p_j**2 underflowed at p_j = 1e-200 and gave 0/0;
+    # in the chart that point is the row ln 1e-200, and no quotient is NaN
+    obj = _single_branch(LP1, lambda Z: np.zeros(len(Z)), np.zeros_like)
     pts = _rows([_pt(1.0), _pt(1e-200)])
-    with np.errstate(invalid="ignore"):
+    with np.errstate(all="raise"):
         assert estimate_sup_lipschitz(obj, pts) == 0.0
         assert _reference_sup_lipschitz(obj, pts) == 0.0
 
@@ -731,10 +730,11 @@ def test_gd_sampling_near_kink(log_example, gd_sampling_estimate):
 
 def test_gd_sampling_smooth_point(log_example, gd_sampling_estimate):
     p = _pt(0.3125)
+    # the x-coordinate tangent 1 at x is the chart tangent 1 / x
     got = gd_sampling_estimate(
         log_example.objective,
         p,
-        [1.0],
+        [1.0 / 0.3125],
         radius_seq=[1e-3, 1e-4],
         step_seq=[1e-4, 1e-5],
     )
@@ -759,7 +759,7 @@ def test_gd_sampling_raises_when_all_samples_leave_domain(log_example, gd_sampli
         gd_sampling_estimate(
             log_example.objective,
             p,
-            [-10.0 * 0.14],
+            [-10.0],
             radius_seq=[1e-3],
             step_seq=[1.0],
         )
@@ -770,24 +770,24 @@ def test_gd_sampling_raises_when_all_samples_leave_domain(log_example, gd_sampli
 
 def test_with_prox_term_value_and_derivative(log_example):
     center = _pt(1.0)
-    shifted = with_prox_term(log_example.objective, center, 2.0)
+    shifted = with_prox_term(log_example.objective, to_chart(center), 2.0)
     p = _pt(np.e)
     h = eval_f(shifted, p)
     assert h == pytest.approx(2.0, rel=1e-14)  # f(e)=1 plus (2/2)*1^2
-    v = [np.e]
-    assert _gdd(shifted, p, v) == pytest.approx(3.0, rel=1e-13)
+    # the chart tangent 1: the x-coordinate tangent e at e
+    assert _gdd(shifted, p, [1.0]) == pytest.approx(3.0, rel=1e-13)
 
 
 def test_with_prox_term_sum_rule(log_example, rng):
     obj = log_example.objective
-    center = _pt(0.7)
+    center = np.log([0.7])
     lam = 1.7
     shifted = with_prox_term(obj, center, lam)
     X, V = _draw_rows(rng, 40)
     lhs = gen_dir_derivative(shifted, X, V)
-    for x, v, lhs_x, f_x in zip(X, V, lhs, gen_dir_derivative(obj, X, V)):
-        # the gradient of d(., c)^2 / 2 at x is -x ln(c / x), paired with v by the metric 1 / x^2
-        pull = -x[0] * np.log(center.coords[0] / x[0]) * v[0] / x[0] ** 2
+    for z, v, lhs_x, f_x in zip(X, V, lhs, gen_dir_derivative(obj, X, V)):
+        # the gradient of |z - c|^2 / 2 at z is z - c, paired with v by the dot product
+        pull = (z[0] - center[0]) * v[0]
         rhs = f_x + lam * pull
         assert lhs_x == pytest.approx(rhs, abs=1e-10)
 
@@ -795,7 +795,7 @@ def test_with_prox_term_sum_rule(log_example, rng):
 def test_with_prox_term_is_minimized_off_center_kink(log_example):
     # the shifted objective at its own center equals f there
     center = _pt(0.5)
-    shifted = with_prox_term(log_example.objective, center, 3.0)
+    shifted = with_prox_term(log_example.objective, to_chart(center), 3.0)
     h = eval_f(shifted, center)
     f = eval_f(log_example.objective, center)
     assert h == f
@@ -809,5 +809,6 @@ def test_norm_helper_consistency(log_example):
     p = _pt(0.3125)
     hull = clarke_subdiff(log_example.objective, p)
     g, n = min_norm_subgradient(hull)
-    # |g|_x = |g| / x on the half-line
-    assert n == pytest.approx(abs(g[0]) / p.coords[0], rel=1e-14)
+    # a chart gradient's length is its metric norm: |x g|_x = |x g| / x
+    assert n == abs(g[0])
+    assert n == pytest.approx(abs(p.coords[0] * g[0]) / p.coords[0], rel=1e-14)

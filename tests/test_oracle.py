@@ -6,15 +6,14 @@ from proxmax import (
     DomainError,
     InvalidPointError,
     Point,
-    dist,
     euclidean,
-    eval_f,
     eval_f_many,
     log_positive,
     make_problem,
+    to_chart,
     with_prox_term,
 )
-from proxmax.manifold import Geometry, dist_rows, normal_draw
+from proxmax.manifold import normal_draw, row_norms
 from proxmax.oracle import (
     fd_gradient,
     geodesic_convexity_test,
@@ -27,22 +26,26 @@ LP1 = log_positive(1)
 E1 = euclidean(1)
 
 
+# the half-line's region (0.125, 4) and its chart box
+BOX = (np.log([0.125]), np.log([4.0]))
+
+
 def _pt(x):
     return Point(LP1, [x])
 
 
-def _half_sq_dist_fields(m, center):
-    """0.5 d(., center)^2 as a field on Points and as an array field."""
-    c = Point(m, center)
+def _half_sq_dist_fields(center):
+    """0.5 |z - center|^2 as a field on one chart row and as an array field."""
+    c = np.asarray(center, dtype=float)
     return (
-        lambda p: 0.5 * dist(p, c) ** 2,
-        lambda X: 0.5 * np.float_power(dist_rows(m, X, c.coords), 2.0),
+        lambda z: 0.5 * float(np.sqrt(np.dot(z - c, z - c))) ** 2,
+        lambda Z: 0.5 * np.float_power(row_norms(Z - c), 2.0),
     )
 
 
 def _objective_fields(obj):
-    """eval_f on Points and eval_f_many on rows, for the same objective."""
-    return lambda p: eval_f(obj, p), lambda X: eval_f_many(obj, X)
+    """eval_f on one chart row and eval_f_many on rows, for the same objective."""
+    return lambda z: float(eval_f_many(obj, z[None])[0]), lambda Z: eval_f_many(obj, Z)
 
 
 # finite-difference gradients
@@ -50,15 +53,16 @@ def _objective_fields(obj):
 
 def test_fd_gradient_log_branch(log_example):
     obj = log_example.objective
-    g = fd_gradient(obj.phi, LP1, [[1.0]])
+    g = fd_gradient(obj.phi, LP1, [[0.0]])
     assert g.shape == (1, 2, 1)
     assert_allclose(g[0, 1], [-1.0 - 2.0 * np.exp(-2.0)], rtol=1e-6)
 
 
 def test_fd_gradient_applies_metric_sharp():
-    # gradient of ln x under the inverse-square metric is x itself
-    g = fd_gradient(lambda X: np.log(X[:, 0]), LP1, [[2.0]])
-    assert_allclose(g[0], [2.0], rtol=1e-7)
+    # in the chart the metric is Euclidean, so there is no sharp to apply:
+    # the gradient of ln x = z is 1 (the metric gradient x, as a chart tangent)
+    g = fd_gradient(lambda Z: Z[:, 0], LP1, [[np.log(2.0)]])
+    assert_allclose(g[0], [1.0], rtol=1e-7)
 
 
 def test_fd_gradient_euclidean():
@@ -70,7 +74,7 @@ def test_fd_gradient_euclidean():
 def test_fd_gradient_propagates_domain_error(log_example):
     obj = log_example.objective
     with pytest.raises(DomainError):
-        fd_gradient(lambda X: eval_f_many(obj, X), LP1, [[0.125 + 1e-9]])
+        fd_gradient(lambda Z: eval_f_many(obj, Z), LP1, np.log([[0.125 + 1e-9]]))
 
 
 @pytest.mark.parametrize(
@@ -87,10 +91,10 @@ def test_fd_gradient_matches_per_point_reference(request_, reference_fd_gradient
     got = fd_gradient(obj.phi, m, X)
     want = [
         [
-            reference_fd_gradient(lambda q, i=i: obj.phi(q.coords[None])[0, i], Point(m, x))
+            reference_fd_gradient(lambda q, i=i: obj.phi(q[None])[0, i], z)
             for i in range(len(obj.params))
         ]
-        for x in X
+        for z in X
     ]
     assert got.shape == (len(X), len(obj.params), m.dim)
     assert got.tobytes() == np.array(want).tobytes()
@@ -100,23 +104,24 @@ def test_fd_gradient_matches_per_point_reference(request_, reference_fd_gradient
 
 
 def test_grid_minimize_parabola():
-    pt, val = grid_minimize(lambda X: 0.5 * (X[:, 0] - 3.0) ** 2, E1, 0.0, 5.0, 501)
-    assert pt.coords[0] == pytest.approx(3.0, abs=1e-8)
+    z, val = grid_minimize(lambda X: 0.5 * (X[:, 0] - 3.0) ** 2, E1, 0.0, 5.0, 501)
+    assert z[0] == pytest.approx(3.0, abs=1e-8)
     assert val <= 1e-15
 
 
 def test_grid_minimize_finds_kink(log_example):
+    # the kink x = 1 is the chart point z = 0
     obj = log_example.objective
-    pt, val = grid_minimize(lambda X: eval_f_many(obj, X), LP1, 0.1251, 4.0, 2001)
-    assert pt.coords[0] == pytest.approx(1.0, abs=1e-7)
+    z, val = grid_minimize(lambda Z: eval_f_many(obj, Z), LP1, np.log(0.1251), np.log(4.0), 2001)
+    assert z[0] == pytest.approx(0.0, abs=1e-7)
     assert val <= 1e-7
 
 
 def test_grid_minimize_is_deterministic(log_example):
     obj = log_example.objective
-    a = grid_minimize(lambda X: eval_f_many(obj, X), LP1, 0.1251, 4.0, 501)
-    b = grid_minimize(lambda X: eval_f_many(obj, X), LP1, 0.1251, 4.0, 501)
-    assert a[0].coords[0] == b[0].coords[0]
+    a = grid_minimize(lambda Z: eval_f_many(obj, Z), LP1, np.log(0.1251), np.log(4.0), 501)
+    b = grid_minimize(lambda Z: eval_f_many(obj, Z), LP1, np.log(0.1251), np.log(4.0), 501)
+    assert a[0][0] == b[0][0]
     assert a[1] == b[1]
 
 
@@ -125,8 +130,8 @@ def test_grid_minimize_first_of_equal_minima_wins():
         # minima at the nodes 1 and 3; the polish keeps each exact zero
         return np.minimum((X[:, 0] - 1.0) ** 2, (X[:, 0] - 3.0) ** 2)
 
-    pt, val = grid_minimize(field, E1, 0.0, 4.0, 5)
-    assert pt.coords.tolist() == [1.0]
+    z, val = grid_minimize(field, E1, 0.0, 4.0, 5)
+    assert z.tolist() == [1.0]
     assert val == 0.0
 
 
@@ -135,8 +140,8 @@ def test_grid_minimize_skips_nan_nodes():
         # np.argmin alone would return the NaN at -1 before the minimum at -2
         return np.where(X[:, 0] == -1.0, np.nan, X[:, 0] + 2.0)
 
-    pt, val = grid_minimize(field, E1, -2.0, 2.0, 5)
-    assert pt.coords.tolist() == [-2.0]
+    z, val = grid_minimize(field, E1, -2.0, 2.0, 5)
+    assert z.tolist() == [-2.0]
     assert val == 0.0
     for fill in (np.nan, np.inf):
         with pytest.raises(RuntimeError):
@@ -144,8 +149,9 @@ def test_grid_minimize_skips_nan_nodes():
 
 
 def test_grid_minimize_checks_nodes_are_points():
+    # chart nodes whose points e^z lie beyond the float range
     with pytest.raises(InvalidPointError):
-        grid_minimize(lambda X: X[:, 0], LP1, -1.0, 1.0, 5)
+        grid_minimize(lambda X: X[:, 0], LP1, 700.0, 720.0, 5)
 
 
 def test_grid_spec_guards():
@@ -164,14 +170,13 @@ def test_grid_spec_guards():
 
 
 def test_half_sq_dist_is_one_strongly_convex(log_example):
-    center = _pt(0.9)
     report = geodesic_convexity_test(
-        lambda X: 0.5 * np.float_power(dist_rows(LP1, X, center.coords), 2.0),
+        _half_sq_dist_fields(np.log([0.9]))[1],
         LP1,
         samples=200,
         modulus=1.0,
-        lower=log_example.region_lower,
-        upper=log_example.region_upper,
+        lower=BOX[0],
+        upper=BOX[1],
         seed=7,
     )
     assert report.passed
@@ -188,8 +193,8 @@ def test_raw_max_objective_is_not_convex(log_example):
         LP1,
         samples=400,
         modulus=0.0,
-        lower=log_example.region_lower,
-        upper=log_example.region_upper,
+        lower=BOX[0],
+        upper=BOX[1],
         seed=7,
         domain=obj.domain_guard,
     )
@@ -199,14 +204,14 @@ def test_raw_max_objective_is_not_convex(log_example):
 
 def test_shifted_objective_regains_strong_convexity(log_example):
     obj = log_example.objective
-    shifted = with_prox_term(obj, _pt(0.5), 0.51)
+    shifted = with_prox_term(obj, to_chart(_pt(0.5)), 0.51)
     report = geodesic_convexity_test(
         lambda X: eval_f_many(shifted, X),
         LP1,
         samples=300,
         modulus=0.51 - 0.34,
-        lower=log_example.region_lower,
-        upper=log_example.region_upper,
+        lower=BOX[0],
+        upper=BOX[1],
         seed=7,
         domain=obj.domain_guard,
     )
@@ -220,8 +225,8 @@ def test_convexity_test_rejects_negative_modulus(log_example):
             LP1,
             samples=10,
             modulus=-1.0,
-            lower=log_example.region_lower,
-            upper=log_example.region_upper,
+            lower=BOX[0],
+            upper=BOX[1],
         )
 
 
@@ -263,17 +268,16 @@ def test_convexity_test_raises_on_nan_field(reference_convexity_test):
 def _reference_cases():
     prob = make_problem("paper_example")
     obj = prob.objective
-    shifted = with_prox_term(obj, _pt(0.5), 0.51)
+    shifted = with_prox_term(obj, to_chart(_pt(0.5)), 0.51)
     abs_obj = make_problem("abs").objective
-    # each admits 40-60% of the draws, so the retry path runs
-    lp_guard = lambda x: (x > 1.0).all(axis=-1)  # noqa: E731
+    # each admits 40-60% of the draws, so the retry path runs; x > 1 is z > 0
+    lp_guard = lambda z: (z > 0.0).all(axis=-1)  # noqa: E731
     e_guard = lambda x: (np.abs(x) > 4.0).all(axis=-1)  # noqa: E731
-    box = (prob.region_lower, prob.region_upper)
     return [
-        ("lp-half-sq-dist", LP1, _half_sq_dist_fields(LP1, [0.9]), 1.0, box, None),
-        ("lp-shifted", LP1, _objective_fields(shifted), 0.51 - 0.34, box, obj.domain_guard),
-        ("lp-raw-retry", LP1, _objective_fields(obj), 0.0, box, lp_guard),
-        ("e-half-sq-dist", E1, _half_sq_dist_fields(E1, [1.5]), 1.0, ([-10.0], [10.0]), None),
+        ("lp-half-sq-dist", LP1, _half_sq_dist_fields(np.log([0.9])), 1.0, BOX, None),
+        ("lp-shifted", LP1, _objective_fields(shifted), 0.51 - 0.34, BOX, obj.domain_guard),
+        ("lp-raw-retry", LP1, _objective_fields(obj), 0.0, BOX, lp_guard),
+        ("e-half-sq-dist", E1, _half_sq_dist_fields([1.5]), 1.0, ([-10.0], [10.0]), None),
         ("e-abs-retry", E1, _objective_fields(abs_obj), 0.0, ([-10.0], [10.0]), e_guard),
     ]
 
@@ -281,7 +285,7 @@ def _reference_cases():
 @pytest.mark.parametrize("case", _reference_cases(), ids=lambda c: c[0])
 def test_convexity_test_matches_reference_in_one_dimension(case, reference_convexity_test):
     _, m, (point_field, array_field), modulus, (lo, hi), guard = case
-    point_domain = None if guard is None else (lambda p: bool(guard(p.coords)))
+    point_domain = None if guard is None else (lambda z: bool(guard(z)))
     for seed in (7, 8):
         want = reference_convexity_test(
             point_field, m, 150, modulus, lo, hi, seed=seed, domain=point_domain
@@ -296,14 +300,13 @@ def test_convexity_test_matches_reference_in_one_dimension(case, reference_conve
 def test_convexity_test_rejects_draws_as_the_reference(share, reference_convexity_test):
     # the domain admits a share of the chart box: with little enough, 200
     # rejections in a row end the test, at sample 0 or later
-    prob = make_problem("paper_example")
-    lo, hi = prob.region_lower, prob.region_upper
-    cut = float(np.exp(np.log(lo[0]) + share * (np.log(hi[0]) - np.log(lo[0]))))
+    lo, hi = BOX
+    cut = float(lo[0] + share * (hi[0] - lo[0]))
     judged_ref, judged = [], []
 
-    def point_domain(p):
-        judged_ref.append(p.coords[0])
-        return bool(p.coords[0] < cut)
+    def point_domain(z):
+        judged_ref.append(z[0])
+        return bool(z[0] < cut)
 
     def domain(X):
         judged.append(X[:, 0])
@@ -311,7 +314,7 @@ def test_convexity_test_rejects_draws_as_the_reference(share, reference_convexit
 
     outcomes = []
     for test, field, dom in (
-        (reference_convexity_test, lambda p: p.coords[0] ** 2, point_domain),
+        (reference_convexity_test, lambda z: z[0] ** 2, point_domain),
         (geodesic_convexity_test, lambda X: X[:, 0] ** 2, domain),
     ):
         try:
@@ -332,8 +335,8 @@ def test_convexity_test_gives_up_after_200_rejected_draws_as_the_reference(
     # pairs draw a first block of 300 rows, so from 250 on the run spans blocks
     judged_ref, judged = [], []
 
-    def point_domain(p):
-        judged_ref.append(p)
+    def point_domain(z):
+        judged_ref.append(z)
         return not first < len(judged_ref) <= first + rejected
 
     def domain(X):
@@ -343,7 +346,7 @@ def test_convexity_test_gives_up_after_200_rejected_draws_as_the_reference(
 
     outcomes = []
     for test, field, dom in (
-        (reference_convexity_test, lambda p: p.coords[0] ** 2, point_domain),
+        (reference_convexity_test, lambda z: z[0] ** 2, point_domain),
         (geodesic_convexity_test, lambda X: X[:, 0] ** 2, domain),
     ):
         try:
@@ -364,14 +367,14 @@ def test_convexity_test_rejects_a_domain_of_the_wrong_shape():
 @pytest.mark.parametrize(
     "m, fields, modulus",
     [
-        (euclidean(3), _half_sq_dist_fields(euclidean(3), [0.5, -1.0, 2.0]), 1.0),
-        (log_positive(3), _half_sq_dist_fields(log_positive(3), [0.5, 1.0, 2.0]), 1.0),
+        (euclidean(3), _half_sq_dist_fields([0.5, -1.0, 2.0]), 1.0),
+        (log_positive(3), _half_sq_dist_fields(np.log([0.5, 1.0, 2.0])), 1.0),
         (
             log_positive(3),
             _objective_fields(
                 with_prox_term(
                     make_problem({"name": "paper_example_product", "n": 3}).objective,
-                    Point(log_positive(3), [0.7, 1.2, 2.0]),
+                    np.log([0.7, 1.2, 2.0]),
                     1.0,
                 )
             ),
@@ -383,8 +386,9 @@ def test_convexity_test_rejects_a_domain_of_the_wrong_shape():
 def test_convexity_test_within_ulps_of_reference_in_three_dimensions(
     m, fields, modulus, reference_convexity_test
 ):
-    lo = [0.2] * 3 if m.geometry is Geometry.LOG_POSITIVE else [-3.0] * 3
-    hi = [3.0] * 3
+    log = m.geometry.value == "log_positive"
+    lo = np.log([0.2] * 3) if log else [-3.0] * 3
+    hi = np.log([3.0] * 3) if log else [3.0] * 3
     want = reference_convexity_test(fields[0], m, 150, modulus, lo, hi, seed=5)
     got = geodesic_convexity_test(fields[1], m, 150, modulus, lo, hi, seed=5)
     assert (got.n_pairs, got.n_checks, got.n_violations, got.passed) == (
@@ -393,8 +397,8 @@ def test_convexity_test_within_ulps_of_reference_in_three_dimensions(
         want.n_violations,
         want.passed,
     )
-    # dist's BLAS dot may round a row differently; the field values here are
-    # below 40, where 32 ulp of 1.0 covers a few ulp of a value
+    # row_norms' BLAS dot may round a row differently; the field values here
+    # are below 40, where 32 ulp of 1.0 covers a few ulp of a value
     assert abs(got.worst_violation - want.worst_violation) <= 32 * np.finfo(float).eps
 
 
@@ -427,7 +431,7 @@ def test_usc_at_kink_both_directions(log_example):
 def test_usc_at_smooth_point(log_example):
     obj = log_example.objective
     p = _pt(0.3125)
-    report = usc_sampler(obj, p, [0.3125], n=1000, seed=42)
+    report = usc_sampler(obj, p, [1.0], n=1000, seed=42)
     assert report.passed
     assert report.tail_start == 900
     assert "not a proof" in report.note
@@ -436,7 +440,7 @@ def test_usc_at_smooth_point(log_example):
 def test_usc_near_boundary_discards_but_passes(log_example):
     obj = log_example.objective
     p = _pt(0.13)
-    report = usc_sampler(obj, p, [0.13], n=1000, seed=42)
+    report = usc_sampler(obj, p, [1.0], n=1000, seed=42)
     assert report.discarded > 0
     assert report.passed
 
@@ -528,7 +532,7 @@ def test_usc_sampler_gives_up_on_16_zero_rows_in_a_row_as_normal_draw_does(
 
 
 def test_usc_rejects_bad_direction_and_outside_point(log_example):
-    # the direction is tangent coordinates (n,) at p, and must be finite
+    # the direction is a chart tangent (n,), and must be finite
     for bad in ([1.0, 2.0], 1.0, [np.nan]):
         with pytest.raises(ValueError, match="direction must have shape|must be finite"):
             usc_sampler(log_example.objective, _pt(1.0), bad, n=10)
@@ -538,6 +542,14 @@ def test_usc_rejects_bad_direction_and_outside_point(log_example):
             usc_sampler(product, Point(product.manifold, [1.0, 1.0]), bad, n=10)
     with pytest.raises(DomainError):
         usc_sampler(log_example.objective, _pt(0.05), [1.0], n=10)
+
+
+@pytest.mark.parametrize("x0", [1e150, 1e155, 1e300])
+def test_usc_sampler_passes_from_a_large_start(log_example, x0):
+    # the metric norm of a draw at x was |g| / x, whose x**2 overflowed from
+    # ~1.34e154 on; in the chart a step of 1/k is a step of 1/k at any x
+    report = usc_sampler(log_example.objective, _pt(x0), [1.0], n=1000, seed=42)
+    assert report.passed and report.discarded == 0
 
 
 def test_usc_respects_tolerance_override(log_example):

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from proxmax import Point, eval_f, make_problem
-from proxmax.manifold import norm_rows
+from proxmax.manifold import row_norms
 from proxmax.oracle import fd_gradient
 from proxmax.problems import BUILTIN_NAMES, region_samples
 
@@ -19,7 +19,9 @@ def test_builtin_registry():
 def test_make_problem_accepts_dict_with_params():
     prob = make_problem({"name": "paper_example", "epsilon": 0.25})
     assert prob.metadata["epsilon"] == 0.25
-    assert not prob.objective.domain_guard(np.array([0.2]))
+    # the guard takes chart coordinates, ln x on the orthant
+    assert not prob.objective.domain_guard(np.log([0.2]))
+    assert prob.objective.domain_guard(np.log([0.26]))
 
 
 def test_make_problem_unknown_name_lists_builtins():
@@ -64,10 +66,10 @@ def test_make_problem_accepts_numpy_integer_size():
 def test_paper_example_is_the_one_dimensional_product(epsilon):
     paper = make_problem({"name": "paper_example", "epsilon": epsilon})
     product = make_problem({"name": "paper_example_product", "n": 1, "epsilon": epsilon})
-    X = np.exp(np.linspace(np.log(epsilon), np.log(50.0), 2001))[1:, None]
+    Z = np.linspace(np.log(epsilon), np.log(50.0), 2001)[1:, None]
     for field in ("phi", "grad_phi"):
-        got = getattr(paper.objective, field)(X)
-        assert got.tobytes() == getattr(product.objective, field)(X).tobytes()
+        got = getattr(paper.objective, field)(Z)
+        assert got.tobytes() == getattr(product.objective, field)(Z).tobytes()
     assert paper.objective.params.values.tolist() == [0.0, 1.0]
     assert paper.start.coords.tolist() == product.start.coords.tolist() == [0.3125]
     assert paper.region_lower.tolist() == product.region_lower.tolist() == [epsilon]
@@ -95,7 +97,7 @@ def test_log_example_interpolates_branches(log_example):
     # parameter mixes them affinely, so interior values never exceed the
     # endpoint maximum
     x = 2.0
-    v0, v1 = log_example.objective.phi(np.array([[x]]))[0]
+    v0, v1 = log_example.objective.phi(np.log([[x]]))[0]
     f1 = np.log(x)
     f2 = -np.log(x) + np.exp(-2.0 * x) - np.exp(-2.0)
     assert v0 == pytest.approx(f1, rel=1e-14)
@@ -155,17 +157,39 @@ def test_builtin_gradients_match_finite_differences(rng):
             X = X[np.abs(X[:, 0]) >= 0.05]  # kink of the branch itself
         exact = obj.grad_phi(X)
         approx = fd_gradient(obj.phi, m, X)
-        base = X[:, None, :]
-        bound = 1e-5 * np.maximum(1.0, norm_rows(m, base, exact))
-        assert np.all(norm_rows(m, base, exact - approx) <= bound)
+        bound = 1e-5 * np.maximum(1.0, row_norms(exact))
+        assert np.all(row_norms(exact - approx) <= bound)
+
+
+@pytest.mark.parametrize(
+    "request_",
+    ["paper_example", "abs", "quadratic", {"name": "paper_example_product", "n": 2},
+     {"name": "paper_example_product", "n": 3}],
+    ids=["paper", "abs", "quadratic", "prod2", "prod3"],
+)
+def test_chart_gradients_follow_the_x_forms_by_the_chain_rule(request_, x_form_branches):
+    # d phi / dz = d phi / dx * dx / dz, with dx / dz = x on the orthant and 1
+    # on the line; the x forms are written out in conftest.py
+    prob = make_problem(request_)
+    obj = prob.objective
+    m = obj.manifold
+    Z = region_samples(prob, 100, np.random.default_rng(11))
+    X = np.exp(Z) if m.geometry.value == "log_positive" else Z
+    values, flat = x_form_branches(prob)
+    dx_dz = X if m.geometry.value == "log_positive" else np.ones_like(X)
+    got = obj.grad_phi(Z)
+    assert got.shape == (100, len(obj.params), m.dim)
+    assert_allclose(got, flat(X) * dx_dz[:, None, :], rtol=1e-13, atol=1e-15)
+    assert_allclose(obj.phi(Z), values(X), rtol=1e-13, atol=1e-14)
 
 
 def test_region_samples_one_dim(log_example):
     pts = region_samples(log_example, 10)
     assert len(pts) == 10
-    xs = [x[0] for x in pts]
-    assert all(0.125 < x < 4.0 for x in xs)
-    assert xs == sorted(xs)
+    # chart rows: ln x on the orthant
+    zs = [z[0] for z in pts]
+    assert all(np.log(0.125) < z < np.log(4.0) for z in zs)
+    assert zs == sorted(zs)
 
 
 def test_region_samples_multi_dim_needs_rng():
@@ -192,6 +216,6 @@ def test_region_samples_match_per_sample_points(request_, reference_region_sampl
         ref = reference_region_samples(prob, 64, ref_rng)
         assert X.shape == (64, m.dim)
         assert not X.flags.writeable
-        assert X.tobytes() == np.stack([p.coords for p in ref]).tobytes()
+        assert X.tobytes() == np.stack(ref).tobytes()
         # the row draw leaves the generator where the per-sample draws did
         assert rng.random() == ref_rng.random()

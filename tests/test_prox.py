@@ -6,10 +6,13 @@ from numpy.testing import assert_allclose
 
 from proxmax import (
     DomainError,
+    Evaluation,
     InnerCapError,
     LambdaBoundError,
     LambdaSchedule,
     LevelSetError,
+    MaxObjective,
+    ParamSet,
     Point,
     ProxConfig,
     clarke_subdiff,
@@ -17,14 +20,17 @@ from proxmax import (
     estimate_sup_lipschitz,
     eval_f,
     eval_f_many,
+    euclidean,
     evaluate,
     log_positive,
     make_problem,
     min_norm_subgradient,
     prox_step,
     solve,
+    to_chart,
     with_prox_term,
 )
+from proxmax.objective import branch_grads, eval_branches
 from proxmax.oracle import grid_minimize
 from proxmax.problems import region_samples
 from proxmax.prox import inner_solve
@@ -150,15 +156,17 @@ def test_certified_step_lands_on_the_kink(log_example):
 
 
 def test_prox_step_matches_grid_search(log_example):
-    # dual route: the inner solver against a dense grid plus golden refinement
+    # dual route: the inner solver against a dense grid plus finer grids
     obj = log_example.objective
     lam = 0.6
     for x0 in (0.5, 2.0, 3.5):
         p_k = _pt(x0)
         p_next = prox_step(obj, evaluate(obj, p_k), lam, ProxConfig(), lipschitz=0.34)[0].point
-        shifted = with_prox_term(obj, p_k, lam)
-        g_pt, g_val = grid_minimize(lambda X: eval_f_many(shifted, X), LP1, 0.1251, 4.0, 5001)
-        assert dist(p_next, g_pt) <= 1e-6
+        shifted = with_prox_term(obj, to_chart(p_k), lam)
+        g_z, g_val = grid_minimize(
+            lambda Z: eval_f_many(shifted, Z), LP1, np.log(0.1251), np.log(4.0), 5001
+        )
+        assert np.abs(to_chart(p_next) - g_z).max() <= 1e-6
         assert eval_f(shifted, p_next) <= g_val + 1e-10
 
 
@@ -242,23 +250,26 @@ def test_trace_invariants(log_example, hull_distance):
     trace = solve(obj, start, sched, cfg)
     assert trace.termination.kind == "stationary"
 
+    # the records against the same steps replayed on chart rows
     f_prev = eval_f(obj, start)
-    p_prev = start
+    at = evaluate(obj, start)
     sum_sq = 0.0
     for rec in trace.records:
-        # residual is the weighted step length
+        nxt = prox_step(obj, at, lam, cfg, lipschitz=0.34)[0]
+        assert rec.point.coords.tolist() == nxt.point.coords.tolist()
+        # residual is the weighted step length, the chart distance of the step
         assert rec.residual == pytest.approx(lam * rec.step_dist, rel=1e-12, abs=1e-300)
-        assert rec.step_dist == pytest.approx(dist(p_prev, rec.point), rel=1e-12, abs=1e-300)
+        step = float(np.linalg.norm(nxt.z - at.z))
+        assert rec.step_dist == pytest.approx(step, rel=1e-12, abs=1e-300)
         # monotone descent with the proximal quadratic as margin
         assert rec.f_value <= f_prev - 0.5 * lam * rec.step_dist**2 + 1e-7
         # optimality certificate: the weighted return tangent lam * log_x(p_prev),
-        # x ln(p_prev / x) on the half-line, lies in the hull
-        x = rec.point.coords
-        cert = lam * (x * np.log(p_prev.coords / x))
+        # the chart difference z_prev - z, lies in the hull
+        cert = lam * (at.z - nxt.z)
         hull = clarke_subdiff(obj, rec.point)
         assert hull_distance(hull, cert) <= cfg.inner_tol + 1e-9
         sum_sq += rec.step_dist**2
-        f_prev, p_prev = rec.f_value, rec.point
+        f_prev, at = rec.f_value, nxt
 
     f0 = eval_f(obj, start)
     assert sum_sq <= 2.0 / lam * (f0 - trace.final_f()) + 1e-6
@@ -298,7 +309,7 @@ def test_inner_cap_carries_best_iterate():
     err = info.value
     assert err.iterations == cfg.max_inner
     assert err.certificate > cfg.inner_tol
-    shifted = with_prox_term(obj, start, 0.51)
+    shifted = with_prox_term(obj, to_chart(start), 0.51)
     h_best = eval_f(shifted, err.best)
     h_start = eval_f(shifted, start)
     assert h_best < h_start
@@ -329,14 +340,30 @@ def test_inner_solve_stops_at_a_step_below_float_resolution():
     assert err.certificate == 1.0
 
 
-def test_solve_names_a_non_finite_branch_gradient(log_example):
-    # x**2 overflows in the gradient of either branch at x = 1e200
-    sched = LambdaSchedule(lower=0.34, upper=1e6, constant=0.51)
-    with np.errstate(over="ignore"):
-        trace = solve(log_example.objective, _pt(1e200), sched, ProxConfig())
+def test_solve_names_a_non_finite_branch_gradient():
+    # a branch whose gradient overflows beyond x = 10
+    m = euclidean(1)
+    obj = MaxObjective(
+        manifold=m,
+        params=ParamSet([0.0]),
+        phi=lambda Z: 0.5 * Z**2,
+        grad_phi=lambda Z: np.where(Z > 10.0, np.inf, Z)[:, None, :],
+    )
+    trace = solve(obj, Point(m, [20.0]), _UNIT, ProxConfig())
     assert trace.termination.kind == "error"
-    assert trace.termination.message == "DomainError: branch gradient is non-finite at [1e+200]"
+    assert trace.termination.message == (
+        "DomainError: branch gradient is non-finite at chart point [20.0]"
+    )
     assert trace.iterations == 0
+
+
+@pytest.mark.parametrize("x0", [1e155, 1e200, 1e300])
+def test_solve_from_a_large_start_reaches_the_kink(log_example, x0):
+    # in the chart the gradient of the second branch is -1 - 2 e^z e^(-2 e^z),
+    # which stays finite at any start; x**2 overflowed above ~1.34e154
+    trace = solve(log_example.objective, _pt(x0), _HALF_LINE, ProxConfig())
+    assert trace.termination.kind == "stationary"
+    assert abs(trace.final_point().coords[0] - 1.0) <= 1e-10
 
 
 def test_successful_solve_carries_no_best_iterate(log_example):
@@ -374,10 +401,10 @@ def _counting(obj):
         # 51 outer steps: one trial and one gradient row per step, plus the
         # start's value for the level guard and its gradient for the first step
         ("abs", [50.0], _UNIT, 52, 51),
-        # the second step's search finds no decrease and keeps its iterate,
-        # whose gradients the first step already took
-        ("paper_example", None, _HALF_LINE, 46, 5),
-        ({"name": "paper_example_product", "n": 4}, None, _HALF_LINE, 8, 6),
+        # at the kink f cancels to rounding: a certified step whose model
+        # decrease is below it ends its search at the first trial that rises
+        ("paper_example", None, _HALF_LINE, 7, 6),
+        ({"name": "paper_example_product", "n": 4}, None, _HALF_LINE, 7, 6),
     ],
 )
 def test_solve_evaluates_each_iterate_once(problem, start, sched, phi_calls, grad_calls):
@@ -401,15 +428,25 @@ def test_solve_evaluates_each_iterate_once(problem, start, sched, phi_calls, gra
     ],
 )
 def test_records_carry_the_public_functions_numbers(problem, sched):
-    # the carried values and gradients are the ones eval_f and clarke_subdiff
-    # read afresh, bit for bit
+    # the carried values and gradients are the ones eval_branches and
+    # branch_grads read afresh at each step's chart row, bit for bit, and
+    # where the chart is the identity the ones eval_f and clarke_subdiff read
     prob = make_problem(problem)
     obj = prob.objective
-    trace = solve(obj, prob.start, sched, ProxConfig())
+    cfg = ProxConfig()
+    trace = solve(obj, prob.start, sched, cfg)
     assert trace.termination.kind == "stationary"
+    at = evaluate(obj, prob.start)
     for rec in trace.records:
-        assert rec.f_value == eval_f(obj, rec.point)
-        assert rec.subgrad_norm == min_norm_subgradient(clarke_subdiff(obj, rec.point))[1]
+        at = prox_step(obj, at, sched.constant, cfg, lipschitz=sched.lower)[0]
+        fresh = Evaluation(at.point, at.z, eval_branches(obj, at.z[None])[0],
+                           branch_grads(obj, at.z[None])[0])
+        assert rec.point.coords.tolist() == at.point.coords.tolist()
+        assert rec.f_value == fresh.f
+        assert rec.subgrad_norm == min_norm_subgradient(fresh.subdiff())[1]
+        if obj.manifold.geometry.value == "euclidean":
+            assert rec.f_value == eval_f(obj, rec.point)
+            assert rec.subgrad_norm == min_norm_subgradient(clarke_subdiff(obj, rec.point))[1]
 
 
 # finite termination at sharp minima (Ferris 1991)
@@ -448,3 +485,41 @@ def test_half_line_prox_steps_take_few_inner_steps():
             assert trace.termination.kind == "stationary"
             assert abs(trace.final_point().coords[0] - 1.0) <= 1e-10
             assert max(r.inner_iters for r in trace.records) <= 10
+
+
+# a certified step whose model decrease is below the rounding of h: no trial
+# can show that decrease, so the search must not run out its 40 halvings
+
+
+def _phi_rows(obj):
+    """obj with phi wrapped to count the rows it reads."""
+    rows = [0]
+
+    def phi(Z):
+        rows[0] += len(Z)
+        return obj.phi(Z)
+
+    return dataclasses.replace(obj, phi=phi), rows
+
+
+def test_paper_example_default_solve_reads_at_most_8_phi_rows(log_example):
+    lip = estimate_sup_lipschitz(log_example.objective, region_samples(log_example, 64))
+    obj, rows = _phi_rows(log_example.objective)
+    trace = solve(obj, log_example.start, LambdaSchedule.default(lip, 1e6), ProxConfig())
+    assert trace.termination.kind == "stationary"
+    assert rows[0] <= 8
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_certified_step_at_an_exact_zero_of_f_takes_at_most_two_trials(n):
+    # at x = (1, ..., 1) every branch of the product is 0 exactly, and so is h
+    prob = make_problem({"name": "paper_example_product", "n": n})
+    at = evaluate(prob.objective, Point(prob.objective.manifold, np.ones(n)))
+    assert at.f == 0.0 and not at.values.any()
+    obj, rows = _phi_rows(prob.objective)
+    cfg = ProxConfig()
+    nxt, steps = inner_solve(obj, at, 0.51, 0.34, cfg)
+    assert steps == 1 and rows[0] <= 2
+    assert dist(nxt.point, at.point) <= cfg.inner_tol
+    # the returned point is certified: a fresh step from it is certified at once
+    assert inner_solve(prob.objective, nxt, 0.51, 0.34, cfg)[1] == 1
