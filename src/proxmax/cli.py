@@ -27,7 +27,6 @@ from .manifold import (
     Point,
     from_chart_rows,
     normal_draw,
-    row_norms,
     to_chart,
     unit_rows,
 )
@@ -454,22 +453,6 @@ def _check_prox_vs_grid(
     return ok, f"worst point gap {worst_pt:.3e} (1e-4), value gap {worst_val:.3e} (1e-8)"
 
 
-def _check_dist_convexity(prep: _Prepared, rng: np.random.Generator) -> tuple[bool, str]:
-    center = to_chart(prep.start)
-    lower, upper = prep.problem.chart_box()
-    report = oracle.geodesic_convexity_test(
-        # float_power is the C pow of a float's ** 2
-        lambda Z: 0.5 * np.float_power(row_norms(Z - center), 2.0),
-        prep.problem.objective.manifold,
-        samples=200,
-        modulus=1.0,
-        lower=lower,
-        upper=upper,
-        seed=int(rng.integers(2**31)),
-    )
-    return report.passed, _chord_detail(report)
-
-
 def _check_subgrad_floor(
     prep: _Prepared, rng: np.random.Generator
 ) -> tuple[Optional[bool], str]:
@@ -509,7 +492,6 @@ _CHECKS = [
     ("sum_rule", _check_sum_rule),
     ("usc_sampler", _check_usc),
     ("prox_vs_grid", _check_prox_vs_grid),
-    ("dist_convexity", _check_dist_convexity),
     ("subgrad_floor", _check_subgrad_floor),
     ("solve_stationary", _check_solve_stationary),
 ]

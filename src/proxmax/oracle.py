@@ -1,7 +1,7 @@
 """Slow verification oracles.
 
 What is independent here is the method: gradients come from central
-differences, minimizers from dense grids polished by finer grids,
+differences, minimizers from dense grids with a golden-section polish,
 convexity from random chord checks, and semicontinuity from seeded
 sampling.  All of them work on chart rows (manifold.py), where geodesics
 are straight lines and the metric is Euclidean; the geometry tests check
@@ -24,6 +24,7 @@ So the samples and the reports are those of that loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -49,10 +50,8 @@ __all__ = [
     "usc_sampler",
 ]
 
-# the grid search polishes its best node down to a bracket this wide, with
-# this many nodes per polishing grid
-POLISH_WIDTH = 1e-10
-_POLISH_NODES = 65
+GOLDEN_WIDTH = 1e-10
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 ArrayField = Callable[[np.ndarray], np.ndarray]
 
@@ -80,6 +79,26 @@ def fd_gradient(field: ArrayField, manifold: ManifoldKind, Z) -> np.ndarray:
         diff = (values(e) - values(-e)).T
         columns.append((diff / (2.0 * steps[:, i])).T)
     return np.stack(columns, axis=-1)
+
+
+def _golden_refine(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section search down to a bracket of width GOLDEN_WIDTH."""
+    x1 = hi - _INVPHI * (hi - lo)
+    x2 = lo + _INVPHI * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(300):
+        if hi - lo <= GOLDEN_WIDTH:
+            break
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INVPHI * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INVPHI * (hi - lo)
+            f2 = f(x2)
+    xbest, fbest = (x1, f1) if f1 <= f2 else (x2, f2)
+    return xbest, fbest
 
 
 def _field_values(field: ArrayField, X: np.ndarray) -> np.ndarray:
@@ -149,11 +168,9 @@ def grid_minimize(
     one-dimensional, and every one of the points evenly spaced nodes must be
     a valid chart row of it.  The first minimal node wins; NaN and +inf nodes
     never win, and RuntimeError is raised when no node does.  The best node
-    is then polished by grids of _POLISH_NODES nodes, each between the
-    neighbors of the last grid's best node, down to a bracket of width
-    POLISH_WIDTH; a node replaces the best only with a lower value.  Each
-    grid takes one field call.  Returns the minimizer's chart coordinates
-    and its value.
+    is then polished by golden-section search between its neighbors, with
+    field called on (1, 1) arrays.  Returns the minimizer's chart
+    coordinates and its value.
     """
     if manifold.dim != 1:
         raise ValueError(f"grid search needs a one-dimensional manifold, got dim {manifold.dim}")
@@ -165,19 +182,20 @@ def grid_minimize(
     if points < 2:
         raise ValueError("points must be at least 2")
     axis = np.linspace(lower, upper, points)
-    best_z, best_val = None, np.inf
-    while True:
-        nodes = chart_coords(manifold, axis[:, None], rows=True)
-        vals = _field_values(field, nodes)
-        k = int(np.argmin(np.where(np.isnan(vals), np.inf, vals)))
-        if vals[k] < best_val:
-            best_z, best_val = nodes[k], float(vals[k])
-        elif best_z is None:
-            raise RuntimeError("no grid node has a value below +inf")
-        lo, hi = axis[max(k - 1, 0)], axis[min(k + 1, len(axis) - 1)]
-        if hi - lo <= POLISH_WIDTH:
-            return best_z, best_val
-        axis = np.linspace(lo, hi, _POLISH_NODES)
+    nodes = chart_coords(manifold, axis[:, None], rows=True)
+    vals = _field_values(field, nodes)
+    k = int(np.argmin(np.where(np.isnan(vals), np.inf, vals)))
+    best_z, best_val = nodes[k], float(vals[k])
+    if not best_val < np.inf:
+        raise RuntimeError("no grid node has a value below +inf")
+    z, val = _golden_refine(
+        lambda c: float(field(chart_coords(manifold, [[c]], rows=True))[0]),
+        float(axis[max(k - 1, 0)]),
+        float(axis[min(k + 1, points - 1)]),
+    )
+    if val < best_val:
+        best_z, best_val = np.array([z]), val
+    return best_z, best_val
 
 
 @dataclass(frozen=True)

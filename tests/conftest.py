@@ -440,25 +440,6 @@ def _reference_check_strong_convexity(prep, rng):
     )
 
 
-def _reference_check_dist_convexity(prep, rng):
-    m = prep.problem.objective.manifold
-    center = _to_chart(m, prep.start.coords)
-    region = prep.problem
-    report = _reference_geodesic_convexity_test(
-        lambda z: 0.5 * _norm(z - center) ** 2,
-        m,
-        samples=200,
-        modulus=1.0,
-        lower=_to_chart(m, region.region_lower),
-        upper=_to_chart(m, region.region_upper),
-        seed=int(rng.integers(2**31)),
-    )
-    return report.passed, (
-        f"{report.n_violations} violations in {report.n_checks} checks, "
-        f"worst {report.worst_violation:.3e}"
-    )
-
-
 def _reference_region_samples(problem, count=64, rng=None):
     """The per-sample region_samples the row form replaced: a list of chart rows (n,)."""
     m = problem.objective.manifold
@@ -508,6 +489,5 @@ def reference_checks():
         "strong_convexity": _reference_check_strong_convexity,
         "sum_rule": _reference_check_sum_rule,
         "usc_sampler": _reference_check_usc,
-        "dist_convexity": _reference_check_dist_convexity,
         "subgrad_floor": _reference_check_subgrad_floor,
     }

@@ -300,7 +300,6 @@ def test_verify_passes_and_writes_report(tmp_path):
         "sum_rule",
         "usc_sampler",
         "prox_vs_grid",
-        "dist_convexity",
         "subgrad_floor",
         "solve_stationary",
     } <= names

@@ -148,6 +148,17 @@ def test_grid_minimize_skips_nan_nodes():
             grid_minimize(lambda X: np.full(len(X), fill), E1, -2.0, 2.0, 5)
 
 
+def test_grid_minimize_ends_where_an_ulp_exceeds_the_polish_width():
+    # above 2**19 one ulp of z is wider than GOLDEN_WIDTH, so the bracket
+    # cannot shrink to it; the polish still ends and keeps the exact node
+    c = 2.0**20
+    z, val = grid_minimize(lambda X: np.abs(X[:, 0] - c), E1, c - 1.0, c + 1.0, 5)
+    assert z.tolist() == [c]
+    assert val == 0.0
+    z, val = grid_minimize(lambda X: np.abs(X[:, 0] - 1e6 - 0.3), E1, 1e6 - 1.0, 1e6 + 1.0, 5)
+    assert abs(z[0] - (1e6 + 0.3)) <= 4 * np.spacing(1e6)
+
+
 def test_grid_minimize_checks_nodes_are_points():
     # chart nodes whose points e^z lie beyond the float range
     with pytest.raises(InvalidPointError):
